@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-full bench bench-all bench-smoke api-smoke metrics-smoke trace-smoke chaos-smoke load-smoke ci
+.PHONY: all build vet lint test test-full bench bench-all bench-smoke fuzz-smoke api-smoke metrics-smoke trace-smoke chaos-smoke load-smoke ci
 
 all: ci
 
@@ -41,6 +41,11 @@ bench-all:
 # (CI runs this).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
+
+# fuzz-smoke fuzzes the XML writer against its reference serializer for
+# ten seconds, beyond the checked-in seed corpus (CI runs this).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSerializeMatchesReference$$' -fuzztime 10s ./internal/xmldom
 
 # api-smoke boots a real navserve with -api-token, drives navctl
 # through a structure swap over the control plane, and asserts the

@@ -165,14 +165,11 @@ func (app *App) rebuild() (int, string, error) {
 	app.sig = app.modelSigLocked()
 
 	// Serialize every repository document once, at mutation time: the
-	// bytes seed the serialized-document cache the server hands out
-	// (no per-request serialization), and diffing them against the
-	// previous serialization reveals which data documents changed.
-	serialized := make(map[string][]byte, len(app.repo))
-	for uri, doc := range app.repo {
-		serialized[uri] = []byte(doc.IndentedString())
-	}
-	changedDocs := app.docs.diff(serialized)
+	// bytes seed the serialized-document cache the server hands out and
+	// the snapshot export writes (no per-request serialization), and
+	// comparing them with the cached bodies reveals which data documents
+	// changed.
+	serialized, changedDocs := app.docs.serialize(app.repo)
 
 	// Decide what the mutation touched. The generation advances with
 	// any invalidation, so weaves in flight across the mutation are

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/aspect"
@@ -304,12 +305,17 @@ func TestWeaveTrace(t *testing.T) {
 // navigation and checks both advise the same join points.
 func TestAdditionalAspectComposes(t *testing.T) {
 	app := paperApp(t, navigation.Index{})
+	// WeaveSite renders pages on parallel workers, so the advice runs
+	// on several goroutines at once.
+	var mu sync.Mutex
 	var audited []string
 	audit := aspect.NewAspect("audit")
 	audit.AfterAdvice("log", aspect.MustCompilePointcut("kind(page.render)"), 10,
 		func(jp *aspect.JoinPoint, _ any, err error) {
 			if err == nil {
+				mu.Lock()
 				audited = append(audited, jp.Attr("context")+"/"+jp.Name)
+				mu.Unlock()
 			}
 		})
 	app.Weaver().Use(audit)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strconv"
 	"sync"
+
+	"repro/internal/xlink"
 )
 
 // docEntry is one serialized repository document with its precomputed
@@ -35,23 +37,38 @@ func (dc *docCache) get(uri string) (docEntry, bool) {
 	return e, ok
 }
 
-// diff reports which documents of the incoming serialization differ from
-// the cached one — new, changed or deleted uris.
-func (dc *docCache) diff(serialized map[string][]byte) map[string]bool {
+// serialize writes every document of repo in its served form, the
+// two-space indented XML of xmldom's AppendIndented, and compares it with
+// the cached body. Each document is appended into one scratch buffer,
+// sized from the largest cached body and reused across documents. A
+// document whose bytes did not change keeps its cached slice; only a new
+// or changed one is copied out, at its exact size. It returns the bodies
+// by uri and the uris that are new, changed or deleted.
+func (dc *docCache) serialize(repo xlink.MapRepository) (bodies map[string][]byte, changed map[string]bool) {
 	dc.mu.RLock()
 	defer dc.mu.RUnlock()
-	changed := map[string]bool{}
-	for uri, body := range serialized {
-		if e, ok := dc.entries[uri]; !ok || !bytes.Equal(e.body, body) {
-			changed[uri] = true
+	largest := 0
+	for _, e := range dc.entries {
+		largest = max(largest, len(e.body))
+	}
+	scratch := make([]byte, 0, largest)
+	bodies = make(map[string][]byte, len(repo))
+	changed = map[string]bool{}
+	for uri, doc := range repo {
+		scratch = doc.AppendIndented(scratch[:0])
+		if e, ok := dc.entries[uri]; ok && bytes.Equal(e.body, scratch) {
+			bodies[uri] = e.body
+			continue
 		}
+		bodies[uri] = bytes.Clone(scratch)
+		changed[uri] = true
 	}
 	for uri := range dc.entries {
-		if _, ok := serialized[uri]; !ok {
+		if _, ok := repo[uri]; !ok {
 			changed[uri] = true
 		}
 	}
-	return changed
+	return bodies, changed
 }
 
 // reseed replaces the cache with the given serialization. Entries whose

@@ -1,0 +1,71 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/museum"
+	"repro/internal/navigation"
+)
+
+// benchMuseum assembles the 50-painter, 20-painting, 8-movement synthetic
+// museum under an indexed guided tour: 58 contexts, 2,058 pages and a
+// 1.7 MB links.xml, the site navserve serves with -dataset synthetic
+// -painters 50 -paintings 20 -movements 8.
+func benchMuseum(tb testing.TB) *App {
+	tb.Helper()
+	store := museum.Synthetic(museum.SyntheticSpec{Painters: 50, PaintingsPerPainter: 20, Movements: 8, Seed: 1})
+	app, err := NewApp(store, museum.Model(navigation.IndexedGuidedTour{}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return app
+}
+
+// TestAppendIndentedLinkbaseAllocs: serializing links.xml into a buffer
+// that already fits it allocates a fixed handful of objects (the
+// declaring root's scope and the indentation cache), however large the
+// linkbase is.
+func TestAppendIndentedLinkbaseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	allocs := func(app *App) float64 {
+		lb := app.Linkbase()
+		buf := make([]byte, 0, len(lb.IndentedString()))
+		return testing.AllocsPerRun(10, func() { buf = lb.AppendIndented(buf[:0]) })
+	}
+	small, large := allocs(paperApp(t, navigation.IndexedGuidedTour{})), allocs(benchMuseum(t))
+	if small != large || large > 20 {
+		t.Errorf("AppendIndented(links.xml) = %.0f allocs on the paper museum, %.0f on the 2,058-page one; want the same small constant",
+			small, large)
+	}
+}
+
+// BenchmarkAppendIndentedLinkbase serializes the synthetic museum's
+// links.xml into a reused buffer, the work rebuild does per mutation.
+func BenchmarkAppendIndentedLinkbase(b *testing.B) {
+	lb := benchMuseum(b).Linkbase()
+	buf := lb.AppendIndented(nil)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = lb.AppendIndented(buf[:0])
+	}
+}
+
+// BenchmarkRebuildStructureSwap swaps one family of the synthetic museum
+// between an indexed guided tour and an index: a full rebuild that
+// re-serializes links.xml, under the write lock, as the control plane's
+// structure PUT does.
+func BenchmarkRebuildStructureSwap(b *testing.B) {
+	app := benchMuseum(b)
+	swaps := []navigation.AccessStructure{navigation.Index{}, navigation.IndexedGuidedTour{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := app.SetAccessStructure("ByAuthor", swaps[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

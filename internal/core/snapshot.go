@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -17,18 +18,29 @@ const SnapshotPrefix = "site/"
 // ExportSnapshot writes the application's separated artifacts — every
 // data document plus links.xml, the complete woven site definition — into
 // st under SnapshotPrefix, and stamps the store with the page-cache
-// generation. Stale snapshot keys (documents a model change removed) are
-// deleted, so the snapshot always mirrors the current repository exactly.
-// Two navserve processes pointed at one durable store thereby share one
-// site definition: either can export, the other reloads.
+// generation. The bytes are the serialized-document cache's, the same
+// ones the server hands out, and a document the store already holds
+// byte for byte is not written again, so re-exporting an unchanged site
+// costs the generation stamp alone. Stale snapshot keys (documents a
+// model change removed) are deleted, so the snapshot always mirrors the
+// current repository exactly. Two navserve processes pointed at one
+// durable store thereby share one site definition: either can export,
+// the other reloads.
 func (app *App) ExportSnapshot(st storage.Store) error {
 	app.mu.RLock()
 	defer app.mu.RUnlock()
 	current := make(map[string]bool, len(app.repo))
-	for uri, doc := range app.repo {
+	for uri := range app.repo {
+		e, ok := app.docs.get(uri)
+		if !ok {
+			return fmt.Errorf("core: exporting snapshot: document %q has no serialization", uri)
+		}
 		key := SnapshotPrefix + uri
 		current[key] = true
-		if err := st.Put(key, []byte(doc.IndentedString())); err != nil {
+		if stored, err := st.Get(key); err == nil && bytes.Equal(stored, e.body) {
+			continue
+		}
+		if err := st.Put(key, e.body); err != nil {
 			return fmt.Errorf("core: exporting snapshot: %w", err)
 		}
 	}

@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -165,6 +168,130 @@ func TestSnapshotStaleKeysRemoved(t *testing.T) {
 		if uri == "ghost.xml" {
 			t.Error("stale snapshot key survived re-export")
 		}
+	}
+}
+
+// recordingStore notes the keys a snapshot export writes and deletes.
+type recordingStore struct {
+	storage.Store
+	puts, deletes []string
+}
+
+func (r *recordingStore) Put(key string, value []byte) error {
+	r.puts = append(r.puts, key)
+	return r.Store.Put(key, value)
+}
+
+func (r *recordingStore) Delete(key string) error {
+	r.deletes = append(r.deletes, key)
+	return r.Store.Delete(key)
+}
+
+// logSize is the size of a file store's append-only log.
+func logSize(t *testing.T, dir string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, "log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestSnapshotReexportUnchangedWritesGenerationOnly: exporting a site the
+// file store already holds byte for byte appends the generation stamp
+// and nothing else, so a restart over a populated store does not re-log
+// every document.
+func TestSnapshotReexportUnchangedWritesGenerationOnly(t *testing.T) {
+	app := paperApp(t)
+	dir := t.TempDir()
+	st, err := storage.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := app.ExportSnapshot(st); err != nil {
+		t.Fatal(err)
+	}
+	before := logSize(t, dir)
+	if err := app.ExportSnapshot(st); err != nil {
+		t.Fatal(err)
+	}
+	grown := logSize(t, dir) - before
+
+	// The same stamp alone, logged by an empty store.
+	genDir := t.TempDir()
+	gst, err := storage.OpenFile(genDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gst.Close()
+	if err := gst.SetGeneration(app.CacheGeneration()); err != nil {
+		t.Fatal(err)
+	}
+	if want := logSize(t, genDir); grown != want {
+		t.Errorf("re-export grew the log by %d bytes, want %d (the generation record)", grown, want)
+	}
+}
+
+// TestSnapshotReexportPutsPatchedDocument: after a content edit, the
+// next export writes exactly the edited document, with the bytes the
+// server serves for it.
+func TestSnapshotReexportPutsPatchedDocument(t *testing.T) {
+	app := paperApp(t)
+	st := &recordingStore{Store: storage.NewMem()}
+	if err := app.ExportSnapshot(st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.puts) != len(app.Repository()) {
+		t.Fatalf("first export put %d documents, want %d", len(st.puts), len(app.Repository()))
+	}
+	if err := app.Store().SetAttr("guitar", "technique", "Sheet metal and wire"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.InvalidateDocument("guitar.xml"); err != nil {
+		t.Fatal(err)
+	}
+	st.puts = nil
+	if err := app.ExportSnapshot(st); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{core.SnapshotPrefix + "guitar.xml"}; !reflect.DeepEqual(st.puts, want) {
+		t.Errorf("export after the edit put %v, want %v", st.puts, want)
+	}
+	stored, err := st.Get(core.SnapshotPrefix + "guitar.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, _, _, _ := app.DocBytes("guitar.xml")
+	if !bytes.Equal(stored, served) || !bytes.Contains(stored, []byte("Sheet metal and wire")) {
+		t.Errorf("stored guitar.xml is not the served, edited document:\n%s", stored)
+	}
+}
+
+// TestSnapshotReexportDeletesStaleKey: skipping unchanged documents does
+// not skip the cleanup; a key no current document owns is still deleted.
+func TestSnapshotReexportDeletesStaleKey(t *testing.T) {
+	app := paperApp(t)
+	st := &recordingStore{Store: storage.NewMem()}
+	if err := app.ExportSnapshot(st); err != nil {
+		t.Fatal(err)
+	}
+	ghost := core.SnapshotPrefix + "ghost.xml"
+	if err := st.Store.Put(ghost, []byte("<ghost/>")); err != nil {
+		t.Fatal(err)
+	}
+	st.puts = nil
+	if err := app.ExportSnapshot(st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.puts) != 0 {
+		t.Errorf("unchanged re-export put %v", st.puts)
+	}
+	if !reflect.DeepEqual(st.deletes, []string{ghost}) {
+		t.Errorf("re-export deleted %v, want [%s]", st.deletes, ghost)
+	}
+	if _, err := st.Get(ghost); err == nil {
+		t.Error("stale snapshot key survived re-export")
 	}
 }
 

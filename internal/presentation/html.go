@@ -52,7 +52,7 @@ func writeHTMLElement(sb *strings.Builder, e *xmldom.Element, opts HTMLOptions, 
 		sb.WriteString(" ")
 		sb.WriteString(a.Name.Local)
 		sb.WriteString(`="`)
-		sb.WriteString(escapeHTMLAttr(a.Value))
+		_, _ = htmlAttrEscaper.WriteString(sb, a.Value)
 		sb.WriteString(`"`)
 	}
 	sb.WriteString(">")
@@ -73,7 +73,7 @@ func writeHTMLElement(sb *strings.Builder, e *xmldom.Element, opts HTMLOptions, 
 			if pretty && isAllSpace(n.Data) {
 				continue
 			}
-			sb.WriteString(escapeHTMLText(n.Data))
+			_, _ = htmlTextEscaper.WriteString(sb, n.Data)
 		case *xmldom.Comment:
 			if pretty {
 				sb.WriteString("\n")
@@ -109,15 +109,12 @@ func htmlElementOnly(e *xmldom.Element) bool {
 	return hasElem
 }
 
-func escapeHTMLText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
-
-func escapeHTMLAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// The HTML escapers, built once: a strings.Replacer compiles its table
+// on first use and is safe for concurrent use.
+var (
+	htmlTextEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	htmlAttrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+)
 
 // CountLines reports the number of lines in a rendered page; the change
 // cost analyzer uses it for page-size statistics.

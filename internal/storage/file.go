@@ -24,6 +24,11 @@ import (
 //     snapshot + full log still replay;
 //   - crash between rename and log truncation: replaying the stale log
 //     over the new snapshot is idempotent (it rewrites the same values).
+//
+// A compaction rewrites the whole state, so it waits until the log holds
+// at least as many bytes as the snapshot it replaces: the log stays at
+// most max(compactAt, snapshot size) plus one record, rewriting costs
+// O(1) per logged byte, and the directory holds about twice the state.
 const (
 	snapshotFile = "snapshot"
 	logFile      = "log"
@@ -31,15 +36,16 @@ const (
 	lockFile     = "lock"
 )
 
-// DefaultCompactBytes is the log size that triggers a compaction.
+// DefaultCompactBytes is the log size below which no compaction runs.
 const DefaultCompactBytes = 1 << 20
 
 // FileOption configures OpenFile.
 type FileOption func(*File)
 
-// WithCompactBytes sets the log size (in bytes) past which a Put or
-// Delete triggers snapshot compaction. Non-positive disables automatic
-// compaction (Close still compacts).
+// WithCompactBytes sets the floor (in bytes) of the log size past which
+// a Put or Delete triggers snapshot compaction; the threshold is the
+// larger of n and the size of the last snapshot. Non-positive disables
+// automatic compaction (Close still compacts).
 func WithCompactBytes(n int64) FileOption {
 	return func(f *File) { f.compactAt = n }
 }
@@ -58,7 +64,10 @@ type File struct {
 	log      *os.File
 	lock     *os.File
 	logBytes int64
-	closed   bool
+	// snapshotBytes is the size of the snapshot file, which the log must
+	// outgrow (as well as compactAt) before it is compacted.
+	snapshotBytes int64
+	closed        bool
 }
 
 // OpenFile opens (creating if needed) a file store rooted at dir and
@@ -126,7 +135,7 @@ func (f *File) loadSnapshot() error {
 		return fmt.Errorf("storage: opening snapshot: %w", err)
 	}
 	defer file.Close()
-	_, err = f.replay(bufio.NewReader(file), false)
+	f.snapshotBytes, err = f.replay(bufio.NewReader(file), false)
 	if err != nil {
 		return fmt.Errorf("storage: snapshot corrupt: %w", err)
 	}
@@ -312,7 +321,8 @@ func readRecord(r *bufio.Reader) (record, int64, error) {
 }
 
 // appendLocked writes one record to the log and applies it to memory,
-// compacting when the log has outgrown the threshold. f.mu must be held.
+// compacting when the log has outgrown both compactAt and the snapshot.
+// f.mu must be held.
 func (f *File) appendLocked(rec record) error {
 	if f.closed {
 		return ErrClosed
@@ -340,7 +350,7 @@ func (f *File) appendLocked(rec record) error {
 	case opGen:
 		f.gen = rec.gen
 	}
-	if f.compactAt > 0 && f.logBytes > f.compactAt {
+	if f.compactAt > 0 && f.logBytes > max(f.compactAt, f.snapshotBytes) {
 		return f.compactLocked()
 	}
 	return nil
@@ -355,6 +365,7 @@ func (f *File) compactLocked() error {
 		return fmt.Errorf("storage: compacting: %w", err)
 	}
 	w := bufio.NewWriter(tmp)
+	var size int64
 	keys := make([]string, 0, len(f.data))
 	for k := range f.data {
 		keys = append(keys, k)
@@ -362,12 +373,14 @@ func (f *File) compactLocked() error {
 	sort.Strings(keys)
 	var buf []byte
 	buf = appendRecord(buf[:0], record{op: opGen, gen: f.gen})
+	size += int64(len(buf))
 	if _, err := w.Write(buf); err != nil {
 		tmp.Close()
 		return fmt.Errorf("storage: compacting: %w", err)
 	}
 	for _, k := range keys {
 		buf = appendRecord(buf[:0], record{op: opPut, key: k, value: f.data[k]})
+		size += int64(len(buf))
 		if _, err := w.Write(buf); err != nil {
 			tmp.Close()
 			return fmt.Errorf("storage: compacting: %w", err)
@@ -387,6 +400,7 @@ func (f *File) compactLocked() error {
 	if err := os.Rename(tmpPath, filepath.Join(f.dir, snapshotFile)); err != nil {
 		return fmt.Errorf("storage: publishing snapshot: %w", err)
 	}
+	f.snapshotBytes = size
 	// The snapshot now carries everything; restart the log. A crash
 	// before the truncate lands is harmless: replaying the old log over
 	// the new snapshot rewrites the same values.

@@ -122,6 +122,67 @@ func TestFileCompaction(t *testing.T) {
 	}
 }
 
+// TestFileCompactionProportionalToSnapshot: the log is compacted only
+// once it outgrows the snapshot it would replace, not the floor alone,
+// so rewriting a large state costs O(1) per logged byte.
+func TestFileCompactionProportionalToSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	st, err := storage.OpenFile(dir, storage.WithCompactBytes(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	stat := func(name string) os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	// A 64 KiB record outgrows the 1 KiB floor: one compaction.
+	if err := st.Put("state", []byte(strings.Repeat("s", 64<<10))); err != nil {
+		t.Fatal(err)
+	}
+	if stat("log").Size() != 0 {
+		t.Fatal("a record past the floor over an empty snapshot was not compacted")
+	}
+	snap := stat("snapshot")
+
+	value := []byte(strings.Repeat("v", 1000))
+	put := func(i int) {
+		t.Helper()
+		if err := st.Put(fmt.Sprintf("k%d", i%8), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Puts totalling less than the snapshot leave it untouched.
+	i := 0
+	for ; stat("log").Size()+2*int64(len(value)) < snap.Size(); i++ {
+		put(i)
+		if !os.SameFile(snap, stat("snapshot")) {
+			t.Fatalf("snapshot rewritten after %d bytes of log, below its own %d", stat("log").Size(), snap.Size())
+		}
+	}
+	// Puts totalling more trigger exactly one compaction: eight more
+	// records cross the snapshot's size once, and the log they start
+	// afterwards stays far below the new, larger snapshot.
+	compactions := 0
+	for n := 0; n < 8; n, i = n+1, i+1 {
+		prev := stat("log").Size()
+		put(i)
+		if stat("log").Size() < prev {
+			compactions++
+		}
+	}
+	if compactions != 1 {
+		t.Errorf("log growth past the snapshot compacted %d times, want 1", compactions)
+	}
+	if os.SameFile(snap, stat("snapshot")) {
+		t.Error("snapshot was not rewritten")
+	}
+}
+
 // TestFileStaleLogReplayIsIdempotent covers the crash window between the
 // snapshot rename and the log truncation: replaying the stale log over
 // the new snapshot must reproduce the same state.

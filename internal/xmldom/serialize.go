@@ -1,9 +1,11 @@
 package xmldom
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"sync"
+	"unicode/utf8"
 )
 
 // WriteOptions control serialization.
@@ -16,29 +18,35 @@ type WriteOptions struct {
 	Declaration bool
 }
 
-// nsScope tracks in-scope prefix bindings during serialization.
+// nsScope holds the prefix bindings one element adds to those in scope
+// at its parent. An element that binds nothing shares its parent's
+// scope, so only declaring elements allocate one.
 type nsScope struct {
-	parent       *nsScope
-	prefixToURI  map[string]string
-	uriToPrefix  map[string]string
+	parent *nsScope
+	// bindings are the element's prefixed bindings in binding order; a
+	// later binding of the same prefix or URI shadows an earlier one.
+	bindings     []nsBinding
 	defaultSpace string
 	hasDefault   bool
 }
 
-func newScope(parent *nsScope) *nsScope {
-	return &nsScope{
-		parent:      parent,
-		prefixToURI: map[string]string{},
-		uriToPrefix: map[string]string{},
-	}
-}
+type nsBinding struct{ prefix, uri string }
 
+// xmlScope is the root of every scope chain: the xml prefix is bound
+// implicitly. Elements bind into scopes of their own, never into it.
+var xmlScope = &nsScope{bindings: []nsBinding{{"xml", XMLNamespace}}}
+
+// lookupPrefix returns the prefix bound to uri in s. Each scope offers
+// its latest binding of uri, which a nearer scope may have rebound to
+// another URI; then the search moves outward.
 func (s *nsScope) lookupPrefix(uri string) (string, bool) {
 	for sc := s; sc != nil; sc = sc.parent {
-		if p, ok := sc.uriToPrefix[uri]; ok {
-			// A nearer scope may have rebound the prefix; confirm.
-			if u, ok2 := s.lookupURI(p); ok2 && u == uri {
-				return p, true
+		for i := len(sc.bindings) - 1; i >= 0; i-- {
+			if b := sc.bindings[i]; b.uri == uri {
+				if u, ok := s.lookupURI(b.prefix); ok && u == uri {
+					return b.prefix, true
+				}
+				break
 			}
 		}
 	}
@@ -47,8 +55,10 @@ func (s *nsScope) lookupPrefix(uri string) (string, bool) {
 
 func (s *nsScope) lookupURI(prefix string) (string, bool) {
 	for sc := s; sc != nil; sc = sc.parent {
-		if u, ok := sc.prefixToURI[prefix]; ok {
-			return u, true
+		for i := len(sc.bindings) - 1; i >= 0; i-- {
+			if sc.bindings[i].prefix == prefix {
+				return sc.bindings[i].uri, true
+			}
 		}
 	}
 	return "", false
@@ -69,75 +79,111 @@ func (s *nsScope) bind(prefix, uri string) {
 		s.defaultSpace = uri
 		return
 	}
-	s.prefixToURI[prefix] = uri
-	s.uriToPrefix[uri] = prefix
+	s.bindings = append(s.bindings, nsBinding{prefix, uri})
 }
 
+// flushAt is the chunk size Write hands to its io.Writer.
+const flushAt = 64 << 10
+
+// serializer appends a tree's XML to buf. With w set, it flushes buf to
+// w whenever a chunk fills, and stops writing after the first error.
 type serializer struct {
-	w       io.Writer
-	opts    WriteOptions
-	err     error
-	genSeq  int
-	written int64
+	buf    []byte
+	w      io.Writer
+	err    error
+	opts   WriteOptions
+	genSeq int
+	// indent is a newline followed by the indentation of the deepest
+	// level seen so far; indentation at depth d is a prefix of it.
+	indent []byte
 }
 
-func (s *serializer) writeString(str string) {
-	if s.err != nil {
-		return
-	}
-	n, err := io.WriteString(s.w, str)
-	s.written += int64(n)
-	if err != nil {
-		s.err = err
-	}
+// indented is the form IndentedString and AppendIndented write.
+var indented = WriteOptions{Indent: "  ", Declaration: true}
+
+// AppendIndented appends the document pretty-printed with two-space
+// indentation and an XML declaration to dst, exactly the bytes
+// IndentedString returns, and returns the extended slice.
+func (d *Document) AppendIndented(dst []byte) []byte {
+	s := serializer{buf: dst, opts: indented}
+	s.document(d)
+	return s.buf
 }
 
-// Write serializes the document to w.
+// Write serializes the document to w, in chunks of about 64 KiB.
 func (d *Document) Write(w io.Writer, opts WriteOptions) error {
-	s := &serializer{w: w, opts: opts}
-	if opts.Declaration {
-		s.writeString(`<?xml version="1.0" encoding="UTF-8"?>`)
-		if opts.Indent != "" {
-			s.writeString("\n")
-		}
-	}
-	scope := newScope(nil)
-	scope.bind("xml", XMLNamespace)
-	for i, c := range d.children {
-		if opts.Indent != "" && i > 0 {
-			s.writeString("\n")
-		}
-		s.writeNode(c, scope, 0)
-	}
-	if opts.Indent != "" {
-		s.writeString("\n")
-	}
+	s := serializer{w: w, opts: opts}
+	s.document(d)
+	s.flush()
 	return s.err
 }
 
 // String serializes the document compactly (no declaration, no indent).
-func (d *Document) String() string {
-	var sb strings.Builder
-	_ = d.Write(&sb, WriteOptions{})
-	return sb.String()
-}
+func (d *Document) String() string { return serializeString(d, nil, WriteOptions{}) }
 
 // IndentedString serializes the document pretty-printed with two-space
 // indentation and an XML declaration.
-func (d *Document) IndentedString() string {
-	var sb strings.Builder
-	_ = d.Write(&sb, WriteOptions{Indent: "  ", Declaration: true})
-	return sb.String()
-}
+func (d *Document) IndentedString() string { return serializeString(d, nil, indented) }
 
 // OuterXML serializes a single element subtree compactly.
-func OuterXML(e *Element) string {
-	var sb strings.Builder
-	s := &serializer{w: &sb, opts: WriteOptions{}}
-	scope := newScope(nil)
-	scope.bind("xml", XMLNamespace)
-	s.writeNode(e, scope, 0)
-	return sb.String()
+func OuterXML(e *Element) string { return serializeString(nil, e, WriteOptions{}) }
+
+// bufPool recycles the buffers the string forms are serialized into, so
+// a large document grows a buffer once rather than on every call.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// serializeString serializes d, or e when d is nil, into a pooled buffer
+// and returns an exact-size copy.
+func serializeString(d *Document, e *Element, opts WriteOptions) string {
+	bp := bufPool.Get().(*[]byte)
+	s := serializer{buf: (*bp)[:0], opts: opts}
+	if d != nil {
+		s.document(d)
+	} else {
+		s.element(e, xmlScope, 0)
+	}
+	out := string(s.buf)
+	*bp = s.buf
+	bufPool.Put(bp)
+	return out
+}
+
+func (s *serializer) document(d *Document) {
+	if s.opts.Declaration {
+		s.buf = append(s.buf, `<?xml version="1.0" encoding="UTF-8"?>`...)
+		if s.opts.Indent != "" {
+			s.buf = append(s.buf, '\n')
+		}
+	}
+	for i, c := range d.children {
+		if s.opts.Indent != "" && i > 0 {
+			s.buf = append(s.buf, '\n')
+		}
+		s.node(c, xmlScope, 0)
+	}
+	if s.opts.Indent != "" {
+		s.buf = append(s.buf, '\n')
+	}
+}
+
+// flush hands the buffered bytes to w.
+func (s *serializer) flush() {
+	if s.err == nil && len(s.buf) > 0 {
+		_, s.err = s.w.Write(s.buf)
+	}
+	s.buf = s.buf[:0]
+}
+
+// newline appends a line break and the indentation of depth.
+func (s *serializer) newline(depth int) {
+	if len(s.indent) == 0 {
+		s.indent = append(s.indent, '\n')
+	}
+	n := 1 + depth*len(s.opts.Indent)
+	for len(s.indent) < n {
+		s.indent = append(s.indent, s.opts.Indent...)
+	}
+	s.buf = append(s.buf, s.indent[:n]...)
 }
 
 // contentShape reports whether the element has element children and whether
@@ -156,117 +202,124 @@ func contentShape(e *Element) (hasElem, hasText bool) {
 	return
 }
 
-func (s *serializer) writeNode(n Node, scope *nsScope, depth int) {
+func (s *serializer) node(n Node, scope *nsScope, depth int) {
 	switch v := n.(type) {
 	case *Element:
-		s.writeElement(v, scope, depth)
+		s.element(v, scope, depth)
 	case *Text:
 		if v.CData {
-			s.writeString("<![CDATA[")
-			s.writeString(strings.ReplaceAll(v.Data, "]]>", "]]]]><![CDATA[>"))
-			s.writeString("]]>")
+			s.buf = append(s.buf, "<![CDATA["...)
+			s.buf = append(s.buf, strings.ReplaceAll(v.Data, "]]>", "]]]]><![CDATA[>")...)
+			s.buf = append(s.buf, "]]>"...)
 		} else {
-			s.writeString(escapeText(v.Data))
+			s.buf = appendEscaped(s.buf, v.Data, false)
 		}
 	case *Comment:
-		s.writeString("<!--")
-		s.writeString(v.Data)
-		s.writeString("-->")
+		s.buf = append(s.buf, "<!--"...)
+		s.buf = append(s.buf, v.Data...)
+		s.buf = append(s.buf, "-->"...)
 	case *ProcInst:
-		s.writeString("<?")
-		s.writeString(v.Target)
+		s.buf = append(s.buf, "<?"...)
+		s.buf = append(s.buf, v.Target...)
 		if v.Data != "" {
-			s.writeString(" ")
-			s.writeString(v.Data)
+			s.buf = append(s.buf, ' ')
+			s.buf = append(s.buf, v.Data...)
 		}
-		s.writeString("?>")
+		s.buf = append(s.buf, "?>"...)
+	}
+	if s.w != nil && len(s.buf) >= flushAt {
+		s.flush()
 	}
 }
 
-func (s *serializer) writeElement(e *Element, parent *nsScope, depth int) {
-	scope := newScope(parent)
+// isNSDecl reports whether a is an xmlns or xmlns:prefix declaration.
+func isNSDecl(a *Attr) bool {
+	return a.Name.Space == "xmlns" || (a.Name.Space == "" && a.Name.Local == "xmlns")
+}
 
-	// Collect declarations already present as attributes.
-	type attrOut struct{ name, value string }
-	var extraDecls []attrOut
-	var plainAttrs []*Attr
+func (s *serializer) element(e *Element, parent *nsScope, depth int) {
+	scope := parent
+	own := func() {
+		if scope == parent {
+			scope = &nsScope{parent: parent}
+		}
+	}
+
+	// Declarations already present as attributes bind first.
 	for _, a := range e.attrs {
-		switch {
-		case a.Name.Space == "" && a.Name.Local == "xmlns":
-			scope.bind("", a.Value)
-			extraDecls = append(extraDecls, attrOut{"xmlns", a.Value})
-		case a.Name.Space == "xmlns":
-			scope.bind(a.Name.Local, a.Value)
-			extraDecls = append(extraDecls, attrOut{"xmlns:" + a.Name.Local, a.Value})
-		default:
-			plainAttrs = append(plainAttrs, a)
+		if isNSDecl(a) {
+			own()
+			if a.Name.Space == "" {
+				scope.bind("", a.Value)
+			} else {
+				scope.bind(a.Name.Local, a.Value)
+			}
 		}
 	}
 
 	// Resolve the element's own name.
-	var tag string
+	var prefix string
+	declDefault := false
 	switch {
 	case e.Name.Space == "":
 		if scope.defaultNS() != "" {
+			own()
 			scope.bind("", "")
-			extraDecls = append(extraDecls, attrOut{"xmlns", ""})
+			declDefault = true
 		}
-		tag = e.Name.Local
 	case scope.defaultNS() == e.Name.Space:
-		tag = e.Name.Local
 	default:
-		if p, ok := scope.lookupPrefix(e.Name.Space); ok && p != "" {
-			tag = p + ":" + e.Name.Local
+		if p, ok := scope.lookupPrefix(e.Name.Space); ok {
+			prefix = p
 		} else {
 			// No prefix in scope: declare the element's namespace as the
 			// default so descendants in the same namespace stay clean.
+			own()
 			scope.bind("", e.Name.Space)
-			extraDecls = append(extraDecls, attrOut{"xmlns", e.Name.Space})
-			tag = e.Name.Local
+			declDefault = true
 		}
 	}
 
-	// Resolve attribute names, synthesizing prefixes where needed.
-	var attrsOut []attrOut
-	for _, a := range plainAttrs {
-		switch {
-		case a.Name.Space == "":
-			attrsOut = append(attrsOut, attrOut{a.Name.Local, a.Value})
-		case a.Name.Space == XMLNamespace || a.Name.Space == "xml":
-			attrsOut = append(attrsOut, attrOut{"xml:" + a.Name.Local, a.Value})
-		default:
-			p, ok := scope.lookupPrefix(a.Name.Space)
-			if !ok || p == "" {
-				p = s.freshPrefix(scope)
+	s.buf = append(s.buf, '<')
+	s.buf = appendName(s.buf, prefix, e.Name.Local)
+	for _, a := range e.attrs {
+		if isNSDecl(a) {
+			s.attr(a.Name.Space, a.Name.Local, a.Value)
+		}
+	}
+	if declDefault {
+		s.attr("", "xmlns", e.Name.Space)
+	}
+	// Namespaced attributes with no prefix in scope get a synthesized
+	// one, declared before any attribute is written.
+	for _, a := range e.attrs {
+		if !isNSDecl(a) && a.Name.Space != "" && !isXMLSpace(a.Name.Space) {
+			if _, ok := scope.lookupPrefix(a.Name.Space); !ok {
+				own()
+				p := s.freshPrefix(scope)
 				scope.bind(p, a.Name.Space)
-				extraDecls = append(extraDecls, attrOut{"xmlns:" + p, a.Name.Space})
+				s.attr("xmlns", p, a.Name.Space)
 			}
-			attrsOut = append(attrsOut, attrOut{p + ":" + a.Name.Local, a.Value})
 		}
 	}
-
-	s.writeString("<")
-	s.writeString(tag)
-	for _, d := range extraDecls {
-		s.writeString(" ")
-		s.writeString(d.name)
-		s.writeString(`="`)
-		s.writeString(escapeAttr(d.value))
-		s.writeString(`"`)
-	}
-	for _, a := range attrsOut {
-		s.writeString(" ")
-		s.writeString(a.name)
-		s.writeString(`="`)
-		s.writeString(escapeAttr(a.value))
-		s.writeString(`"`)
+	for _, a := range e.attrs {
+		switch {
+		case isNSDecl(a):
+		case a.Name.Space == "":
+			s.attr("", a.Name.Local, a.Value)
+		case isXMLSpace(a.Name.Space):
+			s.attr("xml", a.Name.Local, a.Value)
+		default:
+			p, _ := scope.lookupPrefix(a.Name.Space)
+			s.attr(p, a.Name.Local, a.Value)
+		}
 	}
 
 	if len(e.children) == 0 {
-		s.writeString("/>")
+		s.buf = append(s.buf, "/>"...)
 		return
 	}
-	s.writeString(">")
+	s.buf = append(s.buf, '>')
 
 	hasElem, hasText := contentShape(e)
 	pretty := s.opts.Indent != "" && hasElem && !hasText
@@ -275,70 +328,105 @@ func (s *serializer) writeElement(e *Element, parent *nsScope, depth int) {
 			if t, ok := c.(*Text); ok && strings.TrimSpace(t.Data) == "" {
 				continue // replaced by generated indentation
 			}
-			s.writeString("\n")
-			s.writeString(strings.Repeat(s.opts.Indent, depth+1))
+			s.newline(depth + 1)
 		}
-		s.writeNode(c, scope, depth+1)
+		s.node(c, scope, depth+1)
 	}
 	if pretty {
-		s.writeString("\n")
-		s.writeString(strings.Repeat(s.opts.Indent, depth))
+		s.newline(depth)
 	}
-	s.writeString("</")
-	s.writeString(tag)
-	s.writeString(">")
+	s.buf = append(s.buf, "</"...)
+	s.buf = appendName(s.buf, prefix, e.Name.Local)
+	s.buf = append(s.buf, '>')
+}
+
+func isXMLSpace(space string) bool { return space == XMLNamespace || space == "xml" }
+
+// attr appends ` prefix:local="value"`, escaping the value.
+func (s *serializer) attr(prefix, local, value string) {
+	s.buf = append(s.buf, ' ')
+	s.buf = appendName(s.buf, prefix, local)
+	s.buf = append(s.buf, `="`...)
+	s.buf = appendEscaped(s.buf, value, true)
+	s.buf = append(s.buf, '"')
+}
+
+func appendName(dst []byte, prefix, local string) []byte {
+	if prefix != "" {
+		dst = append(dst, prefix...)
+		dst = append(dst, ':')
+	}
+	return append(dst, local...)
 }
 
 func (s *serializer) freshPrefix(scope *nsScope) string {
 	for {
 		s.genSeq++
-		p := fmt.Sprintf("ns%d", s.genSeq)
+		p := "ns" + strconv.Itoa(s.genSeq)
 		if _, taken := scope.lookupURI(p); !taken {
 			return p
 		}
 	}
 }
 
-func escapeText(s string) string {
-	var sb strings.Builder
-	for _, r := range s {
-		switch r {
-		case '&':
-			sb.WriteString("&amp;")
-		case '<':
-			sb.WriteString("&lt;")
-		case '>':
-			sb.WriteString("&gt;")
-		case '\r':
-			sb.WriteString("&#xD;")
-		default:
-			sb.WriteRune(r)
-		}
+// escapedText and escapedAttr mark the bytes appendEscaped must look at
+// in text content and in attribute values: the characters it escapes,
+// and every byte of a multi-byte UTF-8 sequence, which it validates.
+var escapedText, escapedAttr = escapeSet("&<>\r"), escapeSet("&<>\r\"\n\t")
+
+func escapeSet(chars string) (set [256]bool) {
+	for c := utf8.RuneSelf; c < len(set); c++ {
+		set[c] = true
 	}
-	return sb.String()
+	for i := 0; i < len(chars); i++ {
+		set[chars[i]] = true
+	}
+	return set
 }
 
-func escapeAttr(s string) string {
-	var sb strings.Builder
-	for _, r := range s {
-		switch r {
-		case '&':
-			sb.WriteString("&amp;")
-		case '<':
-			sb.WriteString("&lt;")
-		case '>':
-			sb.WriteString("&gt;")
-		case '"':
-			sb.WriteString("&quot;")
-		case '\n':
-			sb.WriteString("&#xA;")
-		case '\r':
-			sb.WriteString("&#xD;")
-		case '\t':
-			sb.WriteString("&#x9;")
-		default:
-			sb.WriteRune(r)
-		}
+// appendEscaped appends str escaped as text content or, with attr, as
+// an attribute value, copying runs of bytes that need no escape in one
+// append. Each byte of invalid UTF-8 becomes U+FFFD.
+func appendEscaped(dst []byte, str string, attr bool) []byte {
+	set := &escapedText
+	if attr {
+		set = &escapedAttr
 	}
-	return sb.String()
+	run := 0
+	for i := 0; i < len(str); {
+		c := str[i]
+		if !set[c] {
+			i++
+			continue
+		}
+		var esc string
+		switch c {
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '\r':
+			esc = "&#xD;"
+		case '"':
+			esc = "&quot;"
+		case '\n':
+			esc = "&#xA;"
+		case '\t':
+			esc = "&#x9;"
+		default:
+			r, n := utf8.DecodeRuneInString(str[i:])
+			if r != utf8.RuneError || n != 1 {
+				i += n
+				continue
+			}
+			esc = "\uFFFD"
+		}
+		dst = append(dst, str[run:i]...)
+		dst = append(dst, esc...)
+		i++
+		run = i
+	}
+	return append(dst, str[run:]...)
 }
