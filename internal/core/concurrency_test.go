@@ -235,3 +235,59 @@ func TestConcurrentCachedRenderWithMutation(t *testing.T) {
 		t.Error("stale IGT page served after final swap back to Index")
 	}
 }
+
+// TestLinkbaseSnapshotsSurviveMutations: Linkbase and Repository hand
+// out copies, so a snapshot taken before a mutation keeps its bytes while
+// the App swaps contexts into its own links.xml, and readers racing the
+// mutations never see a tree mid-swap. Run with -race.
+func TestLinkbaseSnapshotsSurviveMutations(t *testing.T) {
+	app := paperApp(t, navigation.Index{})
+	lb, repo := app.Linkbase(), app.Repository()
+	links, guitar := lb.IndentedString(), repo["guitar.xml"].IndentedString()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := navigation.ParseLinkbase(app.Linkbase()); err != nil {
+					t.Errorf("ParseLinkbase(Linkbase()): %v", err)
+					return
+				}
+				if got := len(app.Repository()); got != app.DocumentCount() {
+					t.Errorf("Repository() holds %d documents, DocumentCount() says %d", got, app.DocumentCount())
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 10; i++ {
+		var as navigation.AccessStructure = navigation.IndexedGuidedTour{}
+		if i%2 == 1 {
+			as = navigation.Index{}
+		}
+		if err := app.SetAccessStructure("ByAuthor", as); err != nil {
+			t.Fatal(err)
+		}
+		if err := app.Store().SetAttr("guitar", "title", "Guitar "+strings.Repeat("I", i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := app.InvalidateDocument("guitar.xml"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if lb.IndentedString() != links || repo["guitar.xml"].IndentedString() != guitar {
+		t.Error("a snapshot taken before the mutations changed under them")
+	}
+	if app.Linkbase().IndentedString() == links {
+		t.Error("the mutations left links.xml as it was")
+	}
+}

@@ -18,12 +18,21 @@
 // requirements change that forced edits to every page of the tangled
 // implementation (Figures 3–4) — becomes a one-line re-declaration here:
 // SetAccessStructure re-resolves, regenerates links.xml and re-weaves.
+//
+// The round trip through links.xml runs per context: a mutation rebuilds
+// and reads back only the extended links whose derivation it changed,
+// and re-exports only the data documents it edited. A structure swap
+// re-derives its family's contexts and no document; a caption edit
+// re-exports one document and leaves links.xml as it was; a title edit
+// re-exports its document and rebuilds the contexts that list the title.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -79,29 +88,20 @@ type App struct {
 	stylesheetSrc string
 	resolved      *navigation.ResolvedModel
 	repo          xlink.MapRepository
-	linkbase      *xmldom.Document
-	lbContexts    map[string]*navigation.LinkbaseContext
-	sig           modelSig
+	// linkbase is links.xml. rebuild swaps changed contexts into it in
+	// place, so it never leaves the App: Linkbase and Repository hand
+	// out copies.
+	linkbase *xmldom.Document
+	// derived lists the contexts the last rebuild derived from the
+	// resolved model, in linkbase order: what the next rebuild compares
+	// against. lbContexts holds the same contexts as the weaver reads
+	// them, parsed back out of links.xml, by name.
+	derived    []*navigation.LinkbaseContext
+	lbContexts map[string]*navigation.LinkbaseContext
 }
 
-// contextSig fingerprints the parts of one linkbase context that woven
-// pages display: the member roll with its titles (order matters — it is
-// traversal order) and the traversal edges.
-type contextSig struct {
-	members string
-	edges   string
-}
-
-// modelSig fingerprints the navigational surface of the whole model.
-// rebuild diffs the signature before and after a mutation to decide
-// which cached pages the mutation actually touched: changed edges stay
-// local to their context, while changed membership, titles or landmarks
-// leak into every page (the "Also in" links and the landmark bar), so
-// those force a full invalidation.
-type modelSig struct {
-	contexts  map[string]contextSig
-	landmarks string
-}
+// linksURI is the linkbase's name in the repository.
+const linksURI = "links.xml"
 
 // NewApp assembles an application: it resolves the navigational model,
 // exports the data documents, generates the linkbase and installs the
@@ -114,84 +114,89 @@ func NewApp(store *conceptual.Store, model *navigation.Model) (*App, error) {
 		cache:  newPageCache(),
 		docs:   newDocCache(),
 		events: obs.NewEventRing(eventRingCapacity),
+		repo:   xlink.MapRepository{},
 	}
-	if _, _, err := app.rebuild(); err != nil {
+	if _, _, err := app.rebuild(conceptual.ExportAll(store)); err != nil {
 		return nil, err
 	}
 	app.weaver.Use(NavigationAspect(app))
 	return app, nil
 }
 
-// rebuild re-derives everything that depends on the model: resolved
-// contexts, data repository and linkbase. Callers other than NewApp must
-// hold app.mu for writing. It returns how many cached pages were
-// dropped and the diff's verdict (verdictFull, verdictLocal or
-// verdictNone) — the blast-radius classification the mutation trace
-// records.
+// rebuild re-derives what a mutation can have changed: it re-resolves
+// the model, compares every freshly derived context with the one the
+// previous rebuild derived, brings links.xml up to date context by
+// context, and installs docs, the data documents the mutation
+// re-exported — every one from NewApp, the edited one from
+// InvalidateDocument, none from a structure swap. Callers other than
+// NewApp must hold app.mu for writing; rebuild takes ownership of docs.
+// It returns how many cached pages were dropped and the diff's verdict
+// (verdictFull, verdictLocal or verdictNone) — the blast-radius
+// classification the mutation trace records.
 //
-// Invalidation is dependency-aware: rebuild diffs the navigational
-// signature and the serialized documents before and after, and drops
-// only the cached pages the mutation actually touched — the paper's
-// separation applied to the cache. A change that stays inside one
-// context family (the §5 access-structure swap) costs that family's
-// pages, not the site's.
-func (app *App) rebuild() (int, string, error) {
+// Invalidation is dependency-aware: the per-context comparison and the
+// re-serialized documents' bytes decide which cached pages the mutation
+// actually touched, and only those drop — the paper's separation
+// applied to the cache. A change that stays inside one context family
+// (the §5 access-structure swap) costs that family's pages, not the
+// site's. A new member roll or title leaks into other contexts' pages
+// (their "Also in" links and embeds name it), and a moved landmark entry
+// into every page's landmark bar, so those drop the whole cache.
+func (app *App) rebuild(docs xlink.MapRepository) (int, string, error) {
 	start := time.Now()
-	oldSig := app.sig
 	rm, err := app.model.Resolve(app.store)
 	if err != nil {
 		return 0, "", fmt.Errorf("core: resolving navigation model: %w", err)
 	}
-	app.resolved = rm
-
-	app.repo = xlink.MapRepository{}
-	for name, doc := range conceptual.ExportAll(app.store) {
-		app.repo[name] = doc
-	}
-	app.linkbase = navigation.GenerateLinkbase(rm)
-	app.repo["links.xml"] = app.linkbase
-
-	// The weaving pipeline reads navigation back OUT of the linkbase —
-	// not out of the in-memory model — proving links.xml carries the
-	// whole navigational aspect, as the paper proposes.
-	contexts, err := navigation.ParseLinkbase(app.linkbase)
-	if err != nil {
-		return 0, "", fmt.Errorf("core: reading generated linkbase: %w", err)
-	}
-	app.lbContexts = make(map[string]*navigation.LinkbaseContext, len(contexts))
-	for _, c := range contexts {
-		app.lbContexts[c.Name] = c
-	}
-	app.sig = app.modelSigLocked()
-
-	// Serialize every repository document once, at mutation time: the
-	// bytes seed the serialized-document cache the server hands out and
-	// the snapshot export writes (no per-request serialization), and
-	// comparing them with the cached bodies reveals which data documents
-	// changed.
-	serialized, changedDocs := app.docs.serialize(app.repo)
-
-	// Decide what the mutation touched. The generation advances with
-	// any invalidation, so weaves in flight across the mutation are
-	// discarded rather than cached against the new model.
+	contexts := navigation.LinkbaseContexts(rm)
+	// A context list of a new shape — the first build, or a context
+	// that appeared, vanished or moved — regenerates the whole linkbase.
+	reshaped := app.linkbase == nil || !slices.EqualFunc(app.derived, contexts,
+		func(a, b *navigation.LinkbaseContext) bool { return a.Name == b.Name })
+	full := reshaped || landmarksMoved(app.resolved, rm)
+	var changed []int
 	changedCtxs := map[string]bool{}
-	full := oldSig.contexts == nil || oldSig.landmarks != app.sig.landmarks ||
-		len(oldSig.contexts) != len(app.sig.contexts)
-	if !full {
-		for name, nc := range app.sig.contexts {
-			oc, ok := oldSig.contexts[name]
-			if !ok || oc.members != nc.members {
-				// A context appeared or its member roll (or titles)
-				// changed: the "Also in" links and embeds of pages in
-				// *other* contexts may name it, so stay conservative.
+	if !reshaped {
+		for i, c := range contexts {
+			p := app.derived[i]
+			members := slices.Equal(p.Order, c.Order) && maps.Equal(p.NodeTitles, c.NodeTitles)
+			structure := p.AccessKind == c.AccessKind && p.HasHub == c.HasHub && slices.Equal(p.Edges, c.Edges)
+			if !members {
 				full = true
-				break
 			}
-			if oc.edges != nc.edges {
-				changedCtxs[name] = true
+			if !structure {
+				changedCtxs[c.Name] = true
+			}
+			if !members || !structure {
+				changed = append(changed, i)
 			}
 		}
 	}
+	if reshaped {
+		err = app.link(contexts)
+	} else {
+		err = app.relink(contexts, changed)
+	}
+	if err != nil {
+		return 0, "", fmt.Errorf("core: reading generated linkbase: %w", err)
+	}
+	app.resolved = rm
+	if reshaped || len(changed) > 0 {
+		docs[linksURI] = app.linkbase
+	}
+	for uri, doc := range docs {
+		app.repo[uri] = doc
+	}
+
+	// Serialize each handed document once, at mutation time: the bytes
+	// seed the serialized-document cache the server hands out and the
+	// snapshot export writes (no per-request serialization), and
+	// comparing them with the cached bodies reveals which changed.
+	changedDocs := app.docs.serialize(docs)
+
+	// The generation advances with any invalidation, so weaves in flight
+	// across the mutation are discarded rather than cached against the
+	// new model.
 	dropped, verdict := 0, verdictNone
 	switch {
 	case full:
@@ -203,7 +208,7 @@ func (app *App) rebuild() (int, string, error) {
 				return true
 			}
 			for _, d := range p.deps.docs {
-				if changedDocs[d] {
+				if changedDocs[d] != nil {
 					return true
 				}
 			}
@@ -213,59 +218,67 @@ func (app *App) rebuild() (int, string, error) {
 	}
 	// Unchanged documents keep their ETags (and cached pages their
 	// entries): a rebuild that changes nothing observable costs nothing.
-	app.docs.reseed(serialized, changedDocs, app.cache.generation())
+	app.docs.store(changedDocs, app.cache.generation())
 	rebuildDuration.Observe(time.Since(start))
 	rebuildsByVerdict[verdict].Inc()
 	return dropped, verdict, nil
 }
 
-// modelSigLocked fingerprints the current linkbase contexts and
-// landmarks. Callers must hold app.mu (NewApp's first rebuild runs
-// before the App escapes).
-func (app *App) modelSigLocked() modelSig {
-	sig := modelSig{contexts: make(map[string]contextSig, len(app.lbContexts))}
-	for name, lbc := range app.lbContexts {
-		var m, e strings.Builder
-		for _, id := range lbc.Order {
-			m.WriteString(id)
-			m.WriteByte(0)
-			m.WriteString(lbc.NodeTitles[id])
-			m.WriteByte(0)
-		}
-		// Hub-ness rides the edges signature, not the member roll: only
-		// the context's own pages render its hub (the index page, Up
-		// links), so a swap that drops or gains one stays family-local.
-		// Cross-context consumers of an entry node — the landmark bar —
-		// are covered by the landmarks signature, which records every
-		// landmark's entry.
-		if lbc.HasHub {
-			e.WriteString("\x00hub")
-		}
-		e.WriteString(lbc.AccessKind)
-		e.WriteByte(0)
-		for _, ed := range lbc.Edges {
-			e.WriteString(string(ed.Kind))
-			e.WriteByte(0)
-			e.WriteString(ed.From)
-			e.WriteByte(0)
-			e.WriteString(ed.To)
-			e.WriteByte(0)
-			e.WriteString(ed.Label)
-			e.WriteByte(0)
-			e.WriteString(ed.Show)
-			e.WriteByte(0)
-		}
-		sig.contexts[name] = contextSig{members: m.String(), edges: e.String()}
+// landmarksMoved reports whether the landmark bar differs between two
+// resolutions: another landmark list, or a landmark entering elsewhere.
+func landmarksMoved(old, cur *navigation.ResolvedModel) bool {
+	if len(old.Landmarks) != len(cur.Landmarks) {
+		return true
 	}
-	var l strings.Builder
-	for _, lm := range app.resolved.Landmarks {
-		l.WriteString(lm.Name)
-		l.WriteByte(0)
-		l.WriteString(lm.EntryNode())
-		l.WriteByte(0)
+	for i, lm := range cur.Landmarks {
+		if o := old.Landmarks[i]; o.Name != lm.Name || o.EntryNode() != lm.EntryNode() {
+			return true
+		}
 	}
-	sig.landmarks = l.String()
-	return sig
+	return false
+}
+
+// link generates the whole linkbase from contexts and reads it back.
+func (app *App) link(contexts []*navigation.LinkbaseContext) error {
+	lb := navigation.BuildLinkbase(contexts)
+	parsed, err := navigation.ParseLinkbase(lb)
+	if err != nil {
+		return err
+	}
+	app.linkbase, app.derived = lb, contexts
+	app.lbContexts = make(map[string]*navigation.LinkbaseContext, len(parsed))
+	for _, c := range parsed {
+		app.lbContexts[c.Name] = c
+	}
+	return nil
+}
+
+// relink swaps the contexts at the changed positions into links.xml in
+// place. Each is built alone and read back with ParseLinkbase, so the
+// weaver still reads navigation out of linkbase markup and never out of
+// the model. Skipping the other contexts rests on BuildLinkbase being a
+// pure function of its input. Every changed context is built and read
+// back before links.xml is touched, so a failure leaves it as it was.
+func (app *App) relink(contexts []*navigation.LinkbaseContext, changed []int) error {
+	links := make([]*xmldom.Element, len(changed))
+	parsed := make([]*navigation.LinkbaseContext, len(changed))
+	for k, i := range changed {
+		one := navigation.BuildLinkbase(contexts[i : i+1])
+		lbcs, err := navigation.ParseLinkbase(one)
+		if err != nil {
+			return err
+		}
+		links[k], parsed[k] = one.Root().ChildElements()[0], lbcs[0]
+		one.Root().RemoveChild(links[k])
+	}
+	root := app.linkbase.Root()
+	for k, i := range changed {
+		root.RemoveChild(root.Children()[i])
+		root.InsertChildAt(i, links[k])
+		app.lbContexts[parsed[k].Name] = parsed[k]
+	}
+	app.derived = contexts
+	return nil
 }
 
 // Store returns the conceptual store.
@@ -285,19 +298,34 @@ func (app *App) Resolved() *navigation.ResolvedModel {
 // aspects (logging, access control) beside navigation.
 func (app *App) Weaver() *aspect.Weaver { return app.weaver }
 
-// Linkbase returns the generated links.xml document.
+// Linkbase returns a copy of the generated links.xml document. The App
+// swaps changed contexts into its own tree in place, so the caller gets
+// a snapshot no later mutation reaches, and may change it freely.
 func (app *App) Linkbase() *xmldom.Document {
 	app.mu.RLock()
 	defer app.mu.RUnlock()
-	return app.linkbase
+	return app.linkbase.Clone()
 }
 
-// Repository returns the data-document repository (node XML files plus
-// links.xml), the input an XLink-aware agent works from.
+// Repository returns a deep copy of the data-document repository (node
+// XML files plus links.xml), the input an XLink-aware agent works from:
+// a snapshot no later mutation reaches. DocumentCount counts the
+// repository without copying it.
 func (app *App) Repository() xlink.MapRepository {
 	app.mu.RLock()
 	defer app.mu.RUnlock()
-	return app.repo
+	repo := make(xlink.MapRepository, len(app.repo))
+	for uri, doc := range app.repo {
+		repo[uri] = doc.Clone()
+	}
+	return repo
+}
+
+// DocumentCount returns how many documents the repository holds.
+func (app *App) DocumentCount() int {
+	app.mu.RLock()
+	defer app.mu.RUnlock()
+	return len(app.repo)
 }
 
 // SetStylesheet installs a custom presentation stylesheet for node pages.
@@ -434,7 +462,7 @@ func (app *App) SetAccessStructures(swaps map[string]navigation.AccessStructure)
 	for family, as := range swaps {
 		defs[family].Access = as
 	}
-	dropped, verdict, err := app.rebuild()
+	dropped, verdict, err := app.rebuild(xlink.MapRepository{})
 	if err != nil {
 		return dropped, err
 	}
@@ -446,28 +474,38 @@ func (app *App) SetAccessStructures(swaps map[string]navigation.AccessStructure)
 // behind the named document (conceptual.Store.SetAttr) and drops
 // exactly the cached pages the edit touched, returning how many. The
 // uri is the document's repository name (navigation.NodeHref of the
-// node, e.g. "guitar.xml"); naming a document the repository does not
-// hold is an error.
+// node, e.g. "guitar.xml"); a name that is neither links.xml nor the
+// document of a store instance is an error, reported before anything is
+// re-derived. Only the named document is re-exported; invalidating
+// links.xml re-derives navigation alone.
 //
 // The rebuild diff — not the caller — decides the blast radius. A
 // caption-only edit changes just the document's bytes, so only the
 // pages woven from it (in every context containing its node) drop and
 // every other validator keeps serving 304s. An edit that reaches the
 // navigational surface — a title that anchors and the linkbase
-// display, an attribute a tour is ordered by — changes the signature
-// and invalidates as widely as it must. Getting that radius right
-// costs a full re-derivation at mutation time; the request path stays
-// untouched either way.
+// display, an attribute a tour is ordered by — changes the contexts
+// derived from the model and invalidates as widely as it must. Getting
+// that radius right costs a re-derivation at mutation time; the request
+// path stays untouched either way.
 func (app *App) InvalidateDocument(uri string) (int, error) {
+	var inst *conceptual.Instance
+	if uri != linksURI {
+		id, ok := strings.CutSuffix(uri, ".xml")
+		if inst = app.store.Get(id); !ok || inst == nil {
+			return 0, fmt.Errorf("core: no document %q", uri)
+		}
+	}
 	start := time.Now()
 	app.mu.Lock()
 	defer app.mu.Unlock()
-	dropped, verdict, err := app.rebuild()
+	docs := xlink.MapRepository{}
+	if inst != nil {
+		docs[uri] = conceptual.ExportInstance(app.store, inst)
+	}
+	dropped, verdict, err := app.rebuild(docs)
 	if err != nil {
 		return dropped, err
-	}
-	if _, ok := app.repo[uri]; !ok {
-		return dropped, fmt.Errorf("core: no document %q", uri)
 	}
 	app.recordMutation("document", uri, start, dropped, verdict)
 	return dropped, nil
@@ -475,10 +513,9 @@ func (app *App) InvalidateDocument(uri string) (int, error) {
 
 // DocBytes returns the serialized form of repository document uri with
 // its precomputed strong validator and Content-Length. The bytes are
-// produced once, at mutation time (rebuild and InvalidateDocument keep
-// the cache seeded for the whole repository), so the request path
-// neither serializes, hashes nor formats. The returned slice is shared:
-// callers must not modify it.
+// produced once, at mutation time (rebuild serializes each document it
+// re-derives), so the request path neither serializes, hashes nor
+// formats. The returned slice is shared: callers must not modify it.
 //
 //repro:hotpath
 func (app *App) DocBytes(uri string) (body []byte, etag, contentLength string, err error) {

@@ -426,3 +426,33 @@ func TestDeterministicWeave(t *testing.T) {
 		}
 	}
 }
+
+// TestInvalidateUnknownDocumentChangesNothing: a document the repository
+// does not hold is rejected before anything is re-derived, so the cache
+// generation, the mutation trace and the rebuild counters stay put.
+func TestInvalidateUnknownDocumentChangesNothing(t *testing.T) {
+	app := paperApp(t, navigation.IndexedGuidedTour{})
+	rebuilds := func() (n uint64) {
+		for _, c := range rebuildsByVerdict {
+			n += c.Value()
+		}
+		return n
+	}
+	gen, events, counted := app.CacheGeneration(), app.Events().Total(), rebuilds()
+	for _, uri := range []string{"nonesuch.xml", "guitar", "guitar.html", ""} {
+		if _, err := app.InvalidateDocument(uri); err == nil {
+			t.Errorf("InvalidateDocument(%q) accepted an unknown document", uri)
+		}
+	}
+	if app.CacheGeneration() != gen || app.Events().Total() != events || rebuilds() != counted {
+		t.Errorf("unknown documents moved the generation %d -> %d, events %d -> %d, rebuilds %d -> %d",
+			gen, app.CacheGeneration(), events, app.Events().Total(), counted, rebuilds())
+	}
+	// links.xml is a document: invalidating it re-derives navigation.
+	if _, err := app.InvalidateDocument("links.xml"); err != nil {
+		t.Errorf("InvalidateDocument(links.xml): %v", err)
+	}
+	if rebuilds() != counted+1 {
+		t.Errorf("invalidating links.xml counted %d rebuilds, want 1", rebuilds()-counted)
+	}
+}

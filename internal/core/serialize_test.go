@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/museum"
@@ -65,6 +66,36 @@ func BenchmarkRebuildStructureSwap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := app.SetAccessStructure("ByAuthor", swaps[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMutationCaption edits one painting's technique on the
+// synthetic museum and invalidates its document, as the control plane's
+// document PATCH does: the edit reaches one data document and no
+// context.
+func BenchmarkMutationCaption(b *testing.B) {
+	benchmarkMutation(b, "technique", func(i int) string { return fmt.Sprintf("Medium %d", i%2) })
+}
+
+// BenchmarkMutationTitle edits one painting's title on the synthetic
+// museum and invalidates its document: the edit reaches the document and
+// every context that lists the painting.
+func BenchmarkMutationTitle(b *testing.B) {
+	benchmarkMutation(b, "title", func(i int) string { return fmt.Sprintf("Work 0 of Painter 0 (%d)", i%2) })
+}
+
+func benchmarkMutation(b *testing.B, attr string, value func(int) string) {
+	app := benchMuseum(b)
+	const id = "painting000_000"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := app.Store().SetAttr(id, attr, value(i)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := app.InvalidateDocument(navigation.NodeHref(id)); err != nil {
 			b.Fatal(err)
 		}
 	}

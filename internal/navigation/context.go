@@ -73,7 +73,7 @@ type ResolvedContext struct {
 // EntryNode returns the node a link into the context lands on: the hub
 // when the access structure has one, otherwise the first member. Every
 // renderer of a context-entry link (landmark bars, the site map, the
-// cache's model signature) must agree on this rule.
+// cache's landmark comparison) must agree on this rule.
 func (rc *ResolvedContext) EntryNode() string {
 	if !rc.Def.Access.HasHub() && len(rc.Members) > 0 {
 		return rc.Members[0].ID()

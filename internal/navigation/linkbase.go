@@ -69,13 +69,20 @@ func NodeHref(nodeID string) string { return nodeID + ".xml" }
 // when the access structure has one, and one arc per navigation edge with
 // the edge kind encoded in the arcrole.
 func GenerateLinkbase(rm *ResolvedModel) *xmldom.Document {
+	return BuildLinkbase(LinkbaseContexts(rm))
+}
+
+// LinkbaseContexts derives the linkbase form of every resolved context, in
+// model order: what GenerateLinkbase renders, one extended link each.
+func LinkbaseContexts(rm *ResolvedModel) []*LinkbaseContext {
 	lcs := make([]*LinkbaseContext, 0, len(rm.Contexts))
 	for _, rc := range rm.Contexts {
 		lc := &LinkbaseContext{
 			Name:       rc.Name,
 			AccessKind: rc.Def.Access.Kind(),
 			HasHub:     rc.Def.Access.HasHub(),
-			NodeTitles: map[string]string{},
+			NodeTitles: make(map[string]string, len(rc.Members)),
+			Order:      make([]string, 0, len(rc.Members)),
 			Edges:      rc.Edges(),
 		}
 		for _, m := range rc.Members {
@@ -84,7 +91,7 @@ func GenerateLinkbase(rm *ResolvedModel) *xmldom.Document {
 		}
 		lcs = append(lcs, lc)
 	}
-	return BuildLinkbase(lcs)
+	return lcs
 }
 
 // BuildLinkbase renders navigation contexts as an XLink linkbase document.

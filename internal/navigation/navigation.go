@@ -254,18 +254,46 @@ func nodeOf(nc *NodeClass, inst *conceptual.Instance) *Node {
 
 // orderNodes sorts nodes by the given attribute (numeric when both values
 // parse as integers, else lexicographic), stably; an empty attr keeps the
-// incoming order.
+// incoming order. Each node's key is read and parsed once, then nodes and
+// keys sort together; sort.Stable makes the same comparisons
+// sort.SliceStable would, so the order is the same.
 func orderNodes(nodes []*Node, attr string) {
 	if attr == "" {
 		return
 	}
-	sort.SliceStable(nodes, func(i, j int) bool {
-		a, b := nodes[i].Instance.Attr(attr), nodes[j].Instance.Attr(attr)
-		ai, aerr := strconv.Atoi(a)
-		bi, berr := strconv.Atoi(b)
-		if aerr == nil && berr == nil {
-			return ai < bi
-		}
-		return a < b
-	})
+	keys := make([]orderKey, len(nodes))
+	for i, n := range nodes {
+		v := n.Instance.Attr(attr)
+		num, err := strconv.Atoi(v)
+		keys[i] = orderKey{str: v, num: num, numeric: err == nil}
+	}
+	sort.Stable(byOrderKey{nodes, keys})
+}
+
+// orderKey is one node's ordering attribute, parsed.
+type orderKey struct {
+	str     string
+	num     int
+	numeric bool
+}
+
+// byOrderKey sorts nodes by their parallel keys.
+type byOrderKey struct {
+	nodes []*Node
+	keys  []orderKey
+}
+
+func (s byOrderKey) Len() int { return len(s.nodes) }
+
+func (s byOrderKey) Less(i, j int) bool {
+	a, b := s.keys[i], s.keys[j]
+	if a.numeric && b.numeric {
+		return a.num < b.num
+	}
+	return a.str < b.str
+}
+
+func (s byOrderKey) Swap(i, j int) {
+	s.nodes[i], s.nodes[j] = s.nodes[j], s.nodes[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }

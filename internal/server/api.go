@@ -638,7 +638,7 @@ func (s *Server) apiSnapshot(w http.ResponseWriter, rt reqTrace) {
 	}
 	writeJSON(w, http.StatusOK, api.SnapshotResult{
 		Store:           s.persist.Name(),
-		Documents:       len(s.app.Repository()),
+		Documents:       s.app.DocumentCount(),
 		CacheGeneration: s.app.CacheGeneration(),
 	})
 }
