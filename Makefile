@@ -42,10 +42,12 @@ bench-all:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
 
-# fuzz-smoke fuzzes the XML writer against its reference serializer for
-# ten seconds, beyond the checked-in seed corpus (CI runs this).
+# fuzz-smoke fuzzes the XML writer against its reference serializer and
+# the session record codec's decode/re-encode round trip, ten seconds
+# each, beyond the checked-in seed corpora (CI runs this).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSerializeMatchesReference$$' -fuzztime 10s ./internal/xmldom
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRecord$$' -fuzztime 10s ./internal/navigation
 
 # api-smoke boots a real navserve with -api-token, drives navctl
 # through a structure swap over the control plane, and asserts the

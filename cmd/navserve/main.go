@@ -398,8 +398,12 @@ func build(args []string) (*http.Server, *buildConfig, int, error) {
 		opts = append(opts, server.WithoutPageCache())
 	}
 	if *analyticsOn {
-		opts = append(opts, server.WithAnalytics(
-			analytics.NewRecorder(analytics.RecorderConfig{SampleRate: *sampleRate})))
+		// The hop tables are sized from the site, so a large museum's
+		// hops are counted rather than dropped once a fixed table fills.
+		opts = append(opts, server.WithAnalytics(analytics.NewRecorder(analytics.RecorderConfig{
+			SampleRate:    *sampleRate,
+			SlotsPerShard: analytics.SlotsPerShardFor(app.Resolved(), 0),
+		})))
 	}
 	if *traceOn {
 		opts = append(opts, server.WithTracing(obs.NewTracer(obs.TraceConfig{

@@ -48,12 +48,6 @@ func main() {
 	}
 }
 
-// sessionRecord mirrors the server's durable session shape; navstats
-// only needs the trail.
-type sessionRecord struct {
-	State navigation.SessionState `json:"state"`
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("navstats", flag.ContinueOnError)
 	storeDir := fs.String("store-dir", "", "navserve file store directory (required)")
@@ -120,8 +114,8 @@ func collectHops(st storage.Store) ([]analytics.Hop, int, error) {
 	counts := map[analytics.Hop]uint64{}
 	sessions := 0
 	err := st.Scan("session/", func(_ string, raw []byte) error {
-		var rec sessionRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
+		rec, err := navigation.ParseRecord(raw)
+		if err != nil {
 			return nil // a torn or foreign record is skipped, not fatal
 		}
 		sessions++

@@ -13,7 +13,7 @@ import (
 )
 
 // seedStore writes a site snapshot and a set of persisted trails into
-// dir, the way a navserve -store file run would leave them: visitors
+// dir, the way navserve -store file runs would leave them: visitors
 // dominantly entered ByAuthor:picasso at guernica and walked
 // guernica -> avignon -> guitar.
 func seedStore(t *testing.T, dir string) {
@@ -41,9 +41,14 @@ func seedStore(t *testing.T, dir string) {
 				{Context: "ByAuthor:picasso", NodeID: "guitar"},
 			},
 		}
-		raw, err := json.Marshal(sessionRecord{State: state})
-		if err != nil {
-			t.Fatal(err)
+		// Half the visitors were persisted by an earlier navserve, in
+		// the legacy JSON form; navstats reads both forms alike.
+		raw := navigation.AppendRecord(nil, navigation.Record{State: state})
+		if v%2 == 1 {
+			var err error
+			if raw, err = json.Marshal(navigation.Record{State: state}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := st.Put(fmt.Sprintf("session/v%02d", v), raw); err != nil {
 			t.Fatal(err)

@@ -28,6 +28,8 @@ package analytics
 import (
 	"runtime"
 	"sync/atomic"
+
+	"repro/internal/navigation"
 )
 
 // EntryFrom is the pseudo-source of an entry hop: a visitor arriving in
@@ -156,6 +158,26 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 		r.shards[i] = &shard{slots: make([]slot, slots), mask: uint64(slots - 1)}
 	}
 	return r
+}
+
+// SlotsPerShardFor sizes a recorder's tables for a site: twice the hop
+// keys the resolved model can produce (one per navigation edge, one
+// entry per member and per hub), spread over the given number of
+// shards (0 means NewRecorder's GOMAXPROCS default). A table that fits
+// every key at half load drops no hop and keeps probes short. The
+// result is never below DefaultSlotsPerShard.
+func SlotsPerShardFor(rm *navigation.ResolvedModel, shards int) int {
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	keys := 0
+	for _, rc := range rm.Contexts {
+		keys += len(rc.Edges()) + len(rc.Members)
+		if rc.Def.Access.HasHub() {
+			keys++
+		}
+	}
+	return max(DefaultSlotsPerShard, 2*keys/nextPow2(shards))
 }
 
 // SampleRate reports the configured sampling rate (1 = every hop).

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/museum"
+	"repro/internal/navigation"
 )
 
 func TestRecordAndSnapshot(t *testing.T) {
@@ -63,6 +66,38 @@ func TestRecordTableOverflowDrops(t *testing.T) {
 	}
 	if hops := r.Snapshot(); len(hops) != 1 || hops[0].To != "b" {
 		t.Errorf("snapshot = %+v, want only the first hop", hops)
+	}
+}
+
+// TestSizedRecorderDropsNothing: a recorder sized for the 50/20/8
+// museum counts a walk over every edge and every entry of every context
+// without dropping a hop, at any shard count.
+func TestSizedRecorderDropsNothing(t *testing.T) {
+	store := museum.Synthetic(museum.SyntheticSpec{Painters: 50, PaintingsPerPainter: 20, Movements: 8, Seed: 1})
+	rm, err := museum.Model(navigation.IndexedGuidedTour{}).Resolve(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 1, 2, 8} {
+		r := NewRecorder(RecorderConfig{Shards: shards, SlotsPerShard: SlotsPerShardFor(rm, shards)})
+		var hops uint64
+		for _, rc := range rm.Contexts {
+			for _, e := range rc.Edges() {
+				r.Record(rc.Name, e.From, e.To)
+				hops++
+			}
+			if rc.Def.Access.HasHub() {
+				r.Record(rc.Name, EntryFrom, navigation.HubID)
+				hops++
+			}
+			for _, m := range rc.Members {
+				r.Record(rc.Name, EntryFrom, m.ID())
+				hops++
+			}
+		}
+		if st := r.Stats(); st.Dropped != 0 || st.Recorded != hops {
+			t.Errorf("shards=%d: stats = %+v, want all %d hops recorded", shards, st, hops)
+		}
 	}
 }
 

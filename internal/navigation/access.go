@@ -63,7 +63,15 @@ func (Index) HasHub() bool { return true }
 
 // Edges implements AccessStructure.
 func (Index) Edges(members []*Node) []Edge {
-	var out []Edge
+	return appendIndexEdges(make([]Edge, 0, 2*len(members)), members)
+}
+
+// appendIndexEdges appends an Index's edges: hub to every member, every
+// member back up. The structures' edges are sized up front because a
+// context's edges are computed once per model and again on its first
+// traversal, and growing a slice of pointer-laden edges is most of
+// that cost.
+func appendIndexEdges(out []Edge, members []*Node) []Edge {
 	for _, m := range members {
 		out = append(out, Edge{From: HubID, To: m.ID(), Kind: EdgeMember, Label: m.Title()})
 	}
@@ -88,7 +96,11 @@ func (GuidedTour) HasHub() bool { return false }
 
 // Edges implements AccessStructure.
 func (g GuidedTour) Edges(members []*Node) []Edge {
-	var out []Edge
+	return g.appendEdges(make([]Edge, 0, 2*len(members)), members)
+}
+
+// appendEdges appends the tour's Next/Prev edges.
+func (g GuidedTour) appendEdges(out []Edge, members []*Node) []Edge {
 	for i := 0; i < len(members)-1; i++ {
 		out = append(out, Edge{From: members[i].ID(), To: members[i+1].ID(), Kind: EdgeNext, Label: "Next"})
 		out = append(out, Edge{From: members[i+1].ID(), To: members[i].ID(), Kind: EdgePrev, Label: "Previous"})
@@ -120,9 +132,8 @@ func (IndexedGuidedTour) HasHub() bool { return true }
 
 // Edges implements AccessStructure.
 func (t IndexedGuidedTour) Edges(members []*Node) []Edge {
-	out := Index{}.Edges(members)
-	out = append(out, GuidedTour{Circular: t.Circular}.Edges(members)...)
-	return out
+	out := appendIndexEdges(make([]Edge, 0, 4*len(members)), members)
+	return GuidedTour{Circular: t.Circular}.appendEdges(out, members)
 }
 
 // Menu is a flat entry page linking to members without back-links; the
@@ -138,7 +149,7 @@ func (Menu) HasHub() bool { return true }
 
 // Edges implements AccessStructure.
 func (Menu) Edges(members []*Node) []Edge {
-	var out []Edge
+	out := make([]Edge, 0, len(members))
 	for _, m := range members {
 		out = append(out, Edge{From: HubID, To: m.ID(), Kind: EdgeMember, Label: m.Title()})
 	}

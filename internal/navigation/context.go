@@ -64,8 +64,12 @@ type ResolvedContext struct {
 	// Members are the context's nodes in traversal order.
 	Members []*Node
 
-	edgesOnce sync.Once
-	edges     []Edge
+	// out holds the edges grouped by source node, built on the first
+	// OutEdges: one group per member position, in order, then the hub's.
+	// Group g is out[outStart[g]:outStart[g+1]].
+	outOnce   sync.Once
+	out       []Edge
+	outStart  []int32
 	indexOnce sync.Once
 	index     map[string]int
 }
@@ -81,26 +85,57 @@ func (rc *ResolvedContext) EntryNode() string {
 	return HubID
 }
 
-// Edges returns the context's navigation edges (computed once), stamped
-// with the context's declared XLink show behaviour. A context-aware
-// access structure (an adaptive tour with per-context plans) is asked
-// for this instance's edges by name; every other structure sees only
-// the ordered members.
+// Edges computes the context's navigation edges, stamped with the
+// context's declared XLink show behaviour. A context-aware access
+// structure (an adaptive tour with per-context plans) is asked for this
+// instance's edges by name; every other structure sees only the ordered
+// members. Each call computes them afresh and the caller owns the
+// slice: the context keeps only the OutEdges index, so a superseded
+// model that idle sessions still reference holds one copy of its edges
+// at most, and none for contexts nobody traversed.
 func (rc *ResolvedContext) Edges() []Edge {
-	rc.edgesOnce.Do(func() {
-		var edges []Edge
-		if ca, ok := rc.Def.Access.(ContextAwareAccess); ok {
-			edges = ca.EdgesFor(rc.Name, rc.Members)
-		} else {
-			edges = rc.Def.Access.Edges(rc.Members)
+	var edges []Edge
+	if ca, ok := rc.Def.Access.(ContextAwareAccess); ok {
+		edges = ca.EdgesFor(rc.Name, rc.Members)
+	} else {
+		edges = rc.Def.Access.Edges(rc.Members)
+	}
+	show := rc.Def.ShowOrDefault()
+	for i := range edges {
+		edges[i].Show = show
+	}
+	return edges
+}
+
+// indexEdges builds the OutEdges index: a counting sort of Edges by
+// source position, stable, so each node keeps its edges in Edges order.
+func (rc *ResolvedContext) indexEdges() {
+	edges := rc.Edges()
+	hub := len(rc.Members)
+	group := func(from string) int {
+		if from == HubID {
+			return hub
 		}
-		show := rc.Def.ShowOrDefault()
-		for i := range edges {
-			edges[i].Show = show
+		return rc.Position(from)
+	}
+	start := make([]int32, hub+2)
+	for _, e := range edges {
+		if g := group(e.From); g >= 0 {
+			start[g+1]++
 		}
-		rc.edges = edges
-	})
-	return rc.edges
+	}
+	for g := 1; g < len(start); g++ {
+		start[g] += start[g-1]
+	}
+	out := make([]Edge, start[hub+1])
+	next := append([]int32(nil), start...)
+	for _, e := range edges {
+		if g := group(e.From); g >= 0 {
+			out[next[g]] = e
+			next[g]++
+		}
+	}
+	rc.out, rc.outStart = out, start
 }
 
 // Position returns the 0-based position of the node in the context, or -1.
@@ -125,16 +160,19 @@ func (rc *ResolvedContext) Member(nodeID string) *Node {
 	return nil
 }
 
-// OutEdges returns the edges leaving the given node (or HubID) in this
-// context.
+// OutEdges returns the edges leaving the given member (or HubID) in
+// this context, in Edges order, from an index built on first use. The
+// slice is shared by every caller and must not be modified.
 func (rc *ResolvedContext) OutEdges(fromID string) []Edge {
-	var out []Edge
-	for _, e := range rc.Edges() {
-		if e.From == fromID {
-			out = append(out, e)
+	rc.outOnce.Do(rc.indexEdges)
+	g := len(rc.Members)
+	if fromID != HubID {
+		if g = rc.Position(fromID); g < 0 {
+			return nil
 		}
 	}
-	return out
+	end := rc.outStart[g+1]
+	return rc.out[rc.outStart[g]:end:end]
 }
 
 // Next returns the member after nodeID in context order, or nil at the

@@ -307,17 +307,9 @@ func (s *Session) seek(delta int) error {
 		return fmt.Errorf("%w (cursor %d of %d)", ErrNoHistory, s.cur, len(s.nav))
 	}
 	v := s.nav[target]
-	rc := s.model.Context(v.Context)
-	if rc == nil {
-		return fmt.Errorf("navigation: history entry context %q no longer exists", v.Context)
-	}
-	switch {
-	case v.NodeID == HubID:
-		if !rc.Def.Access.HasHub() {
-			return fmt.Errorf("navigation: history entry: context %q no longer has an entry page", v.Context)
-		}
-	case rc.Position(v.NodeID) < 0:
-		return fmt.Errorf("%w: history entry %q in %q", ErrNotInContext, v.NodeID, v.Context)
+	rc, err := s.model.resolve(v, "history entry")
+	if err != nil {
+		return err
 	}
 	s.cur = target
 	s.context = rc
@@ -385,6 +377,26 @@ func (s *Session) State() SessionState {
 	return st
 }
 
+// resolve re-checks a stored position against the model: its context
+// must exist, a hub position needs an access structure with an entry
+// page, and a member position needs the node in the context. op names
+// the caller in the error.
+func (rm *ResolvedModel) resolve(v Visit, op string) (*ResolvedContext, error) {
+	rc := rm.Context(v.Context)
+	if rc == nil {
+		return nil, fmt.Errorf("navigation: %s: unknown context %q", op, v.Context)
+	}
+	switch {
+	case v.NodeID == HubID:
+		if !rc.Def.Access.HasHub() {
+			return nil, fmt.Errorf("navigation: %s: context %q no longer has an entry page", op, v.Context)
+		}
+	case rc.Position(v.NodeID) < 0:
+		return nil, fmt.Errorf("%w: %s: %q in %q", ErrNotInContext, op, v.NodeID, v.Context)
+	}
+	return rc, nil
+}
+
 // RestoreSession rebuilds a session from a snapshot over the given
 // model: the history is restored verbatim (no new visit is appended) and
 // the position is re-resolved against the current model. It fails when
@@ -396,17 +408,9 @@ func RestoreSession(model *ResolvedModel, state SessionState) (*Session, error) 
 	if state.Context == "" {
 		return s, nil
 	}
-	rc := model.Context(state.Context)
-	if rc == nil {
-		return nil, fmt.Errorf("navigation: restore: unknown context %q", state.Context)
-	}
-	switch {
-	case state.NodeID == HubID:
-		if !rc.Def.Access.HasHub() {
-			return nil, fmt.Errorf("navigation: restore: context %q no longer has an entry page", state.Context)
-		}
-	case rc.Position(state.NodeID) < 0:
-		return nil, fmt.Errorf("%w: restore: %q in %q", ErrNotInContext, state.NodeID, state.Context)
+	rc, err := model.resolve(Visit{Context: state.Context, NodeID: state.NodeID}, "restore")
+	if err != nil {
+		return nil, err
 	}
 	s.context = rc
 	s.nodeID = state.NodeID
@@ -445,17 +449,9 @@ func (s *Session) Rebase(rm *ResolvedModel) error {
 		s.model = rm
 		return nil
 	}
-	rc := rm.Context(s.context.Name)
-	if rc == nil {
-		return fmt.Errorf("navigation: rebase: unknown context %q", s.context.Name)
-	}
-	switch {
-	case s.nodeID == HubID:
-		if !rc.Def.Access.HasHub() {
-			return fmt.Errorf("navigation: rebase: context %q no longer has an entry page", rc.Name)
-		}
-	case rc.Position(s.nodeID) < 0:
-		return fmt.Errorf("%w: rebase: %q in %q", ErrNotInContext, s.nodeID, rc.Name)
+	rc, err := rm.resolve(Visit{Context: s.context.Name, NodeID: s.nodeID}, "rebase")
+	if err != nil {
+		return err
 	}
 	s.model = rm
 	s.context = rc

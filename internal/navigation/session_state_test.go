@@ -33,44 +33,68 @@ func TestSessionStateRoundTrip(t *testing.T) {
 	if state.Context != "ByAuthor:picasso" || state.NodeID != "guitar" {
 		t.Fatalf("state = %+v", state)
 	}
-	// Through JSON, as the server's persistence layer stores it.
-	raw, err := json.Marshal(state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded navigation.SessionState
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := navigation.RestoreSession(rm, decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(restored.History(), sess.History()) {
-		t.Errorf("history: %+v != %+v", restored.History(), sess.History())
-	}
-	rc, node := restored.Location()
-	if rc.Name != "ByAuthor:picasso" || node != "guitar" {
-		t.Errorf("location = %s/%s", rc.Name, node)
-	}
-	// The restored session must keep navigating: next from guitar is
-	// guernica (ByAuthor is ordered by year).
-	if err := restored.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if _, node := restored.Location(); node != "guernica" {
-		t.Errorf("Next after restore = %s, want guernica", node)
-	}
-	// Restoring must not have appended a visit of its own.
-	if got := len(restored.History()); got != 3 {
-		t.Errorf("history length after restore+Next = %d, want 3", got)
+	// Through the binary record the server's persistence layer stores,
+	// and through the legacy JSON form it still reads.
+	for _, route := range persistRoutes(t, state) {
+		t.Run(route.name, func(t *testing.T) {
+			restored, err := navigation.RestoreSession(rm, route.state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(restored.History(), sess.History()) {
+				t.Errorf("history: %+v != %+v", restored.History(), sess.History())
+			}
+			rc, node := restored.Location()
+			if rc.Name != "ByAuthor:picasso" || node != "guitar" {
+				t.Errorf("location = %s/%s", rc.Name, node)
+			}
+			// The restored session must keep navigating: next from guitar is
+			// guernica (ByAuthor is ordered by year).
+			if err := restored.Next(); err != nil {
+				t.Fatal(err)
+			}
+			if _, node := restored.Location(); node != "guernica" {
+				t.Errorf("Next after restore = %s, want guernica", node)
+			}
+			// Restoring must not have appended a visit of its own.
+			if got := len(restored.History()); got != 3 {
+				t.Errorf("history length after restore+Next = %d, want 3", got)
+			}
+		})
 	}
 }
 
+// persistRoutes passes a state through the two stored forms of a
+// session record, the binary codec and the legacy JSON, and returns
+// what each decodes to.
+func persistRoutes(t *testing.T, state navigation.SessionState) []struct {
+	name  string
+	state navigation.SessionState
+} {
+	t.Helper()
+	rec := navigation.Record{State: state}
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromJSON, err := navigation.ParseRecord(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromCodec, err := navigation.ParseRecord(navigation.AppendRecord(nil, rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		name  string
+		state navigation.SessionState
+	}{{"codec", fromCodec.State}, {"json", fromJSON.State}}
+}
+
 // TestSessionStateHistoryRoundTrip: the navigation history — the list
-// Back and Forward traverse, with its cursor — survives the JSON
-// persist→rehydrate cycle, including a mid-history cursor.
+// Back and Forward traverse, with its cursor — survives the
+// persist→rehydrate cycle in both stored forms, including a
+// mid-history cursor.
 func TestSessionStateHistoryRoundTrip(t *testing.T) {
 	rm := resolvedPaperModel(t)
 	sess := navigation.NewSession(rm)
@@ -85,41 +109,37 @@ func TestSessionStateHistoryRoundTrip(t *testing.T) {
 		}
 	}
 
-	raw, err := json.Marshal(sess.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded navigation.SessionState
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := navigation.RestoreSession(rm, decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, route := range persistRoutes(t, sess.State()) {
+		t.Run(route.name, func(t *testing.T) {
+			restored, err := navigation.RestoreSession(rm, route.state)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	wantNav, wantCur := sess.NavHistory()
-	gotNav, gotCur := restored.NavHistory()
-	if gotCur != wantCur || !reflect.DeepEqual(gotNav, wantNav) {
-		t.Fatalf("restored history %+v@%d, want %+v@%d", gotNav, gotCur, wantNav, wantCur)
-	}
-	// The restored session resumes mid-history: Forward reaches the
-	// entry the pre-restart Back stepped away from, and a further Back
-	// retraces the walk.
-	if err := restored.Forward(); err != nil {
-		t.Fatal(err)
-	}
-	if _, node := restored.Location(); node != "guernica" {
-		t.Errorf("Forward after restore = %s, want guernica", node)
-	}
-	if err := restored.Back(); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Back(); err != nil {
-		t.Fatal(err)
-	}
-	if _, node := restored.Location(); node != "avignon" {
-		t.Errorf("Back×2 after restore = %s, want avignon", node)
+			wantNav, wantCur := sess.NavHistory()
+			gotNav, gotCur := restored.NavHistory()
+			if gotCur != wantCur || !reflect.DeepEqual(gotNav, wantNav) {
+				t.Fatalf("restored history %+v@%d, want %+v@%d", gotNav, gotCur, wantNav, wantCur)
+			}
+			// The restored session resumes mid-history: Forward reaches the
+			// entry the pre-restart Back stepped away from, and a further Back
+			// retraces the walk.
+			if err := restored.Forward(); err != nil {
+				t.Fatal(err)
+			}
+			if _, node := restored.Location(); node != "guernica" {
+				t.Errorf("Forward after restore = %s, want guernica", node)
+			}
+			if err := restored.Back(); err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.Back(); err != nil {
+				t.Fatal(err)
+			}
+			if _, node := restored.Location(); node != "avignon" {
+				t.Errorf("Back×2 after restore = %s, want avignon", node)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/navigation"
 	"repro/internal/storage"
 	"repro/internal/storage/faultstore"
 )
@@ -23,12 +24,12 @@ func faultServer(t *testing.T, opts ...Option) (*Server, *faultstore.Store) {
 }
 
 // scanSessions returns the persisted session records keyed by id.
-func scanSessions(t *testing.T, st storage.Store) map[string]sessionRecord {
+func scanSessions(t *testing.T, st storage.Store) map[string]navigation.Record {
 	t.Helper()
-	out := map[string]sessionRecord{}
+	out := map[string]navigation.Record{}
 	err := st.Scan(sessionKeyPrefix, func(key string, value []byte) error {
-		var rec sessionRecord
-		if err := json.Unmarshal(value, &rec); err != nil {
+		rec, err := navigation.ParseRecord(value)
+		if err != nil {
 			return err
 		}
 		out[strings.TrimPrefix(key, sessionKeyPrefix)] = rec

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,7 +41,7 @@ type retryEntry struct {
 // id — only the latest state is ever written, so ten steps between two
 // flushes cost one Put, not ten), and a background goroutine drains the
 // queue in bounded batches on an interval. The request path pays a map
-// insert; the marshal and the store write happen off-request.
+// insert; the encoding and the store write happen off-request.
 //
 // A nil session in the queue is a tombstone: the session was evicted and
 // its durable record must be deleted instead of written. All store
@@ -320,9 +319,7 @@ func (f *flusher) writeObserved(id string, sess *navigation.Session) error {
 // write persists one session's current state (or deletes its record for
 // a tombstone). The session is snapshotted here, at write time, so
 // coalesced steps are captured by their final state. The store's error
-// is returned so the caller can retry; a marshal error is permanent
-// (retrying the same state cannot help) and is swallowed after
-// counting.
+// is returned so the caller can retry.
 func (f *flusher) write(id string, sess *navigation.Session) error {
 	if sess == nil {
 		if err := f.st.Delete(sessionKeyPrefix + id); err != nil {
@@ -331,16 +328,11 @@ func (f *flusher) write(id string, sess *navigation.Session) error {
 		f.flushed.Add(1)
 		return nil
 	}
-	rec := sessionRecord{State: sess.State()}
+	rec := navigation.Record{State: sess.State()}
 	if f.ttl > 0 {
 		rec.Expires = f.now().Add(f.ttl)
 	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		persistErrors.Inc()
-		return nil
-	}
-	if err := f.st.Put(sessionKeyPrefix+id, raw); err != nil {
+	if err := f.st.Put(sessionKeyPrefix+id, navigation.AppendRecord(nil, rec)); err != nil {
 		return err
 	}
 	f.flushed.Add(1)

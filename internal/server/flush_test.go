@@ -102,8 +102,8 @@ func TestWriteBehindCoalescesSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec sessionRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
+	rec, err := navigation.ParseRecord(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.State.History) != 3 {

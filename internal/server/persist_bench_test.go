@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -76,7 +75,7 @@ func BenchmarkSessionChurnWriteBehindFile(b *testing.B) {
 }
 
 // BenchmarkColdStartRehydrate measures resuming a visitor after a
-// restart: the durable record is read, unmarshalled and re-resolved
+// restart: the durable record is read, decoded and re-resolved
 // against the model. Sessions are dropped from memory between
 // iterations so every lookup takes the rehydration path.
 func BenchmarkColdStartRehydrate(b *testing.B) {
@@ -92,13 +91,9 @@ func BenchmarkColdStartRehydrate(b *testing.B) {
 		{Context: "ByAuthor:picasso", NodeID: "guitar"},
 		{Context: "ByMovement:cubism", NodeID: "guitar"},
 	}
-	rec := sessionRecord{State: navigation.SessionState{
+	raw := navigation.AppendRecord(nil, navigation.Record{State: navigation.SessionState{
 		Context: "ByMovement:cubism", NodeID: "guitar", History: trail,
-	}}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		b.Fatal(err)
-	}
+	}})
 	ids := make([]string, visitors)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("%032d", i)

@@ -295,41 +295,138 @@ func TestExpiredRecordNotRehydrated(t *testing.T) {
 	if _, err := st.Get(sessionKeyPrefix + cookie); !errors.Is(err, storage.ErrNotFound) {
 		t.Errorf("expired record not reaped: err=%v", err)
 	}
+
+	// The same deadline holds for a record in either stored form.
+	for _, form := range recordForms {
+		id := "0e0e0e0e" + form.name
+		rec := navigation.Record{State: guitarState(), Expires: clock.Add(-time.Second)}
+		if err := st.Put(sessionKeyPrefix+id, form.encode(rec)); err != nil {
+			t.Fatal(err)
+		}
+		if _, body, _ := doGet(t, ts2, "/session", id); body != "[]\n" {
+			t.Errorf("%s: expired session rehydrated: %s", form.name, body)
+		}
+		if _, err := st.Get(sessionKeyPrefix + id); !errors.Is(err, storage.ErrNotFound) {
+			t.Errorf("%s: expired record not reaped: err=%v", form.name, err)
+		}
+	}
+}
+
+// recordForms are the two stored forms of a session record: the binary
+// one the server writes, and the JSON one earlier servers wrote.
+var recordForms = []struct {
+	name   string
+	encode func(navigation.Record) []byte
+}{
+	{"binary", func(r navigation.Record) []byte { return navigation.AppendRecord(nil, r) }},
+	{"json", func(r navigation.Record) []byte {
+		raw, err := json.Marshal(r)
+		if err != nil {
+			panic(err)
+		}
+		return raw
+	}},
+}
+
+// guitarState is a one-visit session at guitar through ByAuthor:picasso.
+func guitarState() navigation.SessionState {
+	v := navigation.Visit{Context: "ByAuthor:picasso", NodeID: "guitar"}
+	return navigation.SessionState{
+		Context: v.Context, NodeID: v.NodeID,
+		History: []navigation.Visit{v}, Nav: []navigation.Visit{v},
+	}
+}
+
+// TestLegacyJSONRecordResumes: a record an earlier server wrote as JSON
+// rehydrates, and the next save rewrites it in the binary form.
+func TestLegacyJSONRecordResumes(t *testing.T) {
+	st := storage.NewMem()
+	raw, err := json.Marshal(navigation.Record{State: guitarState(), Expires: time.Now().Add(time.Hour)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(sessionKeyPrefix+"feedface", raw); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := persistentServer(t, st)
+	want := `[{"Context":"ByAuthor:picasso","NodeID":"guitar"}]` + "\n"
+	if _, body, _ := doGet(t, ts, "/session", "feedface"); body != want {
+		t.Fatalf("legacy record: /session = %q, want %q", body, want)
+	}
+	if code, _, _ := doGet(t, ts, "/go/next", "feedface"); code != http.StatusSeeOther {
+		t.Fatalf("/go/next after rehydrate = %d", code)
+	}
+	raw, err = st.Get(sessionKeyPrefix + "feedface")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw[0] == '{' {
+		t.Fatalf("record still JSON after a save: %s", raw)
+	}
+	rec, err := navigation.ParseRecord(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.State.NodeID != "guernica" || len(rec.State.History) != 2 {
+		t.Errorf("rewritten record = %+v, want guernica after a two-visit trail", rec.State)
+	}
 }
 
 // TestCorruptRecordIsAMiss: garbage in the store must not take the
 // server down — the visitor just starts over.
 func TestCorruptRecordIsAMiss(t *testing.T) {
-	st := storage.NewMem()
-	if err := st.Put(sessionKeyPrefix+"deadbeef", []byte("{not json")); err != nil {
-		t.Fatal(err)
-	}
-	_, ts := persistentServer(t, st)
-	code, body, _ := doGet(t, ts, "/session", "deadbeef")
-	if code != http.StatusOK || body != "[]\n" {
-		t.Errorf("corrupt record: code=%d body=%q", code, body)
-	}
-	if _, err := st.Get(sessionKeyPrefix + "deadbeef"); !errors.Is(err, storage.ErrNotFound) {
-		t.Errorf("corrupt record not deleted: err=%v", err)
+	valid := navigation.AppendRecord(nil, navigation.Record{State: guitarState()})
+	unknownVersion := append([]byte(nil), valid...)
+	unknownVersion[0] = 0x02
+	for _, in := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"json", []byte("{not json")},
+		{"truncated", valid[:len(valid)/2]},
+		// Version, no expiry, a one-string table, then a position whose
+		// node index (1) is past it.
+		{"index past table", []byte{0x01, 0x00, 0x00, 1, 1, 'x', 0, 1, 0, 0, 0}},
+		{"trailing byte", append(append([]byte(nil), valid...), 0)},
+		{"unknown version", unknownVersion},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			st := storage.NewMem()
+			if err := st.Put(sessionKeyPrefix+"deadbeef", in.raw); err != nil {
+				t.Fatal(err)
+			}
+			_, ts := persistentServer(t, st)
+			code, body, _ := doGet(t, ts, "/session", "deadbeef")
+			if code != http.StatusOK || body != "[]\n" {
+				t.Errorf("corrupt record: code=%d body=%q", code, body)
+			}
+			if _, err := st.Get(sessionKeyPrefix + "deadbeef"); !errors.Is(err, storage.ErrNotFound) {
+				t.Errorf("corrupt record not deleted: err=%v", err)
+			}
+		})
 	}
 }
 
 // TestOrphanedRecordIsAMiss: a stored position the current model no
 // longer has (the context was renamed away) yields a fresh session.
 func TestOrphanedRecordIsAMiss(t *testing.T) {
-	st := storage.NewMem()
-	rec := sessionRecord{State: navigation.SessionState{
-		Context: "ByDecade:1930s", // not a paper-museum context
-		NodeID:  "guernica",
-		History: []navigation.Visit{{Context: "ByDecade:1930s", NodeID: "guernica"}},
-	}}
-	raw, _ := json.Marshal(rec)
-	if err := st.Put(sessionKeyPrefix+"cafebabe", raw); err != nil {
-		t.Fatal(err)
-	}
-	_, ts := persistentServer(t, st)
-	code, body, _ := doGet(t, ts, "/session", "cafebabe")
-	if code != http.StatusOK || body != "[]\n" {
-		t.Errorf("orphaned record: code=%d body=%q", code, body)
+	for _, form := range recordForms {
+		t.Run(form.name, func(t *testing.T) {
+			st := storage.NewMem()
+			rec := navigation.Record{State: navigation.SessionState{
+				Context: "ByDecade:1930s", // not a paper-museum context
+				NodeID:  "guernica",
+				History: []navigation.Visit{{Context: "ByDecade:1930s", NodeID: "guernica"}},
+			}}
+			raw := form.encode(rec)
+			if err := st.Put(sessionKeyPrefix+"cafebabe", raw); err != nil {
+				t.Fatal(err)
+			}
+			_, ts := persistentServer(t, st)
+			code, body, _ := doGet(t, ts, "/session", "cafebabe")
+			if code != http.StatusOK || body != "[]\n" {
+				t.Errorf("orphaned record: code=%d body=%q", code, body)
+			}
+		})
 	}
 }

@@ -186,7 +186,7 @@ func WithPersistence(st storage.Store) Option {
 	return func(s *Server) { s.persist = st }
 }
 
-// WithSyncPersistence makes every navigation step marshal and write the
+// WithSyncPersistence makes every navigation step encode and write the
 // session record before the response is sent, instead of queueing it
 // for the write-behind flusher. A crash then loses no step — at the
 // old synchronous cost per request. It also makes persistence effects
@@ -869,20 +869,11 @@ func (s *Server) lookup(id string, rt reqTrace) *navigation.Session {
 	return sess
 }
 
-// sessionRecord is the durable form of one visitor session.
-type sessionRecord struct {
-	State navigation.SessionState `json:"state"`
-	// Expires bounds rehydration the way the TTL bounds memory: a
-	// record past its deadline is dead even if the janitor never saw
-	// it. Zero means no expiry.
-	Expires time.Time `json:"expires,omitempty"`
-}
-
 // saveSession records that the session's durable state is behind. On
 // the default write-behind path that is one coalescing map insert — the
-// snapshot, marshal and store write happen on the background flusher,
+// snapshot, encoding and store write happen on the background flusher,
 // and ten steps between two flushes cost one write. Under
-// WithSyncPersistence the record is marshalled and written here, under
+// WithSyncPersistence the record is encoded and written here, under
 // a per-id stripe lock — without it, two concurrent steps on one
 // session could persist out of order and leave the durable record a
 // step behind the in-memory trail until the next save. Either way a
@@ -900,20 +891,16 @@ func (s *Server) saveSession(id string, sess *navigation.Session, rt reqTrace) {
 	mu := &s.saveMu[fnv32(id)%uint32(len(s.saveMu))]
 	mu.Lock()
 	defer mu.Unlock()
-	rec := sessionRecord{State: sess.State()}
+	rec := navigation.Record{State: sess.State()}
 	if s.sessions.ttl > 0 {
 		rec.Expires = s.sessions.now().Add(s.sessions.ttl)
 	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		persistErrors.Inc()
-		return
-	}
+	raw := navigation.AppendRecord(nil, rec)
 	// The storage-op phase covers only the store write, not the snapshot
-	// or marshal above — it is the span a slow-request trace points at
+	// or encoding above — it is the span a slow-request trace points at
 	// when the backend stalls.
 	putFrom := rt.now()
-	err = s.persist.Put(sessionKeyPrefix+id, raw)
+	err := s.persist.Put(sessionKeyPrefix+id, raw)
 	rt.span(obs.PhaseStorageOp, putFrom)
 	if err != nil {
 		// The synchronous path has no retry queue — this step's
@@ -949,8 +936,8 @@ func (s *Server) rehydrate(id string) *navigation.Session {
 		}
 		return nil
 	}
-	var rec sessionRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
+	rec, err := navigation.ParseRecord(raw)
+	if err != nil {
 		_ = s.persist.Delete(sessionKeyPrefix + id)
 		return nil
 	}

@@ -1,10 +1,11 @@
 // Package storage is the persistence subsystem behind the XLink-aware
 // user agent: a small key/value Store interface with pluggable backends.
 // Two things live in a store today — visitor sessions (the paper's §2
-// context trails, serialized as JSON by internal/server) and site
-// snapshots (the separated data documents plus links.xml, exported by
-// internal/core) — so that a restart of the agent loses neither the
-// navigational artifact nor anyone's position in it.
+// context trails, in the binary record format of internal/navigation,
+// written by internal/server) and site snapshots (the separated data
+// documents plus links.xml, exported by internal/core) — so that a
+// restart of the agent loses neither the navigational artifact nor
+// anyone's position in it.
 //
 // Backends:
 //
