@@ -92,7 +92,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nDistributed Systems in the Advanced context (filtered, with landmark):")
-	fmt.Println(page.HTML)
+	fmt.Println(page.HTML())
 }
 
 func must(err error) {

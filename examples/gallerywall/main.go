@@ -48,14 +48,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("=== The gallery wall (xlink:show=\"embed\") ===")
-	fmt.Println(wall.HTML)
+	fmt.Println(wall.HTML())
 
 	modern, err := app.RenderPage("ModernByAuthor:picasso", "guitar")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("=== Modern works, filtered (year >= 1910), opened per xlink:show=\"new\" ===")
-	fmt.Println(modern.HTML)
+	fmt.Println(modern.HTML())
 
 	fmt.Println("=== The behaviours live in links.xml, not in any page ===")
 	lb := app.Linkbase().IndentedString()

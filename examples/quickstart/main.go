@@ -60,7 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("=== Guitar page with Index (the paper's Figure 3) ===")
-	fmt.Println(page.HTML)
+	fmt.Println(page.HTML())
 
 	// 4. The requirements change: one declaration swap, zero page edits.
 	if err := app.SetAccessStructure("ByAuthor", navaspect.IndexedGuidedTour{}); err != nil {
@@ -71,7 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("=== Guitar page with Indexed Guided Tour (Figure 4) ===")
-	fmt.Println(page.HTML)
+	fmt.Println(page.HTML())
 
 	// The separated navigation lives in links.xml, not in the pages.
 	fmt.Println("=== links.xml (excerpt, Figure 9) ===")

@@ -50,7 +50,7 @@ func Generate(app *core.App, opts Options) ([]byte, error) {
 	sb.WriteString("// pages holds every woven page, keyed by site-relative path.\n")
 	sb.WriteString("var pages = map[string]string{\n")
 	for _, path := range site.Paths() {
-		fmt.Fprintf(&sb, "\t%s: %s,\n", strconv.Quote(path), strconv.Quote(site.Page(path).HTML))
+		fmt.Fprintf(&sb, "\t%s: %s,\n", strconv.Quote(path), strconv.Quote(site.Page(path).HTML()))
 	}
 	sb.WriteString("}\n\n")
 

@@ -55,20 +55,20 @@ func TestAdaptiveSwapWeavesDerivedStructure(t *testing.T) {
 	// The derived tour is live: guernica now opens the tour (no Prev,
 	// Next goes to guitar) and carries a promoted-landmark link.
 	page := warm("ByAuthor:picasso", "guernica")
-	if !strings.Contains(page.HTML, `class="nav-next"`) ||
-		!strings.Contains(page.HTML, "/ByAuthor/picasso/guitar.html") {
-		t.Errorf("derived page lacks the learned Next edge:\n%s", page.HTML)
+	if !strings.Contains(page.HTML(), `class="nav-next"`) ||
+		!strings.Contains(page.HTML(), "/ByAuthor/picasso/guitar.html") {
+		t.Errorf("derived page lacks the learned Next edge:\n%s", page.HTML())
 	}
-	if strings.Contains(page.HTML, `class="nav-prev"`) {
+	if strings.Contains(page.HTML(), `class="nav-prev"`) {
 		t.Error("tour entry page has a Prev link; derived order should start at guernica")
 	}
-	if !strings.Contains(page.HTML, `class="nav-hot"`) {
-		t.Errorf("derived page lacks the promoted-landmark link:\n%s", page.HTML)
+	if !strings.Contains(page.HTML(), `class="nav-hot"`) {
+		t.Errorf("derived page lacks the promoted-landmark link:\n%s", page.HTML())
 	}
 	// The hub lists members in derived, not authored, order.
 	hub := warm("ByAuthor:picasso", navigation.HubID)
-	if g, a := strings.Index(hub.HTML, "guernica"), strings.Index(hub.HTML, "avignon"); g < 0 || a < 0 || g > a {
-		t.Errorf("hub roll not in derived order (guernica@%d avignon@%d):\n%s", g, a, hub.HTML)
+	if g, a := strings.Index(hub.HTML(), "guernica"), strings.Index(hub.HTML(), "avignon"); g < 0 || a < 0 || g > a {
+		t.Errorf("hub roll not in derived order (guernica@%d avignon@%d):\n%s", g, a, hub.HTML())
 	}
 }
 

@@ -36,7 +36,7 @@ func TestShowDefaultIsReplace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(page.HTML, "_blank") {
+	if strings.Contains(page.HTML(), "_blank") {
 		t.Error("replace behaviour produced target=_blank")
 	}
 }
@@ -50,15 +50,15 @@ func TestShowNewOpensBlankTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(page.HTML, `target="_blank"`) {
-		t.Errorf("show=new did not produce target=_blank:\n%s", page.HTML)
+	if !strings.Contains(page.HTML(), `target="_blank"`) {
+		t.Errorf("show=new did not produce target=_blank:\n%s", page.HTML())
 	}
 	hub, err := app.RenderPage("ByAuthor:picasso", navigation.HubID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(hub.HTML, `target="_blank"`) {
-		t.Errorf("hub anchors missing target=_blank:\n%s", hub.HTML)
+	if !strings.Contains(hub.HTML(), `target="_blank"`) {
+		t.Errorf("hub anchors missing target=_blank:\n%s", hub.HTML())
 	}
 }
 
@@ -79,13 +79,13 @@ func TestShowEmbedInlinesMembers(t *testing.T) {
 		"<dt>year</dt>",
 		"<dd>1913</dd>",
 	} {
-		if !strings.Contains(hub.HTML, want) {
-			t.Errorf("embedded hub missing %q:\n%s", want, hub.HTML)
+		if !strings.Contains(hub.HTML(), want) {
+			t.Errorf("embedded hub missing %q:\n%s", want, hub.HTML())
 		}
 	}
 	// Embedded entries replace the member anchors.
-	if strings.Contains(hub.HTML, `class="nav-member"`) {
-		t.Errorf("embed left plain member anchors:\n%s", hub.HTML)
+	if strings.Contains(hub.HTML(), `class="nav-member"`) {
+		t.Errorf("embed left plain member anchors:\n%s", hub.HTML())
 	}
 }
 

@@ -66,7 +66,9 @@ const pageCacheShards = 32
 // not stampede the pipeline.
 //
 // Cached *Page values are shared between callers; treat them as
-// immutable (serve Page.Body, do not mutate Page.Doc).
+// immutable (serve Page.Body, do not modify it). A cached page holds
+// only its bytes: Doc is nil, and the tree stays on pages that
+// RenderPage and WeaveSite return.
 type pageCache struct {
 	gen    atomic.Uint64
 	shards [pageCacheShards]cacheShard

@@ -37,7 +37,7 @@ func TestWeaveSiteParallelMatchesSequential(t *testing.T) {
 			if pp == nil {
 				t.Fatalf("workers=%d: missing page %s", workers, path)
 			}
-			if sp.HTML != pp.HTML {
+			if sp.HTML() != pp.HTML() {
 				t.Errorf("workers=%d: page %s differs from sequential weave", workers, path)
 			}
 		}
@@ -104,7 +104,7 @@ func TestRenderPageCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.HTML != first.HTML {
+	if fresh.HTML() != first.HTML() {
 		t.Error("cached page HTML differs from a fresh render")
 	}
 	// The empty node id normalizes to the hub, sharing one cache slot.
@@ -155,7 +155,7 @@ func TestCacheInvalidationOnSetAccessStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(before.HTML, "nav-next") {
+	if strings.Contains(before.HTML(), "nav-next") {
 		t.Fatal("Index page should not carry Next links")
 	}
 	if err := app.SetAccessStructure("ByAuthor", navigation.IndexedGuidedTour{}); err != nil {
@@ -168,7 +168,7 @@ func TestCacheInvalidationOnSetAccessStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(after.HTML, "nav-next") {
+	if !strings.Contains(after.HTML(), "nav-next") {
 		t.Error("stale page served: IGT page lacks Next link after access-structure swap")
 	}
 }
@@ -231,7 +231,7 @@ func TestConcurrentCachedRenderWithMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(page.HTML, "nav-next") {
+	if strings.Contains(page.HTML(), "nav-next") {
 		t.Error("stale IGT page served after final swap back to Index")
 	}
 }

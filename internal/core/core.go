@@ -125,14 +125,15 @@ func NewApp(store *conceptual.Store, model *navigation.Model) (*App, error) {
 
 // rebuild re-derives what a mutation can have changed: it re-resolves
 // the model, compares every freshly derived context with the one the
-// previous rebuild derived, brings links.xml up to date context by
-// context, and installs docs, the data documents the mutation
-// re-exported — every one from NewApp, the edited one from
-// InvalidateDocument, none from a structure swap. Callers other than
-// NewApp must hold app.mu for writing; rebuild takes ownership of docs.
-// It returns how many cached pages were dropped and the diff's verdict
-// (verdictFull, verdictLocal or verdictNone) — the blast-radius
-// classification the mutation trace records.
+// previous rebuild derived, keeps the previous model's object for each
+// unchanged one, brings links.xml up to date context by context, and
+// installs docs, the data documents the mutation re-exported — every one
+// from NewApp, the edited one from InvalidateDocument, none from a
+// structure swap. Callers other than NewApp must hold app.mu for
+// writing; rebuild takes ownership of docs. It returns how many cached
+// pages were dropped and the diff's verdict (verdictFull, verdictLocal
+// or verdictNone) — the blast-radius classification the mutation trace
+// records.
 //
 // Invalidation is dependency-aware: the per-context comparison and the
 // re-serialized documents' bytes decide which cached pages the mutation
@@ -169,6 +170,12 @@ func (app *App) rebuild(docs xlink.MapRepository) (int, string, error) {
 			}
 			if !members || !structure {
 				changed = append(changed, i)
+			} else {
+				// An unchanged context carries over as the previous
+				// model's object, with the OutEdges index and position
+				// map it built: a superseded model costs only what
+				// changed.
+				rm.Adopt(i, app.resolved.Contexts[i], c.Edges)
 			}
 		}
 	}

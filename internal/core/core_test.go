@@ -59,7 +59,7 @@ func TestFigure3IndexPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	html := page.HTML
+	html := page.HTML()
 	for _, want := range []string{
 		"<h1>Guitar</h1>",
 		`class="nav-up"`,
@@ -84,7 +84,7 @@ func TestFigure4IGTPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	html := page.HTML
+	html := page.HTML()
 	for _, want := range []string{
 		"<h1>Guitar</h1>",
 		`class="nav-up"`,
@@ -104,7 +104,7 @@ func TestHubPageListsMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	html := page.HTML
+	html := page.HTML()
 	for _, want := range []string{
 		"Index of ByAuthor:picasso",
 		`href="/ByAuthor/picasso/guitar.html"`,
@@ -128,11 +128,11 @@ func TestContextSwitchLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Guernica is also in ByMovement:surrealism.
-	if !strings.Contains(page.HTML, `href="/ByMovement/surrealism/guernica.html"`) {
-		t.Errorf("context switch link missing:\n%s", page.HTML)
+	if !strings.Contains(page.HTML(), `href="/ByMovement/surrealism/guernica.html"`) {
+		t.Errorf("context switch link missing:\n%s", page.HTML())
 	}
-	if strings.Contains(page.HTML, `href="/ByMovement/cubism/guernica.html"`) {
-		t.Errorf("bogus context link (guernica is not cubist here):\n%s", page.HTML)
+	if strings.Contains(page.HTML(), `href="/ByMovement/cubism/guernica.html"`) {
+		t.Errorf("bogus context link (guernica is not cubist here):\n%s", page.HTML())
 	}
 }
 
@@ -145,7 +145,7 @@ func TestAccessStructureSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(before.HTML, "nav-next") {
+	if strings.Contains(before.HTML(), "nav-next") {
 		t.Fatal("index page already has Next")
 	}
 	if err := app.SetAccessStructure("ByAuthor", navigation.IndexedGuidedTour{}); err != nil {
@@ -155,15 +155,15 @@ func TestAccessStructureSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(after.HTML, "nav-next") || !strings.Contains(after.HTML, "nav-prev") {
-		t.Errorf("IGT page missing tour anchors:\n%s", after.HTML)
+	if !strings.Contains(after.HTML(), "nav-next") || !strings.Contains(after.HTML(), "nav-prev") {
+		t.Errorf("IGT page missing tour anchors:\n%s", after.HTML())
 	}
 	// The other family is untouched.
 	cubism, err := app.RenderPage("ByMovement:cubism", "guitar")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(cubism.HTML, "nav-next") {
+	if strings.Contains(cubism.HTML(), "nav-next") {
 		t.Error("swap leaked into ByMovement family")
 	}
 	if err := app.SetAccessStructure("Ghost", navigation.Index{}); err == nil {
@@ -183,12 +183,12 @@ func TestSeparationBySubtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(page.HTML, "<h1>Guitar</h1>") {
-		t.Errorf("content lost without navigation aspect:\n%s", page.HTML)
+	if !strings.Contains(page.HTML(), "<h1>Guitar</h1>") {
+		t.Errorf("content lost without navigation aspect:\n%s", page.HTML())
 	}
 	for _, banned := range []string{"nav-up", "nav-next", "nav-prev", "class=\"navigation\""} {
-		if strings.Contains(page.HTML, banned) {
-			t.Errorf("navigation markup %q present without the aspect:\n%s", banned, page.HTML)
+		if strings.Contains(page.HTML(), banned) {
+			t.Errorf("navigation markup %q present without the aspect:\n%s", banned, page.HTML())
 		}
 	}
 }
@@ -209,12 +209,12 @@ func TestCustomStylesheet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(page.HTML, `<h2 class="custom">Guitar (1913)</h2>`) {
-		t.Errorf("custom presentation not applied:\n%s", page.HTML)
+	if !strings.Contains(page.HTML(), `<h2 class="custom">Guitar (1913)</h2>`) {
+		t.Errorf("custom presentation not applied:\n%s", page.HTML())
 	}
 	// Navigation is still injected: presentation and navigation compose.
-	if !strings.Contains(page.HTML, "nav-up") {
-		t.Errorf("navigation lost under custom stylesheet:\n%s", page.HTML)
+	if !strings.Contains(page.HTML(), "nav-up") {
+		t.Errorf("navigation lost under custom stylesheet:\n%s", page.HTML())
 	}
 	// A stylesheet that does not produce <html> errors.
 	bad, _ := presentation.ParseStylesheetString(`<s:stylesheet xmlns:s="urn:repro:style">
@@ -327,7 +327,7 @@ func TestAdditionalAspectComposes(t *testing.T) {
 		t.Errorf("audited %d pages, site has %d", len(audited), site.Len())
 	}
 	// Navigation still present.
-	if !strings.Contains(site.Page("ByAuthor/picasso/guitar.html").HTML, "nav-up") {
+	if !strings.Contains(site.Page("ByAuthor/picasso/guitar.html").HTML(), "nav-up") {
 		t.Error("navigation lost when composing with audit aspect")
 	}
 }
@@ -421,7 +421,7 @@ func TestDeterministicWeave(t *testing.T) {
 		t.Fatal("page sets differ")
 	}
 	for _, p := range siteA.Paths() {
-		if siteA.Page(p).HTML != siteB.Page(p).HTML {
+		if siteA.Page(p).HTML() != siteB.Page(p).HTML() {
 			t.Errorf("page %s differs between identical weaves", p)
 		}
 	}

@@ -80,7 +80,7 @@ func TestInvalidationSparesOtherFamilies(t *testing.T) {
 
 	// Mutated family: re-woven, with the new structure's markup.
 	after := warm("ByAuthor:picasso", "guitar")
-	if !strings.Contains(after.HTML, "nav-next") {
+	if !strings.Contains(after.HTML(), "nav-next") {
 		t.Error("re-woven ByAuthor page lacks the IGT Next link")
 	}
 	if n := wc.count("ByAuthor:picasso", "guitar"); n != 2 {
@@ -127,8 +127,8 @@ func TestHubSwapSparesOtherFamilies(t *testing.T) {
 	// The mutated family re-weaves without the hub: no Up link, and the
 	// index page is gone.
 	page := warm("ByAuthor:picasso", "guitar")
-	if strings.Contains(page.HTML, `class="nav-up"`) {
-		t.Errorf("guided-tour page still has an Up link:\n%s", page.HTML)
+	if strings.Contains(page.HTML(), `class="nav-up"`) {
+		t.Errorf("guided-tour page still has an Up link:\n%s", page.HTML())
 	}
 	if _, err := app.RenderPageCached("ByAuthor:picasso", navigation.HubID); err == nil {
 		t.Error("hub page still renders after the structure lost it")
@@ -199,7 +199,7 @@ func TestInvalidateDocumentDropsOnlyDependents(t *testing.T) {
 		t.Error("memory page re-woven by an edit to guitar.xml")
 	}
 	after := warm("ByAuthor:picasso", "guitar")
-	if !strings.Contains(after.HTML, "Sheet metal and wire") {
+	if !strings.Contains(after.HTML(), "Sheet metal and wire") {
 		t.Error("re-woven page does not show the edited attribute")
 	}
 
@@ -224,8 +224,8 @@ func TestInvalidateDocumentTitleEditReachesNavigation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(hub.HTML, ">Guitar<") {
-		t.Fatalf("hub page does not anchor Guitar:\n%s", hub.HTML)
+	if !strings.Contains(hub.HTML(), ">Guitar<") {
+		t.Fatalf("hub page does not anchor Guitar:\n%s", hub.HTML())
 	}
 	_, linksBefore, _, err := app.DocBytes("links.xml")
 	if err != nil {
@@ -246,7 +246,7 @@ func TestInvalidateDocumentTitleEditReachesNavigation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(hubAfter.HTML, "Guitar (1913)") {
+	if !strings.Contains(hubAfter.HTML(), "Guitar (1913)") {
 		t.Error("hub anchor still shows the old title")
 	}
 	_, linksAfter, _, err := app.DocBytes("links.xml")
@@ -363,7 +363,7 @@ func TestInvalidationRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(page.HTML, "nav-next") {
+	if strings.Contains(page.HTML(), "nav-next") {
 		t.Error("stale IGT page served after final swap back to Index")
 	}
 }

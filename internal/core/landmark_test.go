@@ -31,7 +31,7 @@ func TestLandmarkOnEveryPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, path := range site.Paths() {
-		html := site.Page(path).HTML
+		html := site.Page(path).HTML()
 		if !strings.Contains(html, `class="nav-landmark"`) {
 			t.Errorf("%s missing landmark bar", path)
 		}
@@ -87,7 +87,7 @@ func TestHublessLandmarkEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A guided tour's entry is its first member, not a hub.
-	if !strings.Contains(page.HTML, `href="/Tour/avignon.html"`) {
-		t.Errorf("hubless landmark entry wrong:\n%s", page.HTML)
+	if !strings.Contains(page.HTML(), `href="/Tour/avignon.html"`) {
+		t.Errorf("hubless landmark entry wrong:\n%s", page.HTML())
 	}
 }

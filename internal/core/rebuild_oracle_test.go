@@ -193,6 +193,7 @@ func (o *rebuildOracle) check(label string) {
 	if !reflect.DeepEqual(o.app.lbContexts, fresh.lbContexts) {
 		o.t.Fatalf("%s: contexts read back out of links.xml differ from the fresh app's", label)
 	}
+	o.checkResolved(label, fresh.Resolved())
 	for _, p := range cachedPages(o.app) {
 		want, err := fresh.RenderPage(p.Context, p.NodeID)
 		if err != nil {
@@ -206,6 +207,60 @@ func (o *rebuildOracle) check(label string) {
 			o.t.Fatalf("%s: page %s/%s changed bytes under ETag %s", label, p.Context, p.NodeID, p.ETag)
 		}
 		o.pages[k] = served{p.ETag, p.Body}
+	}
+}
+
+// checkResolved compares the App's resolved model, whose unchanged
+// contexts carry over from earlier rebuilds, with a fresh resolution:
+// the contexts in order, their members, entries, access kinds and every
+// traversal's edges, labels included, and the landmarks. Each context
+// must also be the one its name looks up.
+func (o *rebuildOracle) checkResolved(label string, fresh *navigation.ResolvedModel) {
+	o.t.Helper()
+	got := o.app.Resolved()
+	names := func(rcs []*navigation.ResolvedContext) []string {
+		out := make([]string, len(rcs))
+		for i, rc := range rcs {
+			out[i] = rc.Name
+		}
+		return out
+	}
+	members := func(rc *navigation.ResolvedContext) []string {
+		out := make([]string, len(rc.Members))
+		for i, m := range rc.Members {
+			out[i] = m.ID()
+		}
+		return out
+	}
+	if g, w := names(got.Contexts), names(fresh.Contexts); !slices.Equal(g, w) {
+		o.t.Fatalf("%s: contexts %v, fresh resolution has %v", label, g, w)
+	}
+	if g, w := names(got.Landmarks), names(fresh.Landmarks); !slices.Equal(g, w) {
+		o.t.Fatalf("%s: landmarks %v, fresh resolution has %v", label, g, w)
+	}
+	for i, lm := range got.Landmarks {
+		if lm != got.Context(lm.Name) || lm.EntryNode() != fresh.Landmarks[i].EntryNode() {
+			o.t.Fatalf("%s: landmark %s is not its context or enters elsewhere", label, lm.Name)
+		}
+	}
+	for i, rc := range got.Contexts {
+		want := fresh.Contexts[i]
+		if got.Context(rc.Name) != rc {
+			o.t.Fatalf("%s: Context(%q) is not the context listed", label, rc.Name)
+		}
+		ids := members(want)
+		if g := members(rc); !slices.Equal(g, ids) {
+			o.t.Fatalf("%s: %s members %v, fresh resolution has %v", label, rc.Name, g, ids)
+		}
+		if rc.EntryNode() != want.EntryNode() || rc.Def.Access.Kind() != want.Def.Access.Kind() {
+			o.t.Fatalf("%s: %s enters at %s (%s), fresh resolution at %s (%s)", label, rc.Name,
+				rc.EntryNode(), rc.Def.Access.Kind(), want.EntryNode(), want.Def.Access.Kind())
+		}
+		for _, id := range append(ids, navigation.HubID) {
+			if g, w := rc.OutEdges(id), want.OutEdges(id); !slices.Equal(g, w) {
+				o.t.Fatalf("%s: %s edges from %s:\n%v\nfresh resolution:\n%v", label, rc.Name, id, g, w)
+			}
+		}
 	}
 }
 

@@ -100,3 +100,18 @@ func benchmarkMutation(b *testing.B, attr string, value func(int) string) {
 		}
 	}
 }
+
+// BenchmarkRenderPageMember weaves one member page of the synthetic
+// museum anew, tree and bytes, as a page-cache miss does.
+func BenchmarkRenderPageMember(b *testing.B) {
+	app := benchMuseum(b)
+	rc := app.Resolved().Contexts[0]
+	node := rc.Members[0].ID()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := app.RenderPage(rc.Name, node); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

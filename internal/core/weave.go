@@ -27,12 +27,11 @@ type Page struct {
 	Context string
 	// NodeID is the member node, or navigation.HubID for an index page.
 	NodeID string
-	// Doc is the woven page tree.
+	// Doc is the woven page tree on pages from RenderPage and WeaveSite.
+	// Pages from RenderPageCached carry only their bytes: Doc is nil.
 	Doc *xmldom.Document
-	// HTML is the serialized page.
-	HTML string
-	// Body is the serialized page as bytes, shared by every caller:
-	// serve it, do not modify it.
+	// Body is the serialized page, exactly its length in capacity and
+	// shared by every caller: serve it, do not modify it.
 	Body []byte
 	// ETag is the page's strong HTTP validator,
 	// "g<generation>-<hash>", precomputed from the exact body.
@@ -45,6 +44,9 @@ type Page struct {
 	// dependency-aware cache invalidation.
 	deps pageDeps
 }
+
+// HTML returns the serialized page as a string (a copy of Body).
+func (p *Page) HTML() string { return string(p.Body) }
 
 // Site is a complete woven static site.
 type Site struct {
@@ -71,7 +73,7 @@ func (s *Site) Len() int { return len(s.pages) }
 func (s *Site) Files() map[string]string {
 	out := make(map[string]string, len(s.pages))
 	for p, pg := range s.pages {
-		out[p] = pg.HTML
+		out[p] = pg.HTML()
 	}
 	return out
 }
@@ -83,7 +85,7 @@ func (s *Site) WriteTo(dir string) error {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return fmt.Errorf("core: writing site: %w", err)
 		}
-		if err := os.WriteFile(path, []byte(s.pages[rel].HTML), 0o644); err != nil {
+		if err := os.WriteFile(path, s.pages[rel].Body, 0o644); err != nil {
 			return fmt.Errorf("core: writing site: %w", err)
 		}
 	}
@@ -217,7 +219,8 @@ const (
 // concurrent misses for the same page coalesce into one weave. The
 // cache is invalidated by SetAccessStructure and SetStylesheet, so a
 // visitor can never be served a page woven from a superseded model.
-// The returned page is shared: serve its HTML, do not mutate its Doc.
+// The returned page is shared and holds no tree (Doc is nil): serve its
+// Body, do not modify it.
 //
 //repro:hotpath
 func (app *App) RenderPageCached(contextName, nodeID string) (*Page, error) {
@@ -265,6 +268,9 @@ func (app *App) RenderPageCachedStat(contextName, nodeID string) (*Page, CacheOu
 		//repro:allow(cold miss: the one weave the cache exists to amortize)
 		p, err := app.renderPageLocked(contextName, nodeID)
 		app.mu.RUnlock()
+		if p != nil {
+			p.Doc = nil // the cache holds the bytes alone
+		}
 		app.cache.finish(key, f, p, err, gen)
 		return p, CacheMiss, err
 	}
@@ -312,19 +318,33 @@ func (app *App) renderPageLocked(contextName, nodeID string) (*Page, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: page pipeline produced %T, want *xmldom.Document", result)
 	}
-	html := presentation.WriteHTML(doc.Root(), presentation.HTMLOptions{Doctype: true, Indent: "  "})
-	body := []byte(html)
+	body := appendPageHTML(doc)
 	return &Page{
 		Path:          PagePath(rc.Name, nodeID),
 		Context:       rc.Name,
 		NodeID:        nodeID,
 		Doc:           doc,
-		HTML:          html,
 		Body:          body,
 		ETag:          strongETag(app.cache.generation(), body),
 		ContentLength: strconv.Itoa(len(body)),
 		deps:          app.pageDepsLocked(rc, nodeID),
 	}, nil
+}
+
+// htmlBufs recycles the buffers pages are serialized into, so a weave
+// allocates only the exact-size body it keeps.
+var htmlBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendPageHTML serializes a woven page tree into a pooled buffer and
+// returns a copy exactly its length: a page outlives the weave in the
+// cache, and must not keep a growth buffer's slack with it.
+func appendPageHTML(doc *xmldom.Document) []byte {
+	buf := htmlBufs.Get().(*[]byte)
+	*buf = presentation.AppendHTML((*buf)[:0], doc.Root(), presentation.HTMLOptions{Doctype: true, Indent: "  "})
+	body := make([]byte, len(*buf))
+	copy(body, *buf)
+	htmlBufs.Put(buf)
+	return body
 }
 
 // pageDepsLocked records what a woven (context, node) page reads: its

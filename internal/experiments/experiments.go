@@ -129,7 +129,7 @@ func guitarPage(access navigation.AccessStructure) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return page.HTML, nil
+	return page.HTML(), nil
 }
 
 // E4GuitarIndexPage reproduces Figure 3: the Guitar node page woven with

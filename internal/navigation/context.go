@@ -2,7 +2,10 @@ package navigation
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/conceptual"
 )
@@ -64,14 +67,20 @@ type ResolvedContext struct {
 	// Members are the context's nodes in traversal order.
 	Members []*Node
 
-	// out holds the edges grouped by source node, built on the first
-	// OutEdges: one group per member position, in order, then the hub's.
-	// Group g is out[outStart[g]:outStart[g+1]].
-	outOnce   sync.Once
-	out       []Edge
-	outStart  []int32
+	// out is the OutEdges index, built on first use under outMu; it is
+	// read lock-free once built.
+	outMu     sync.Mutex
+	out       atomic.Pointer[edgeIndex]
 	indexOnce sync.Once
 	index     map[string]int
+}
+
+// edgeIndex holds a context's edges grouped by source node: one group
+// per member position, in order, then the hub's. Group g is
+// out[start[g]:start[g+1]].
+type edgeIndex struct {
+	out   []Edge
+	start []int32
 }
 
 // EntryNode returns the node a link into the context lands on: the hub
@@ -107,20 +116,14 @@ func (rc *ResolvedContext) Edges() []Edge {
 	return edges
 }
 
-// indexEdges builds the OutEdges index: a counting sort of Edges by
+// indexEdges builds an OutEdges index over edges: a counting sort by
 // source position, stable, so each node keeps its edges in Edges order.
-func (rc *ResolvedContext) indexEdges() {
-	edges := rc.Edges()
+// Edges from a node outside the context are left out.
+func (rc *ResolvedContext) indexEdges(edges []Edge) *edgeIndex {
 	hub := len(rc.Members)
-	group := func(from string) int {
-		if from == HubID {
-			return hub
-		}
-		return rc.Position(from)
-	}
 	start := make([]int32, hub+2)
 	for _, e := range edges {
-		if g := group(e.From); g >= 0 {
+		if g := rc.group(e.From); g >= 0 {
 			start[g+1]++
 		}
 	}
@@ -130,12 +133,66 @@ func (rc *ResolvedContext) indexEdges() {
 	out := make([]Edge, start[hub+1])
 	next := append([]int32(nil), start...)
 	for _, e := range edges {
-		if g := group(e.From); g >= 0 {
+		if g := rc.group(e.From); g >= 0 {
 			out[next[g]] = e
 			next[g]++
 		}
 	}
-	rc.out, rc.outStart = out, start
+	return &edgeIndex{out: out, start: start}
+}
+
+// group returns the OutEdges group of an edge source: its member
+// position, len(Members) for the hub, or -1 outside the context.
+func (rc *ResolvedContext) group(from string) int {
+	if from == HubID {
+		return len(rc.Members)
+	}
+	return rc.Position(from)
+}
+
+// outIndex returns the OutEdges index, building it on first use.
+func (rc *ResolvedContext) outIndex() *edgeIndex {
+	if ix := rc.out.Load(); ix != nil {
+		return ix
+	}
+	rc.outMu.Lock()
+	defer rc.outMu.Unlock()
+	if ix := rc.out.Load(); ix != nil {
+		return ix
+	}
+	ix := rc.indexEdges(rc.Edges())
+	rc.out.Store(ix)
+	return ix
+}
+
+// indexHolds reports whether the OutEdges index, if built, groups
+// exactly edges. The index keeps the edge labels — member titles — of
+// the moment it was built, which can fall between a content edit and
+// the rebuild that re-derives the context. A build in progress is
+// waited for.
+func (rc *ResolvedContext) indexHolds(edges []Edge) bool {
+	rc.outMu.Lock()
+	defer rc.outMu.Unlock()
+	ix := rc.out.Load()
+	if ix == nil {
+		return true
+	}
+	// Each edge must be the next one of its source's group; then every
+	// group must be used up.
+	next := append([]int32(nil), ix.start...)
+	n := 0
+	for _, e := range edges {
+		g := rc.group(e.From)
+		if g < 0 {
+			continue
+		}
+		if next[g] == ix.start[g+1] || ix.out[next[g]] != e {
+			return false
+		}
+		next[g]++
+		n++
+	}
+	return n == len(ix.out)
 }
 
 // Position returns the 0-based position of the node in the context, or -1.
@@ -164,15 +221,15 @@ func (rc *ResolvedContext) Member(nodeID string) *Node {
 // this context, in Edges order, from an index built on first use. The
 // slice is shared by every caller and must not be modified.
 func (rc *ResolvedContext) OutEdges(fromID string) []Edge {
-	rc.outOnce.Do(rc.indexEdges)
+	ix := rc.outIndex()
 	g := len(rc.Members)
 	if fromID != HubID {
 		if g = rc.Position(fromID); g < 0 {
 			return nil
 		}
 	}
-	end := rc.outStart[g+1]
-	return rc.out[rc.outStart[g]:end:end]
+	end := ix.start[g+1]
+	return ix.out[ix.start[g]:end:end]
 }
 
 // Next returns the member after nodeID in context order, or nil at the
@@ -241,6 +298,46 @@ func (rm *ResolvedModel) ContextsContaining(nodeID string) []*ResolvedContext {
 		}
 	}
 	return out
+}
+
+// Adopt puts prev, a context of an earlier resolution of the same model
+// over the same store, in place of the context at position i, together
+// with the OutEdges index and position map prev has built, and reports
+// whether it did. edges are the context's edges as just derived
+// (LinkbaseContext.Edges). prev is adopted only when it is
+// interchangeable with the context it replaces: the same name,
+// declaration and members in the same order, and an OutEdges index that
+// is unbuilt or groups exactly edges. The caller vouches that the
+// members' titles are unchanged since prev's resolution. A superseded
+// model and its successor then share every unchanged context, so each
+// model costs only the contexts that changed.
+func (rm *ResolvedModel) Adopt(i int, prev *ResolvedContext, edges []Edge) bool {
+	cur := rm.Contexts[i]
+	// The declarations compare in full, access structure parameters
+	// included: an adaptive tour whose plan changed for a sibling
+	// context is another declaration, even where this context's edges
+	// are the same.
+	if prev.Name != cur.Name || prev.Group != cur.Group ||
+		!reflect.DeepEqual(prev.Def, cur.Def) || !sameMembers(prev.Members, cur.Members) ||
+		!prev.indexHolds(edges) {
+		return false
+	}
+	rm.Contexts[i] = prev
+	rm.byName[prev.Name] = prev
+	for j, lm := range rm.Landmarks {
+		if lm == cur {
+			rm.Landmarks[j] = prev
+		}
+	}
+	return true
+}
+
+// sameMembers reports whether two member lists view the same instances
+// through the same node classes, in the same order.
+func sameMembers(a, b []*Node) bool {
+	return slices.EqualFunc(a, b, func(x, y *Node) bool {
+		return x.Instance == y.Instance && x.Class == y.Class
+	})
 }
 
 // Resolve materializes every context family of the model against a store.

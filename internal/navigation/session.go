@@ -182,12 +182,19 @@ func (s *Session) enterLocked(contextName, nodeID string) error {
 			return fmt.Errorf("navigation: context %q is empty", contextName)
 		}
 	}
-	if nodeID != HubID && rc.Position(nodeID) < 0 {
+	// The visit holds the model's strings, never the caller's: a name
+	// cut out of a request would keep the whole request line alive for
+	// as long as the session remembers the visit.
+	if nodeID == HubID {
+		nodeID = HubID // the constant, not the caller's copy of it
+	} else if i := rc.Position(nodeID); i >= 0 {
+		nodeID = rc.Members[i].ID()
+	} else {
 		return fmt.Errorf("%w: %q in %q", ErrNotInContext, nodeID, contextName)
 	}
 	s.context = rc
 	s.nodeID = nodeID
-	v := Visit{Context: contextName, NodeID: nodeID}
+	v := Visit{Context: rc.Name, NodeID: nodeID}
 	s.recordVisitLocked(v)
 	s.navigateLocked(v)
 	return nil
@@ -271,8 +278,8 @@ func (s *Session) Select(nodeID string) error {
 	}
 	for _, e := range s.context.OutEdges(s.nodeID) {
 		if e.Kind == EdgeMember && e.To == nodeID {
-			s.nodeID = nodeID
-			v := Visit{Context: s.context.Name, NodeID: nodeID}
+			s.nodeID = e.To
+			v := Visit{Context: s.context.Name, NodeID: e.To}
 			s.recordVisitLocked(v)
 			s.navigateLocked(v)
 			return nil

@@ -33,3 +33,27 @@ func BenchmarkWriteHTML(b *testing.B) {
 		htmlSink = presentation.WriteHTML(root, opts)
 	}
 }
+
+// BenchmarkAppendHTML is BenchmarkWriteHTML into one reused buffer, as
+// the weave serializes its pages.
+func BenchmarkAppendHTML(b *testing.B) {
+	store := museum.Synthetic(museum.SyntheticSpec{Painters: 50, PaintingsPerPainter: 20, Movements: 8, Seed: 1})
+	app, err := core.NewApp(store, museum.Model(navigation.IndexedGuidedTour{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rc := app.Resolved().Contexts[0]
+	page, err := app.RenderPage(rc.Name, rc.Members[0].ID())
+	if err != nil {
+		b.Fatal(err)
+	}
+	root := page.Doc.Root()
+	opts := presentation.HTMLOptions{Doctype: true, Indent: "  "}
+	buf := presentation.AppendHTML(nil, root, opts)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = presentation.AppendHTML(buf[:0], root, opts)
+	}
+}

@@ -28,36 +28,42 @@ type HTMLOptions struct {
 // (self-closing tags, CDATA) are avoided so the output matches what the
 // paper's Figures 3–4 show as hand-written pages.
 func WriteHTML(root *xmldom.Element, opts HTMLOptions) string {
-	var sb strings.Builder
-	if opts.Doctype {
-		sb.WriteString("<!DOCTYPE html>\n")
-	}
-	writeHTMLElement(&sb, root, opts, 0)
-	if opts.Indent != "" {
-		sb.WriteString("\n")
-	}
-	return sb.String()
+	return string(AppendHTML(nil, root, opts))
 }
 
-func writeHTMLElement(sb *strings.Builder, e *xmldom.Element, opts HTMLOptions, depth int) {
+// AppendHTML appends WriteHTML's serialization of root to dst and
+// returns the extended buffer, so a caller that reuses one buffer
+// serializes without allocating.
+func AppendHTML(dst []byte, root *xmldom.Element, opts HTMLOptions) []byte {
+	if opts.Doctype {
+		dst = append(dst, "<!DOCTYPE html>\n"...)
+	}
+	dst = appendHTMLElement(dst, root, opts, 0)
+	if opts.Indent != "" {
+		dst = append(dst, '\n')
+	}
+	return dst
+}
+
+func appendHTMLElement(dst []byte, e *xmldom.Element, opts HTMLOptions, depth int) []byte {
 	name := strings.ToLower(e.Name.Local)
-	sb.WriteString("<")
-	sb.WriteString(name)
-	// Deterministic attribute order: declaration order (already stable),
-	// but sort duplicates-by-name never occur, so this is pure pass-through.
+	dst = append(dst, '<')
+	dst = append(dst, name...)
+	// Attributes keep their declaration order; namespace declarations
+	// are XML-isms and are dropped.
 	for _, a := range e.Attrs() {
 		if a.Name.Space == "xmlns" || (a.Name.Space == "" && a.Name.Local == "xmlns") {
 			continue
 		}
-		sb.WriteString(" ")
-		sb.WriteString(a.Name.Local)
-		sb.WriteString(`="`)
-		_, _ = htmlAttrEscaper.WriteString(sb, a.Value)
-		sb.WriteString(`"`)
+		dst = append(dst, ' ')
+		dst = append(dst, a.Name.Local...)
+		dst = append(dst, `="`...)
+		dst = appendHTMLEscaped(dst, a.Value, true)
+		dst = append(dst, '"')
 	}
-	sb.WriteString(">")
+	dst = append(dst, '>')
 	if voidElements[name] {
-		return
+		return dst
 	}
 
 	pretty := opts.Indent != "" && htmlElementOnly(e)
@@ -65,32 +71,38 @@ func writeHTMLElement(sb *strings.Builder, e *xmldom.Element, opts HTMLOptions, 
 		switch n := c.(type) {
 		case *xmldom.Element:
 			if pretty {
-				sb.WriteString("\n")
-				sb.WriteString(strings.Repeat(opts.Indent, depth+1))
+				dst = appendIndent(dst, opts.Indent, depth+1)
 			}
-			writeHTMLElement(sb, n, opts, depth+1)
+			dst = appendHTMLElement(dst, n, opts, depth+1)
 		case *xmldom.Text:
 			if pretty && isAllSpace(n.Data) {
 				continue
 			}
-			_, _ = htmlTextEscaper.WriteString(sb, n.Data)
+			dst = appendHTMLEscaped(dst, n.Data, false)
 		case *xmldom.Comment:
 			if pretty {
-				sb.WriteString("\n")
-				sb.WriteString(strings.Repeat(opts.Indent, depth+1))
+				dst = appendIndent(dst, opts.Indent, depth+1)
 			}
-			sb.WriteString("<!--")
-			sb.WriteString(n.Data)
-			sb.WriteString("-->")
+			dst = append(dst, "<!--"...)
+			dst = append(dst, n.Data...)
+			dst = append(dst, "-->"...)
 		}
 	}
 	if pretty {
-		sb.WriteString("\n")
-		sb.WriteString(strings.Repeat(opts.Indent, depth))
+		dst = appendIndent(dst, opts.Indent, depth)
 	}
-	sb.WriteString("</")
-	sb.WriteString(name)
-	sb.WriteString(">")
+	dst = append(dst, "</"...)
+	dst = append(dst, name...)
+	return append(dst, '>')
+}
+
+// appendIndent starts a new line indented depth levels.
+func appendIndent(dst []byte, indent string, depth int) []byte {
+	dst = append(dst, '\n')
+	for i := 0; i < depth; i++ {
+		dst = append(dst, indent...)
+	}
+	return dst
 }
 
 func htmlElementOnly(e *xmldom.Element) bool {
@@ -109,12 +121,34 @@ func htmlElementOnly(e *xmldom.Element) bool {
 	return hasElem
 }
 
-// The HTML escapers, built once: a strings.Replacer compiles its table
-// on first use and is safe for concurrent use.
-var (
-	htmlTextEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	htmlAttrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-)
+// appendHTMLEscaped appends s with &, < and > escaped — and, in an
+// attribute value, the double quote — copying runs of bytes that need
+// no escape in one append. Other bytes pass through unchanged.
+func appendHTMLEscaped(dst []byte, s string, attr bool) []byte {
+	run := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '"':
+			if !attr {
+				continue
+			}
+			esc = "&quot;"
+		default:
+			continue
+		}
+		dst = append(dst, s[run:i]...)
+		dst = append(dst, esc...)
+		run = i + 1
+	}
+	return append(dst, s[run:]...)
+}
 
 // CountLines reports the number of lines in a rendered page; the change
 // cost analyzer uses it for page-size statistics.

@@ -116,7 +116,7 @@ var (
 // gauges in serveMetrics).
 var (
 	persistErrors = obs.Default.Counter("navserve_persist_errors_total",
-		"Session persistence operations that failed (store errors and marshal failures).")
+		"Session persistence operations that failed (store errors).")
 	persistRetries = obs.Default.Counter("navserve_persist_retries_total",
 		"Failed session writes rescheduled for a backoff retry.")
 	persistRetryDropped = obs.Default.Counter("navserve_persist_retry_dropped_total",

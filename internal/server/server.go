@@ -563,13 +563,16 @@ func (s *Server) serveSiteMap(w http.ResponseWriter) {
 	var sb strings.Builder
 	sb.WriteString("<!DOCTYPE html>\n<html><head><title>Site map</title></head><body>\n")
 	sb.WriteString("<h1>Navigational contexts</h1>\n<ul>\n")
+	// One model for the whole page: a rebuild between two reads could
+	// drop a listed context or mix two structures on one page.
+	rm := s.app.Resolved()
 	var names []string
-	for _, rc := range s.app.Resolved().Contexts {
+	for _, rc := range rm.Contexts {
 		names = append(names, rc.Name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		rc := s.app.Resolved().Context(name)
+		rc := rm.Context(name)
 		fmt.Fprintf(&sb, "<li><a href=\"/%s\">%s</a> (%d members, %s)</li>\n",
 			core.PagePath(name, rc.EntryNode()), name, len(rc.Members), rc.Def.Access.Kind())
 	}

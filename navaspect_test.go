@@ -54,8 +54,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if page == nil {
 		t.Fatal("guitar page missing")
 	}
-	if !strings.Contains(page.HTML, "<h1>Guitar</h1>") || !strings.Contains(page.HTML, "nav-up") {
-		t.Errorf("page content:\n%s", page.HTML)
+	if !strings.Contains(page.HTML(), "<h1>Guitar</h1>") || !strings.Contains(page.HTML(), "nav-up") {
+		t.Errorf("page content:\n%s", page.HTML())
 	}
 }
 
@@ -68,8 +68,8 @@ func TestFacadeAccessSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(page.HTML, "nav-next") {
-		t.Errorf("swap did not add tour anchors:\n%s", page.HTML)
+	if !strings.Contains(page.HTML(), "nav-next") {
+		t.Errorf("swap did not add tour anchors:\n%s", page.HTML())
 	}
 }
 
@@ -122,7 +122,7 @@ func TestFacadeStylesheet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(page.HTML, `<h1 id="styled">Guitar</h1>`) {
-		t.Errorf("stylesheet not applied:\n%s", page.HTML)
+	if !strings.Contains(page.HTML(), `<h1 id="styled">Guitar</h1>`) {
+		t.Errorf("stylesheet not applied:\n%s", page.HTML())
 	}
 }

@@ -1,5 +1,5 @@
 #!/bin/sh
-# bench.sh — run the serve/persist/session-record/analytics/serialization/mutation benchmarks and emit
+# bench.sh — run the serve/persist/session-record/analytics/serialization/mutation/weave benchmarks and emit
 # BENCH_serve.json, a {benchmark: {ns_per_op, bytes_per_op,
 # allocs_per_op}} summary, so the serving stack's perf trajectory is
 # tracked PR over PR. Then run a fixed-seed navload scenario against a
@@ -32,9 +32,9 @@ trap 'rm -f "$TMP"' EXIT
 		-benchmem -benchtime "$BENCHTIME" ./internal/obs/
 	${GO:-go} test -run '^$' -bench 'ObserveRequest' \
 		-benchmem -benchtime "$BENCHTIME" ./internal/server/
-	${GO:-go} test -run '^$' -bench 'AppendIndentedLinkbase|RebuildStructureSwap|MutationCaption|MutationTitle' \
+	${GO:-go} test -run '^$' -bench 'AppendIndentedLinkbase|RebuildStructureSwap|MutationCaption|MutationTitle|RenderPageMember' \
 		-benchmem -benchtime "$BENCHTIME" ./internal/core/
-	${GO:-go} test -run '^$' -bench 'WriteHTML' \
+	${GO:-go} test -run '^$' -bench 'WriteHTML|AppendHTML' \
 		-benchmem -benchtime "$BENCHTIME" ./internal/presentation/
 } | tee "$TMP"
 
