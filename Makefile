@@ -49,12 +49,16 @@ bench-smoke:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# fuzz-smoke fuzzes the XML writer against its reference serializer and
-# the session record codec's decode/re-encode round trip, ten seconds
-# each, beyond the checked-in seed corpora (CI runs this).
+# fuzz-smoke fuzzes the XML writer against its reference serializer, the
+# session record codec's decode/re-encode round trip, the control
+# plane's structure-spec decoding and the If-None-Match matcher against
+# its split reference, ten seconds each, beyond the seed corpora (CI
+# runs this).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSerializeMatchesReference$$' -fuzztime 10s ./internal/xmldom
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRecord$$' -fuzztime 10s ./internal/navigation
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzEtagMatches$$' -fuzztime 10s ./internal/server
 
 # api-smoke boots a real navserve with -api-token, drives navctl
 # through a structure swap over the control plane, and asserts the

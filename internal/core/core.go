@@ -19,15 +19,19 @@
 // implementation (Figures 3–4) — becomes a one-line re-declaration here:
 // SetAccessStructure re-resolves, regenerates links.xml and re-weaves.
 //
-// The round trip through links.xml runs per context: a mutation rebuilds
-// and reads back only the extended links whose derivation it changed,
-// and re-exports only the data documents it edited. A structure swap
-// re-derives its family's contexts and no document; a caption edit
-// re-exports one document and leaves links.xml as it was; a title edit
-// re-exports its document and rebuilds the contexts that list the title.
+// The App holds links.xml only as its served bytes, with no tree: the
+// weaver reads the contexts parsed back out of that markup. The round
+// trip runs per context: a mutation builds and reads back only the
+// extended links whose derivation it changed, splices their bytes into
+// a new links.xml between the unchanged contexts' bytes, and re-exports
+// only the data documents it edited. A structure swap re-derives its
+// family's contexts and no document; a caption edit re-exports one
+// document and leaves links.xml as it was; a title edit re-exports its
+// document and rebuilds the contexts that list the title.
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -87,17 +91,26 @@ type App struct {
 	// effect.
 	stylesheetSrc string
 	resolved      *navigation.ResolvedModel
-	repo          xlink.MapRepository
-	// linkbase is links.xml. rebuild swaps changed contexts into it in
-	// place, so it never leaves the App: Linkbase and Repository hand
-	// out copies.
-	linkbase *xmldom.Document
-	// derived lists the contexts the last rebuild derived from the
-	// resolved model, in linkbase order: what the next rebuild compares
-	// against. lbContexts holds the same contexts as the weaver reads
-	// them, parsed back out of links.xml, by name.
-	derived    []*navigation.LinkbaseContext
-	lbContexts map[string]*navigation.LinkbaseContext
+	// repo holds the data documents, by repository name; links.xml is
+	// not among them.
+	repo xlink.MapRepository
+	// links is links.xml, replaced whole by every rebuild that changes
+	// it.
+	links *linkbase
+}
+
+// linkbase is links.xml as the App holds it, one value that a rebuild
+// builds beside the current one and installs whole, never editing it:
+// the served bytes with where each context's extended link begins in
+// them (the doc cache's links.xml entry is the same body), the contexts
+// derived from the resolved model in linkbase order (what the next
+// rebuild compares against), and the same contexts as the weaver reads
+// them, parsed back out of the markup, by name. No tree of links.xml
+// stays resident: Linkbase and Repository build one on demand.
+type linkbase struct {
+	text     navigation.LinkbaseText
+	derived  []*navigation.LinkbaseContext
+	contexts map[string]*navigation.LinkbaseContext
 }
 
 // linksURI is the linkbase's name in the repository.
@@ -126,14 +139,14 @@ func NewApp(store *conceptual.Store, model *navigation.Model) (*App, error) {
 // rebuild re-derives what a mutation can have changed: it re-resolves
 // the model, compares every freshly derived context with the one the
 // previous rebuild derived, keeps the previous model's object for each
-// unchanged one, brings links.xml up to date context by context, and
-// installs docs, the data documents the mutation re-exported — every one
-// from NewApp, the edited one from InvalidateDocument, none from a
-// structure swap. Callers other than NewApp must hold app.mu for
-// writing; rebuild takes ownership of docs. It returns how many cached
-// pages were dropped and the diff's verdict (verdictFull, verdictLocal
-// or verdictNone) — the blast-radius classification the mutation trace
-// records.
+// unchanged one, makes the next links.xml by splicing in the changed
+// contexts' bytes, and installs docs, the data documents the mutation
+// re-exported — every one from NewApp, the edited one from
+// InvalidateDocument, none from a structure swap. Callers other than
+// NewApp must hold app.mu for writing; rebuild takes ownership of docs.
+// It returns how many cached pages were dropped and the diff's verdict
+// (verdictFull, verdictLocal or verdictNone) — the blast-radius
+// classification the mutation trace records.
 //
 // Invalidation is dependency-aware: the per-context comparison and the
 // re-serialized documents' bytes decide which cached pages the mutation
@@ -150,16 +163,17 @@ func (app *App) rebuild(docs xlink.MapRepository) (int, string, error) {
 		return 0, "", fmt.Errorf("core: resolving navigation model: %w", err)
 	}
 	contexts := navigation.LinkbaseContexts(rm)
+	prev := app.links
 	// A context list of a new shape — the first build, or a context
 	// that appeared, vanished or moved — regenerates the whole linkbase.
-	reshaped := app.linkbase == nil || !slices.EqualFunc(app.derived, contexts,
+	reshaped := prev == nil || !slices.EqualFunc(prev.derived, contexts,
 		func(a, b *navigation.LinkbaseContext) bool { return a.Name == b.Name })
 	full := reshaped || landmarksMoved(app.resolved, rm)
 	var changed []int
 	changedCtxs := map[string]bool{}
 	if !reshaped {
 		for i, c := range contexts {
-			p := app.derived[i]
+			p := prev.derived[i]
 			members := slices.Equal(p.Order, c.Order) && maps.Equal(p.NodeTitles, c.NodeTitles)
 			structure := p.AccessKind == c.AccessKind && p.HasHub == c.HasHub && slices.Equal(p.Edges, c.Edges)
 			if !members {
@@ -179,18 +193,19 @@ func (app *App) rebuild(docs xlink.MapRepository) (int, string, error) {
 			}
 		}
 	}
-	if reshaped {
-		err = app.link(contexts)
-	} else {
-		err = app.relink(contexts, changed)
+	// The next links.xml is built beside the current one, which a
+	// failure leaves as it was; with no context changed there is none.
+	var next *linkbase
+	switch {
+	case reshaped:
+		next, err = link(contexts)
+	case len(changed) > 0:
+		next, err = prev.relink(contexts, changed)
 	}
 	if err != nil {
 		return 0, "", fmt.Errorf("core: reading generated linkbase: %w", err)
 	}
 	app.resolved = rm
-	if reshaped || len(changed) > 0 {
-		docs[linksURI] = app.linkbase
-	}
 	for uri, doc := range docs {
 		app.repo[uri] = doc
 	}
@@ -199,7 +214,17 @@ func (app *App) rebuild(docs xlink.MapRepository) (int, string, error) {
 	// seed the serialized-document cache the server hands out and the
 	// snapshot export writes (no per-request serialization), and
 	// comparing them with the cached bodies reveals which changed.
+	// links.xml comes serialized already.
 	changedDocs := app.docs.serialize(docs)
+	if next != nil {
+		if prev != nil && bytes.Equal(next.text.Bytes(), prev.text.Bytes()) {
+			// The same bytes keep the served body, and with it its ETag.
+			next.text = prev.text
+		} else {
+			changedDocs[linksURI] = next.text.Bytes()
+		}
+		app.links = next
+	}
 
 	// The generation advances with any invalidation, so weaves in flight
 	// across the mutation are discarded rather than cached against the
@@ -246,46 +271,35 @@ func landmarksMoved(old, cur *navigation.ResolvedModel) bool {
 }
 
 // link generates the whole linkbase from contexts and reads it back.
-func (app *App) link(contexts []*navigation.LinkbaseContext) error {
-	lb := navigation.BuildLinkbase(contexts)
-	parsed, err := navigation.ParseLinkbase(lb)
+func link(contexts []*navigation.LinkbaseContext) (*linkbase, error) {
+	text, parsed, err := navigation.NewLinkbaseText(contexts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	app.linkbase, app.derived = lb, contexts
-	app.lbContexts = make(map[string]*navigation.LinkbaseContext, len(parsed))
+	byName := make(map[string]*navigation.LinkbaseContext, len(parsed))
 	for _, c := range parsed {
-		app.lbContexts[c.Name] = c
+		byName[c.Name] = c
 	}
-	return nil
+	return &linkbase{text: text, derived: contexts, contexts: byName}, nil
 }
 
-// relink swaps the contexts at the changed positions into links.xml in
-// place. Each is built alone and read back with ParseLinkbase, so the
-// weaver still reads navigation out of linkbase markup and never out of
-// the model. Skipping the other contexts rests on BuildLinkbase being a
-// pure function of its input. Every changed context is built and read
-// back before links.xml is touched, so a failure leaves it as it was.
-func (app *App) relink(contexts []*navigation.LinkbaseContext, changed []int) error {
-	links := make([]*xmldom.Element, len(changed))
-	parsed := make([]*navigation.LinkbaseContext, len(changed))
-	for k, i := range changed {
-		one := navigation.BuildLinkbase(contexts[i : i+1])
-		lbcs, err := navigation.ParseLinkbase(one)
-		if err != nil {
-			return err
-		}
-		links[k], parsed[k] = one.Root().ChildElements()[0], lbcs[0]
-		one.Root().RemoveChild(links[k])
+// relink makes the linkbase that follows lb when the contexts at the
+// changed positions change. Each is built alone and read back with
+// ParseLinkbase, so the weaver still reads navigation out of linkbase
+// markup and never out of the model, and its bytes are spliced between
+// the unchanged contexts' bytes, which carry over with their parsed
+// contexts. Skipping the other contexts rests on BuildLinkbase being a
+// pure function of its input.
+func (lb *linkbase) relink(contexts []*navigation.LinkbaseContext, changed []int) (*linkbase, error) {
+	text, parsed, err := lb.text.Splice(contexts, changed)
+	if err != nil {
+		return nil, err
 	}
-	root := app.linkbase.Root()
-	for k, i := range changed {
-		root.RemoveChild(root.Children()[i])
-		root.InsertChildAt(i, links[k])
-		app.lbContexts[parsed[k].Name] = parsed[k]
+	byName := maps.Clone(lb.contexts)
+	for _, c := range parsed {
+		byName[c.Name] = c
 	}
-	app.derived = contexts
-	return nil
+	return &linkbase{text: text, derived: contexts, contexts: byName}, nil
 }
 
 // Store returns the conceptual store.
@@ -305,34 +319,39 @@ func (app *App) Resolved() *navigation.ResolvedModel {
 // aspects (logging, access control) beside navigation.
 func (app *App) Weaver() *aspect.Weaver { return app.weaver }
 
-// Linkbase returns a copy of the generated links.xml document. The App
-// swaps changed contexts into its own tree in place, so the caller gets
-// a snapshot no later mutation reaches, and may change it freely.
+// Linkbase returns the generated links.xml document. The App holds
+// links.xml as bytes, not as a tree, so each call builds a fresh tree
+// from the contexts those bytes were made from: the caller may change
+// it freely.
 func (app *App) Linkbase() *xmldom.Document {
 	app.mu.RLock()
-	defer app.mu.RUnlock()
-	return app.linkbase.Clone()
+	derived := app.links.derived
+	app.mu.RUnlock()
+	return navigation.BuildLinkbase(derived)
 }
 
 // Repository returns a deep copy of the data-document repository (node
-// XML files plus links.xml), the input an XLink-aware agent works from:
-// a snapshot no later mutation reaches. DocumentCount counts the
-// repository without copying it.
+// XML files plus links.xml, built afresh as Linkbase builds it), the
+// input an XLink-aware agent works from: a snapshot no later mutation
+// reaches. DocumentCount counts the repository without copying it.
 func (app *App) Repository() xlink.MapRepository {
 	app.mu.RLock()
-	defer app.mu.RUnlock()
-	repo := make(xlink.MapRepository, len(app.repo))
+	repo := make(xlink.MapRepository, len(app.repo)+1)
 	for uri, doc := range app.repo {
 		repo[uri] = doc.Clone()
 	}
+	derived := app.links.derived
+	app.mu.RUnlock()
+	repo[linksURI] = navigation.BuildLinkbase(derived)
 	return repo
 }
 
-// DocumentCount returns how many documents the repository holds.
+// DocumentCount returns how many documents the repository holds: the
+// data documents and links.xml.
 func (app *App) DocumentCount() int {
 	app.mu.RLock()
 	defer app.mu.RUnlock()
-	return len(app.repo)
+	return len(app.repo) + 1
 }
 
 // SetStylesheet installs a custom presentation stylesheet for node pages.

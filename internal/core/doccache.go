@@ -20,7 +20,8 @@ type docEntry struct {
 // docCache holds the serialized form of every repository document
 // (links.xml and the node data files) with its strong ETag, so serving a
 // document costs a map lookup instead of a tree serialization and a body
-// hash per request. rebuild hands it the documents it re-derived; every
+// hash per request. rebuild hands it the data documents it re-derived,
+// to serialize, and links.xml's body when it changed, as it is; every
 // other entry keeps its bytes and its ETag.
 type docCache struct {
 	mu      sync.RWMutex

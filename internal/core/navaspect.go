@@ -59,7 +59,7 @@ func findBody(doc *xmldom.Document) *xmldom.Element {
 // injectNavigation appends the navigation markup for (context, node) to
 // the page body, driven entirely by the linkbase.
 func (app *App) injectNavigation(doc *xmldom.Document, ctxName, nodeID string) error {
-	lbc := app.lbContexts[ctxName]
+	lbc := app.links.contexts[ctxName]
 	if lbc == nil {
 		return fmt.Errorf("core: linkbase has no context %q", ctxName)
 	}
@@ -196,18 +196,13 @@ func (app *App) embedMember(parent *xmldom.Element, ctxName, nodeID string) {
 
 // otherContexts lists the other linkbase contexts containing the node,
 // sorted for deterministic output — the paper's §2 context switch ("the
-// same painting through the pictorial movement").
+// same painting through the pictorial movement"). Membership is a
+// lookup in each context's locator titles, keyed by member.
 func (app *App) otherContexts(current, nodeID string) []string {
 	var out []string
-	for name, lbc := range app.lbContexts {
-		if name == current {
-			continue
-		}
-		for _, id := range lbc.Order {
-			if id == nodeID {
-				out = append(out, name)
-				break
-			}
+	for name, lbc := range app.links.contexts {
+		if _, ok := lbc.NodeTitles[nodeID]; ok && name != current {
+			out = append(out, name)
 		}
 	}
 	sort.Strings(out)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/museum"
 	"repro/internal/navigation"
+	"repro/internal/xmldom"
 )
 
 // oracleStylesheet is the presentation the rebuild oracle installs and
@@ -174,7 +175,11 @@ func (o *rebuildOracle) check(label string) {
 	if got, want := o.app.DocumentCount(), fresh.DocumentCount(); got != want {
 		o.t.Fatalf("%s: %d documents, fresh app has %d", label, got, want)
 	}
+	uris := []string{linksURI}
 	for uri := range fresh.repo {
+		uris = append(uris, uri)
+	}
+	for _, uri := range uris {
 		body, etag, _, err := o.app.DocBytes(uri)
 		if err != nil {
 			o.t.Fatalf("%s: %v", label, err)
@@ -187,11 +192,30 @@ func (o *rebuildOracle) check(label string) {
 		}
 		o.docs[uri] = served{etag, body}
 	}
-	if lb, _, _, _ := o.app.DocBytes(linksURI); !bytes.Equal(o.app.linkbase.AppendIndented(nil), lb) {
-		o.t.Fatalf("%s: the linkbase tree and its served bytes differ", label)
+	// The whole-tree twin: links.xml generated whole from a fresh
+	// resolution and serialized, with no App in between.
+	lb, _, _, _ := o.app.DocBytes(linksURI)
+	if want := navigation.GenerateLinkbase(fresh.Resolved()).AppendIndented(nil); !bytes.Equal(lb, want) {
+		o.t.Fatalf("%s: links.xml serves\n%s\nthe whole linkbase serializes as\n%s", label, lb, want)
 	}
-	if !reflect.DeepEqual(o.app.lbContexts, fresh.lbContexts) {
+	if !reflect.DeepEqual(o.app.links.contexts, fresh.links.contexts) {
 		o.t.Fatalf("%s: contexts read back out of links.xml differ from the fresh app's", label)
+	}
+	// What the weaver reads is what the served bytes say.
+	doc, err := xmldom.ParseString(string(lb))
+	if err != nil {
+		o.t.Fatalf("%s: parsing served links.xml: %v", label, err)
+	}
+	parsed, err := navigation.ParseLinkbase(doc)
+	if err != nil {
+		o.t.Fatalf("%s: reading served links.xml: %v", label, err)
+	}
+	byName := make(map[string]*navigation.LinkbaseContext, len(parsed))
+	for _, c := range parsed {
+		byName[c.Name] = c
+	}
+	if !reflect.DeepEqual(byName, o.app.links.contexts) {
+		o.t.Fatalf("%s: the served links.xml reads back other contexts than the weaver's", label)
 	}
 	o.checkResolved(label, fresh.Resolved())
 	for _, p := range cachedPages(o.app) {

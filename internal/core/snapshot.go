@@ -29,8 +29,13 @@ const SnapshotPrefix = "site/"
 func (app *App) ExportSnapshot(st storage.Store) error {
 	app.mu.RLock()
 	defer app.mu.RUnlock()
-	current := make(map[string]bool, len(app.repo))
+	uris := make([]string, 0, len(app.repo)+1)
 	for uri := range app.repo {
+		uris = append(uris, uri)
+	}
+	uris = append(uris, linksURI)
+	current := make(map[string]bool, len(uris))
+	for _, uri := range uris {
 		e, ok := app.docs.get(uri)
 		if !ok {
 			return fmt.Errorf("core: exporting snapshot: document %q has no serialization", uri)

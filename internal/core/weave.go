@@ -361,7 +361,7 @@ func (app *App) pageDepsLocked(rc *navigation.ResolvedContext, nodeID string) pa
 	// A hub page embeds the data of members linked with
 	// xlink:show="embed" (the gallery wall), so it depends on their
 	// documents too.
-	if lbc := app.lbContexts[rc.Name]; lbc != nil {
+	if lbc := app.links.contexts[rc.Name]; lbc != nil {
 		for _, e := range lbc.Edges {
 			if e.Kind == navigation.EdgeMember && e.From == navigation.HubID && e.Show == string(xlink.ShowEmbed) {
 				deps.docs = append(deps.docs, navigation.NodeHref(e.To))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 )
 
@@ -46,21 +47,39 @@ const linearTableMax = 16
 // (years 0–9999) fits, which UnixNano's 1678–2262 would not.
 func AppendRecord(dst []byte, r Record) []byte {
 	st := &r.State
-	table := stringTable{strs: make([]string, 0, linearTableMax)}
-	// Everything after the table, written first so the table is complete.
-	body := make([]byte, 0, 2*(1+len(st.History)+len(st.Nav))+3*binary.MaxVarintLen64)
-	body = table.appendVisit(body, st.Context, st.NodeID)
-	body = binary.AppendUvarint(body, uint64(len(st.History)))
-	for _, v := range st.History {
-		body = table.appendVisit(body, v.Context, v.NodeID)
-	}
-	body = binary.AppendUvarint(body, uint64(len(st.Nav)))
-	for _, v := range st.Nav {
-		body = table.appendVisit(body, v.Context, v.NodeID)
-	}
-	body = binary.AppendVarint(body, int64(st.Cursor))
+	return appendRecord(dst, r.Expires, st.Context, st.NodeID, st.History, st.Nav, st.Cursor)
+}
 
-	sec, nsec := r.Expires.Unix(), uint64(r.Expires.Nanosecond())
+// recordEncoder is an encoding's working memory: the string table, and
+// the bytes that follow the table in the record. Encoders are pooled,
+// so a steady stream of records allocates the records and nothing else.
+type recordEncoder struct {
+	table stringTable
+	body  []byte
+}
+
+var recordEncoders = sync.Pool{New: func() any {
+	return &recordEncoder{table: stringTable{strs: make([]string, 0, linearTableMax)}}
+}}
+
+// appendRecord is AppendRecord's encoder, over the parts of a state, so
+// that a Session encodes its own lists without copying them first.
+func appendRecord(dst []byte, expires time.Time, context, node string, history, nav []Visit, cursor int) []byte {
+	enc := recordEncoders.Get().(*recordEncoder)
+	table := &enc.table
+	// Everything after the table, written first so the table is complete.
+	body := table.appendVisit(enc.body[:0], context, node)
+	body = binary.AppendUvarint(body, uint64(len(history)))
+	for _, v := range history {
+		body = table.appendVisit(body, v.Context, v.NodeID)
+	}
+	body = binary.AppendUvarint(body, uint64(len(nav)))
+	for _, v := range nav {
+		body = table.appendVisit(body, v.Context, v.NodeID)
+	}
+	body = binary.AppendVarint(body, int64(cursor))
+
+	sec, nsec := expires.Unix(), uint64(expires.Nanosecond())
 	size := 1 + varintLen(sec) + uvarintLen(nsec) + uvarintLen(uint64(len(table.strs))) + len(body)
 	for _, s := range table.strs {
 		size += uvarintLen(uint64(len(s))) + len(s)
@@ -74,7 +93,12 @@ func AppendRecord(dst []byte, r Record) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		dst = append(dst, s...)
 	}
-	return append(dst, body...)
+	dst = append(dst, body...)
+
+	enc.body = body[:0]
+	table.reset()
+	recordEncoders.Put(enc)
+	return dst
 }
 
 // ParseRecord decodes a session record in either form: the binary form
@@ -130,8 +154,18 @@ func parseBinary(b []byte) (Record, error) {
 
 // stringTable interns a record's strings in order of first use.
 type stringTable struct {
-	strs  []string
-	index map[string]uint32 // nil until the table outgrows linearTableMax
+	strs []string
+	// index maps the strings to their indices once the table outgrows
+	// linearTableMax; below that it is empty, or nil until first needed.
+	index map[string]uint32
+}
+
+// reset empties the table for another record, keeping its memory but
+// no reference to the strings it held.
+func (t *stringTable) reset() {
+	clear(t.strs)
+	t.strs = t.strs[:0]
+	clear(t.index)
 }
 
 // appendVisit appends the table indices of a visit's context and node.
@@ -142,7 +176,7 @@ func (t *stringTable) appendVisit(dst []byte, context, node string) []byte {
 
 // ref returns s's index, adding s to the table on first use.
 func (t *stringTable) ref(s string) uint32 {
-	if t.index == nil {
+	if len(t.strs) <= linearTableMax {
 		for i, have := range t.strs {
 			if have == s {
 				return uint32(i)
@@ -152,7 +186,10 @@ func (t *stringTable) ref(s string) uint32 {
 			t.strs = append(t.strs, s)
 			return uint32(len(t.strs) - 1)
 		}
-		t.index = make(map[string]uint32, 4*linearTableMax)
+		// The table is full: index it, and search the index from now on.
+		if t.index == nil {
+			t.index = make(map[string]uint32, 4*linearTableMax)
+		}
 		for i, have := range t.strs {
 			t.index[have] = uint32(i)
 		}

@@ -200,6 +200,16 @@ func FuzzParseRecord(f *testing.F) {
 // holds the given number of visits, under the server's trail limit.
 func walkedState(tb testing.TB, visits int) navigation.SessionState {
 	tb.Helper()
+	st := walkedSession(tb, visits).State()
+	if len(st.History) != visits {
+		tb.Fatalf("walk reached %d visits, want %d", len(st.History), visits)
+	}
+	return st
+}
+
+// walkedSession is the session walkedState walks.
+func walkedSession(tb testing.TB, visits int) *navigation.Session {
+	tb.Helper()
 	store := museum.Synthetic(museum.SyntheticSpec{Painters: 50, PaintingsPerPainter: 20, Movements: 8, Seed: 1})
 	rm, err := museum.Model(navigation.IndexedGuidedTour{}).Resolve(store)
 	if err != nil {
@@ -232,11 +242,73 @@ func walkedState(tb testing.TB, visits int) navigation.SessionState {
 			_ = enter()
 		}
 	}
-	st := s.State()
-	if len(st.History) != visits {
-		tb.Fatalf("walk reached %d visits, want %d", len(st.History), visits)
+	return s
+}
+
+// TestSessionAppendRecordMatchesState: a session encodes, from its own
+// lists, the record AppendRecord makes of its State — fresh sessions,
+// trails past a small trail limit (whose buffer holds a few more visits
+// than the trail), mid-history cursors, with and without an expiry.
+func TestSessionAppendRecordMatchesState(t *testing.T) {
+	rm := resolvedPaperModel(t)
+	rng := rand.New(rand.NewSource(16))
+	expiries := []time.Time{{}, time.Date(2030, 1, 2, 3, 4, 5, 6, time.FixedZone("", 3600))}
+	trimmed, midHistory := 0, 0
+	for i := 0; i < 300; i++ {
+		s := navigation.NewSession(rm)
+		s.SetTrailLimit([]int{0, 4, 9}[rng.Intn(3)])
+		for steps := rng.Intn(60); steps > 0; steps-- {
+			switch p := rng.Intn(10); {
+			case p < 2:
+				rc := rm.Contexts[rng.Intn(len(rm.Contexts))]
+				if len(rc.Members) > 0 {
+					_ = s.EnterContext(rc.Name, rc.Members[rng.Intn(len(rc.Members))].ID())
+				}
+			case p < 5:
+				_ = s.Next()
+			case p < 6:
+				_ = s.Prev()
+			case p < 7:
+				_ = s.Up()
+			case p < 9:
+				_ = s.Back()
+			default:
+				_ = s.Forward()
+			}
+		}
+		st := s.State()
+		if len(st.History) == 4 || len(st.History) == 9 {
+			trimmed++
+		}
+		if st.Cursor < len(st.Nav)-1 {
+			midHistory++
+		}
+		for _, at := range expiries {
+			want := navigation.AppendRecord([]byte("dst"), navigation.Record{State: st, Expires: at})
+			if got := s.AppendRecord([]byte("dst"), at); !slices.Equal(got, want) {
+				t.Fatalf("session %d: AppendRecord\n%q\nthe record of its State\n%q", i, got, want)
+			}
+		}
 	}
-	return st
+	if trimmed == 0 || midHistory == 0 {
+		t.Fatalf("the walks reached %d trails at their limit and %d mid-history cursors", trimmed, midHistory)
+	}
+}
+
+// TestSessionAppendRecordAllocs: encoding a session's record allocates
+// the record and nothing else — no copy of its lists, no string table —
+// on a 24-visit trail and on one at the trail limit.
+func TestSessionAppendRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops items at random")
+	}
+	expires := time.Now().Add(time.Hour)
+	for _, visits := range []int{24, trailLimit} {
+		s := walkedSession(t, visits)
+		if avg := testing.AllocsPerRun(200, func() { _ = s.AppendRecord(nil, expires) }); avg != 1 {
+			t.Errorf("trail of %d: AppendRecord allocates %.0f per record, want 1", visits, avg)
+		}
+	}
 }
 
 // benchmarkRecords runs fn over a 24-visit trail (the mean of the
@@ -257,6 +329,19 @@ func BenchmarkSessionRecordAppend(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(raw)), "B/record")
 	})
+}
+
+func BenchmarkSessionRecordFromSession(b *testing.B) {
+	for _, visits := range []int{24, trailLimit} {
+		s := walkedSession(b, visits)
+		expires := time.Now().Add(30 * time.Minute)
+		b.Run(fmt.Sprintf("trail=%d", visits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = s.AppendRecord(nil, expires)
+			}
+		})
+	}
 }
 
 func BenchmarkSessionRecordParse(b *testing.B) {

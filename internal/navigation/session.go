@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 )
 
 // ErrNotInContext is returned when a traversal is attempted from a node
@@ -382,6 +383,21 @@ func (s *Session) State() SessionState {
 	st.History = append([]Visit(nil), s.trailLocked()...)
 	st.Nav = append([]Visit(nil), s.nav...)
 	return st
+}
+
+// AppendRecord appends the durable record of the session's current
+// state, expiring at expires (zero for never), to dst: the bytes
+// AppendRecord(dst, Record{State: s.State(), Expires: expires})
+// appends, encoded straight from the session's own lists under its lock
+// instead of from copies of them.
+func (s *Session) AppendRecord(dst []byte, expires time.Time) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var context string
+	if s.context != nil {
+		context = s.context.Name
+	}
+	return appendRecord(dst, expires, context, s.nodeID, s.trailLocked(), s.nav, s.cur)
 }
 
 // resolve re-checks a stored position against the model: its context

@@ -317,7 +317,7 @@ func (f *flusher) writeObserved(id string, sess *navigation.Session) error {
 }
 
 // write persists one session's current state (or deletes its record for
-// a tombstone). The session is snapshotted here, at write time, so
+// a tombstone). The session is encoded here, at write time, so
 // coalesced steps are captured by their final state. The store's error
 // is returned so the caller can retry.
 func (f *flusher) write(id string, sess *navigation.Session) error {
@@ -328,11 +328,11 @@ func (f *flusher) write(id string, sess *navigation.Session) error {
 		f.flushed.Add(1)
 		return nil
 	}
-	rec := navigation.Record{State: sess.State()}
+	var expires time.Time
 	if f.ttl > 0 {
-		rec.Expires = f.now().Add(f.ttl)
+		expires = f.now().Add(f.ttl)
 	}
-	if err := f.st.Put(sessionKeyPrefix+id, navigation.AppendRecord(nil, rec)); err != nil {
+	if err := f.st.Put(sessionKeyPrefix+id, sess.AppendRecord(nil, expires)); err != nil {
 		return err
 	}
 	f.flushed.Add(1)

@@ -1,0 +1,112 @@
+package server
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/navigation"
+)
+
+// FuzzDecodeSpec feeds arbitrary bytes through what the control plane
+// does with a PUT …/structure body — strict JSON into a StructureSpec,
+// then DecodeSpec — which must never panic. For every spec it accepts,
+// encoding the structure and decoding it again reaches a fixed point
+// after one round.
+func FuzzDecodeSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"kind":"index"}`,
+		`{"kind":"menu","circular":true}`,
+		`{"kind":"circular-guided-tour"}`,
+		`{"kind":"indexed-guided-tour","circular":true}`,
+		`{"kind":"adaptive-tour"}`,
+		`{"kind":"circular-adaptive-tour","fallback":{"kind":"circular-indexed-guided-tour"}}`,
+		`{"kind":"adaptive-tour","fallback":{"kind":"guided-tour"},"plans":{"ByAuthor:picasso":{"order":["guitar","avignon"],"landmarks":["guitar"],"dead":["avignon"]}}}`,
+		`{"kind":"adaptive-tour","plans":{"Par époque:1900–1910":{"order":[]},"x":{}}}`,
+		`{"kind":"adaptive-tour","fallback":{"kind":"adaptive-tour"}}`,
+		`{"kind":"adaptive-tour","plans":{"":{}}}`,
+		`{"kind":"index","plans":{"x":{}}}`,
+		`{"kind":"guided-tour","fallback":{"kind":"index"}}`,
+		`{"kind":"index","extra":1}`,
+		`{"kind":"index"} {"kind":"menu"}`,
+		`{"kind":""}`,
+		`null`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec navigation.StructureSpec
+		if err := decodeStrict(body, &spec); err != nil {
+			return
+		}
+		as, err := navigation.DecodeSpec(&spec)
+		if err != nil {
+			return
+		}
+		once, err := navigation.EncodeSpec(as)
+		if err != nil {
+			t.Fatalf("%s is accepted as %s, which does not encode: %v", body, navigation.AccessText(as), err)
+		}
+		again, err := navigation.DecodeSpec(once)
+		if err != nil {
+			t.Fatalf("%s: its encoding %+v does not decode: %v", body, once, err)
+		}
+		twice, err := navigation.EncodeSpec(again)
+		if err != nil {
+			t.Fatalf("%s: the decoded encoding %s does not encode: %v", body, navigation.AccessText(again), err)
+		}
+		if !reflect.DeepEqual(once, twice) {
+			t.Fatalf("%s: encodes as %+v, then as %+v", body, once, twice)
+		}
+	})
+}
+
+// etagMatchesSplit is the plain reading of If-None-Match that
+// etagMatches implements without allocating: split the list at commas,
+// trim each member and its weak prefix, and match "*" or the tag.
+func etagMatchesSplit(ifNoneMatch, etag string) bool {
+	target := strings.TrimPrefix(etag, "W/")
+	for _, member := range strings.Split(ifNoneMatch, ",") {
+		member = strings.TrimPrefix(strings.TrimSpace(member), "W/")
+		if member == "*" || member == target {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzEtagMatches compares etagMatches with the split reference over
+// arbitrary If-None-Match headers and tags. A tag that is empty once
+// its weak prefix is dropped is out of range: the server never serves
+// one, and the reference would match it against the empty member an
+// empty header or a trailing comma leaves, which etagMatches skips.
+func FuzzEtagMatches(f *testing.F) {
+	for _, seed := range [][2]string{
+		{`"g3-abc"`, `"g3-abc"`},
+		{`W/"g3-abc"`, `"g3-abc"`},
+		{`"g3-abc"`, `W/"g3-abc"`},
+		{`"g2-abc", "g3-abc"`, `"g3-abc"`},
+		{` "g2-abc" ,W/"g3-abc" `, `"g3-abc"`},
+		{`*`, `"g3-abc"`},
+		{`"a",*`, `"g3-abc"`},
+		{`"g3-abd"`, `"g3-abc"`},
+		{``, `"g3-abc"`},
+		{`,,`, `"g3-abc"`},
+		{`"g3-abc",`, `"g3-abc"`},
+		{`W/W/"g3-abc"`, `"g3-abc"`},
+		{"\t\"g3-abc\"\r\n", `"g3-abc"`},
+		{`"g3-a,bc"`, `"g3-a,bc"`},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, header, etag string) {
+		if strings.TrimPrefix(etag, "W/") == "" {
+			return
+		}
+		if got, want := etagMatches(header, etag), etagMatchesSplit(header, etag); got != want {
+			t.Fatalf("etagMatches(%q, %q) = %v, the split reading says %v", header, etag, got, want)
+		}
+	})
+}

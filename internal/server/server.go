@@ -874,7 +874,7 @@ func (s *Server) lookup(id string, rt reqTrace) *navigation.Session {
 
 // saveSession records that the session's durable state is behind. On
 // the default write-behind path that is one coalescing map insert — the
-// snapshot, encoding and store write happen on the background flusher,
+// encoding and store write happen on the background flusher,
 // and ten steps between two flushes cost one write. Under
 // WithSyncPersistence the record is encoded and written here, under
 // a per-id stripe lock — without it, two concurrent steps on one
@@ -894,14 +894,14 @@ func (s *Server) saveSession(id string, sess *navigation.Session, rt reqTrace) {
 	mu := &s.saveMu[fnv32(id)%uint32(len(s.saveMu))]
 	mu.Lock()
 	defer mu.Unlock()
-	rec := navigation.Record{State: sess.State()}
+	var expires time.Time
 	if s.sessions.ttl > 0 {
-		rec.Expires = s.sessions.now().Add(s.sessions.ttl)
+		expires = s.sessions.now().Add(s.sessions.ttl)
 	}
-	raw := navigation.AppendRecord(nil, rec)
-	// The storage-op phase covers only the store write, not the snapshot
-	// or encoding above — it is the span a slow-request trace points at
-	// when the backend stalls.
+	raw := sess.AppendRecord(nil, expires)
+	// The storage-op phase covers only the store write, not the encoding
+	// above — it is the span a slow-request trace points at when the
+	// backend stalls.
 	putFrom := rt.now()
 	err := s.persist.Put(sessionKeyPrefix+id, raw)
 	rt.span(obs.PhaseStorageOp, putFrom)

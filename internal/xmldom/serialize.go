@@ -96,6 +96,10 @@ type serializer struct {
 	// indent is a newline followed by the indentation of the deepest
 	// level seen so far; indentation at depth d is a prefix of it.
 	indent []byte
+	// split makes the root element record in bounds where its content
+	// begins and where each of its child elements ends.
+	split  bool
+	bounds []int
 }
 
 // indented is the form IndentedString and AppendIndented write.
@@ -108,6 +112,21 @@ func (d *Document) AppendIndented(dst []byte) []byte {
 	s := serializer{buf: dst, opts: indented}
 	s.document(d)
 	return s.buf
+}
+
+// AppendIndentedSplit appends what AppendIndented appends, and appends
+// to bounds the offsets, into the returned slice, at which the root
+// element's content splits at its child elements: first the offset just
+// past the root's start tag, then the offset just past each child
+// element. Child element k, with what is written between it and the
+// child element before it (in indented output, a line break and
+// indentation), lies between the k-th and the k+1-th of those offsets;
+// the bytes after the last one close the root. A root with no children
+// is written self-closing and adds no offsets.
+func (d *Document) AppendIndentedSplit(dst []byte, bounds []int) ([]byte, []int) {
+	s := serializer{buf: dst, opts: indented, split: true, bounds: bounds}
+	s.document(d)
+	return s.buf, s.bounds
 }
 
 // Write serializes the document to w, in chunks of about 64 KiB.
@@ -320,6 +339,10 @@ func (s *serializer) element(e *Element, parent *nsScope, depth int) {
 		return
 	}
 	s.buf = append(s.buf, '>')
+	split := s.split && depth == 0
+	if split {
+		s.bounds = append(s.bounds, len(s.buf))
+	}
 
 	hasElem, hasText := contentShape(e)
 	pretty := s.opts.Indent != "" && hasElem && !hasText
@@ -331,6 +354,11 @@ func (s *serializer) element(e *Element, parent *nsScope, depth int) {
 			s.newline(depth + 1)
 		}
 		s.node(c, scope, depth+1)
+		if split {
+			if _, ok := c.(*Element); ok {
+				s.bounds = append(s.bounds, len(s.buf))
+			}
+		}
 	}
 	if pretty {
 		s.newline(depth)

@@ -115,6 +115,25 @@ func checkMatchesReference(t *testing.T, d *Document) {
 	if got := string(d.AppendIndented([]byte("prefix"))); got != "prefix"+refIndentedString(d) {
 		t.Fatalf("AppendIndented does not extend dst with IndentedString:\n got %q", got)
 	}
+	// The split writes the same bytes, cut once past the root's start
+	// tag and once past each child element, each piece a whole element.
+	root := d.Root()
+	split, bounds := d.AppendIndentedSplit(nil, nil)
+	if got, want := string(split), refIndentedString(d); got != want {
+		t.Fatalf("AppendIndentedSplit:\n got %q\nwant %q", got, want)
+	}
+	wantBounds := 0
+	if len(root.Children()) > 0 {
+		wantBounds = 1 + len(root.ChildElements())
+	}
+	if len(bounds) != wantBounds {
+		t.Fatalf("AppendIndentedSplit reports %d bounds for a root with %d children, %d elements", len(bounds), len(root.Children()), len(root.ChildElements()))
+	}
+	for k := 1; k < len(bounds); k++ {
+		if bounds[k] <= bounds[k-1] || split[bounds[k]-1] != '>' {
+			t.Fatalf("bound %d at %d does not end an element: %v in %q", k, bounds[k], bounds, split)
+		}
+	}
 	opts := WriteOptions{Indent: "\t ", Declaration: true}
 	var got, want bytes.Buffer
 	if err := d.Write(&got, opts); err != nil {
@@ -126,7 +145,6 @@ func checkMatchesReference(t *testing.T, d *Document) {
 	if got.String() != want.String() {
 		t.Fatalf("Write with indent %q:\n got %q\nwant %q", opts.Indent, got.String(), want.String())
 	}
-	root := d.Root()
 	if got, want := OuterXML(root), refOuterXML(root); got != want {
 		t.Fatalf("OuterXML(root):\n got %q\nwant %q", got, want)
 	}

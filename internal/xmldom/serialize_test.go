@@ -1,6 +1,7 @@
 package xmldom
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,6 +114,44 @@ func TestIndentedOutput(t *testing.T) {
 	}
 	if re.Root().FirstChildElement("d").Text() != "text" {
 		t.Error("text lost through indent round-trip")
+	}
+}
+
+// TestAppendIndentedSplit: the bounds cut the indented output at the
+// root's child elements, each piece holding one child with what is
+// written before it; a root without children is self-closing and has
+// no bounds.
+func TestAppendIndentedSplit(t *testing.T) {
+	const decl = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
+	for _, tc := range []struct {
+		src    string
+		pieces []string
+	}{
+		{`<r xmlns:p="urn:p"><a p:x="1"/>  <b><c/></b></r>`, []string{
+			`pre` + decl + `<r xmlns:p="urn:p">`,
+			"\n  <a p:x=\"1\"/>",
+			"\n  <b>\n    <c/>\n  </b>",
+			"\n</r>\n",
+		}},
+		{`<r>x<a/>y<b>t</b>z</r>`, []string{`pre` + decl + `<r>`, `x<a/>`, `y<b>t</b>`, "z</r>\n"}},
+		{`<r>text</r>`, []string{`pre` + decl + `<r>`, "text</r>\n"}},
+		{`<!--c--><r a="1"/>`, []string{`pre` + decl + "<!--c-->\n<r a=\"1\"/>\n"}},
+	} {
+		doc := MustParseString(tc.src)
+		out, bounds := doc.AppendIndentedSplit([]byte("pre"), nil)
+		if want := "pre" + doc.IndentedString(); string(out) != want {
+			t.Fatalf("%s: AppendIndentedSplit wrote\n%q\nAppendIndented writes\n%q", tc.src, out, want)
+		}
+		var pieces []string
+		from := 0
+		for _, b := range bounds {
+			pieces = append(pieces, string(out[from:b]))
+			from = b
+		}
+		pieces = append(pieces, string(out[from:]))
+		if !slices.Equal(pieces, tc.pieces) {
+			t.Errorf("%s: split into\n%q\nwant\n%q", tc.src, pieces, tc.pieces)
+		}
 	}
 }
 
