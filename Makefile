@@ -50,13 +50,14 @@ bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke fuzzes the XML writer against its reference serializer, the
-# session record codec's decode/re-encode round trip, the control
-# plane's structure-spec decoding and the If-None-Match matcher against
-# its split reference, ten seconds each, beyond the seed corpora (CI
-# runs this).
+# session record codec's decode/re-encode round trip, restoring decoded
+# records into sessions, the control plane's structure-spec decoding and
+# the If-None-Match matcher against its split reference, ten seconds
+# each, beyond the seed corpora (CI runs this).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSerializeMatchesReference$$' -fuzztime 10s ./internal/xmldom
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRecord$$' -fuzztime 10s ./internal/navigation
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSession$$' -fuzztime 10s ./internal/navigation
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzEtagMatches$$' -fuzztime 10s ./internal/server
 

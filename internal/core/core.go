@@ -76,6 +76,9 @@ type App struct {
 	weaver *aspect.Weaver
 	cache  *pageCache
 	docs   *docCache
+	// lineage holds the resolved model: every rebuild resolves into it
+	// and publishes there last, and Resolved reads it without a lock.
+	lineage *navigation.Lineage
 	// events traces recent mutations: duration, diff verdict and
 	// invalidation blast radius per model change (see Events).
 	events *obs.EventRing
@@ -90,7 +93,6 @@ type App struct {
 	// when the built-in presentation or a programmatic stylesheet is in
 	// effect.
 	stylesheetSrc string
-	resolved      *navigation.ResolvedModel
 	// repo holds the data documents, by repository name; links.xml is
 	// not among them.
 	repo xlink.MapRepository
@@ -102,14 +104,18 @@ type App struct {
 // linkbase is links.xml as the App holds it, one value that a rebuild
 // builds beside the current one and installs whole, never editing it:
 // the served bytes with where each context's extended link begins in
-// them (the doc cache's links.xml entry is the same body), the contexts
-// derived from the resolved model in linkbase order (what the next
-// rebuild compares against), and the same contexts as the weaver reads
-// them, parsed back out of the markup, by name. No tree of links.xml
-// stays resident: Linkbase and Repository build one on demand.
+// them (the doc cache's links.xml entry is the same body), and its
+// contexts as the weaver reads them, parsed back out of the markup, in
+// linkbase order and by name. Each context is held once: the next
+// rebuild compares its derivation with the parsed context, except where
+// the markup could not carry a derivation exactly (xmldom writes each
+// byte of invalid UTF-8 as U+FFFD), which is then kept in the parsed
+// one's place in the order, so the comparison never takes a change for
+// none. No tree of links.xml stays resident: Linkbase and
+// Repository build one on demand.
 type linkbase struct {
 	text     navigation.LinkbaseText
-	derived  []*navigation.LinkbaseContext
+	ordered  []*navigation.LinkbaseContext
 	contexts map[string]*navigation.LinkbaseContext
 }
 
@@ -121,13 +127,14 @@ const linksURI = "links.xml"
 // navigation aspect.
 func NewApp(store *conceptual.Store, model *navigation.Model) (*App, error) {
 	app := &App{
-		store:  store,
-		model:  model,
-		weaver: aspect.NewWeaver(),
-		cache:  newPageCache(),
-		docs:   newDocCache(),
-		events: obs.NewEventRing(eventRingCapacity),
-		repo:   xlink.MapRepository{},
+		store:   store,
+		model:   model,
+		weaver:  aspect.NewWeaver(),
+		cache:   newPageCache(),
+		docs:    newDocCache(),
+		lineage: navigation.NewLineage(),
+		events:  obs.NewEventRing(eventRingCapacity),
+		repo:    xlink.MapRepository{},
 	}
 	if _, _, err := app.rebuild(conceptual.ExportAll(store)); err != nil {
 		return nil, err
@@ -142,8 +149,10 @@ func NewApp(store *conceptual.Store, model *navigation.Model) (*App, error) {
 // unchanged one, makes the next links.xml by splicing in the changed
 // contexts' bytes, and installs docs, the data documents the mutation
 // re-exported — every one from NewApp, the edited one from
-// InvalidateDocument, none from a structure swap. Callers other than
-// NewApp must hold app.mu for writing; rebuild takes ownership of docs.
+// InvalidateDocument, none from a structure swap. The new model is
+// published last, once the cache and documents agree with it. Callers
+// other than NewApp must hold app.mu for writing; rebuild takes
+// ownership of docs.
 // It returns how many cached pages were dropped and the diff's verdict
 // (verdictFull, verdictLocal or verdictNone) — the blast-radius
 // classification the mutation trace records.
@@ -158,24 +167,22 @@ func NewApp(store *conceptual.Store, model *navigation.Model) (*App, error) {
 // into every page's landmark bar, so those drop the whole cache.
 func (app *App) rebuild(docs xlink.MapRepository) (int, string, error) {
 	start := time.Now()
-	rm, err := app.model.Resolve(app.store)
+	rm, err := app.lineage.Resolve(app.model, app.store)
 	if err != nil {
 		return 0, "", fmt.Errorf("core: resolving navigation model: %w", err)
 	}
 	contexts := navigation.LinkbaseContexts(rm)
-	prev := app.links
+	prev, prevRM := app.links, app.lineage.Newest()
 	// A context list of a new shape — the first build, or a context
 	// that appeared, vanished or moved — regenerates the whole linkbase.
-	reshaped := prev == nil || !slices.EqualFunc(prev.derived, contexts,
+	reshaped := prev == nil || !slices.EqualFunc(prev.ordered, contexts,
 		func(a, b *navigation.LinkbaseContext) bool { return a.Name == b.Name })
-	full := reshaped || landmarksMoved(app.resolved, rm)
+	full := reshaped || landmarksMoved(prevRM, rm)
 	var changed []int
 	changedCtxs := map[string]bool{}
 	if !reshaped {
 		for i, c := range contexts {
-			p := prev.derived[i]
-			members := slices.Equal(p.Order, c.Order) && maps.Equal(p.NodeTitles, c.NodeTitles)
-			structure := p.AccessKind == c.AccessKind && p.HasHub == c.HasHub && slices.Equal(p.Edges, c.Edges)
+			members, structure := compareContexts(prev.ordered[i], c)
 			if !members {
 				full = true
 			}
@@ -189,7 +196,7 @@ func (app *App) rebuild(docs xlink.MapRepository) (int, string, error) {
 				// model's object, with the OutEdges index and position
 				// map it built: a superseded model costs only what
 				// changed.
-				rm.Adopt(i, app.resolved.Contexts[i], c.Edges)
+				rm.Adopt(i, prevRM.Contexts[i], c.Edges)
 			}
 		}
 	}
@@ -205,7 +212,6 @@ func (app *App) rebuild(docs xlink.MapRepository) (int, string, error) {
 	if err != nil {
 		return 0, "", fmt.Errorf("core: reading generated linkbase: %w", err)
 	}
-	app.resolved = rm
 	for uri, doc := range docs {
 		app.repo[uri] = doc
 	}
@@ -251,6 +257,7 @@ func (app *App) rebuild(docs xlink.MapRepository) (int, string, error) {
 	// Unchanged documents keep their ETags (and cached pages their
 	// entries): a rebuild that changes nothing observable costs nothing.
 	app.docs.store(changedDocs, app.cache.generation())
+	rm.Publish()
 	rebuildDuration.Observe(time.Since(start))
 	rebuildsByVerdict[verdict].Inc()
 	return dropped, verdict, nil
@@ -270,17 +277,42 @@ func landmarksMoved(old, cur *navigation.ResolvedModel) bool {
 	return false
 }
 
+// compareContexts compares a context as the linkbase holds it with a
+// fresh derivation: whether it has the same members with the same
+// titles, and the same structure.
+func compareContexts(held, fresh *navigation.LinkbaseContext) (members, structure bool) {
+	members = slices.Equal(held.Order, fresh.Order) && maps.Equal(held.NodeTitles, fresh.NodeTitles)
+	structure = held.AccessKind == fresh.AccessKind && held.HasHub == fresh.HasHub && slices.Equal(held.Edges, fresh.Edges)
+	return members, structure
+}
+
+// kept returns what the linkbase keeps in its order for a context
+// derived as derived and read back as parsed: the parsed context when
+// it carries the derivation exactly, which it does unless the markup
+// could not.
+func kept(parsed, derived *navigation.LinkbaseContext) *navigation.LinkbaseContext {
+	if members, structure := compareContexts(parsed, derived); members && structure && parsed.Name == derived.Name {
+		return parsed
+	}
+	return derived
+}
+
 // link generates the whole linkbase from contexts and reads it back.
 func link(contexts []*navigation.LinkbaseContext) (*linkbase, error) {
 	text, parsed, err := navigation.NewLinkbaseText(contexts)
 	if err != nil {
 		return nil, err
 	}
-	byName := make(map[string]*navigation.LinkbaseContext, len(parsed))
-	for _, c := range parsed {
-		byName[c.Name] = c
+	if len(parsed) != len(contexts) {
+		return nil, fmt.Errorf("core: linkbase of %d contexts read back as %d", len(contexts), len(parsed))
 	}
-	return &linkbase{text: text, derived: contexts, contexts: byName}, nil
+	lb := &linkbase{text: text, ordered: make([]*navigation.LinkbaseContext, len(parsed)),
+		contexts: make(map[string]*navigation.LinkbaseContext, len(parsed))}
+	for i, c := range parsed {
+		lb.ordered[i] = kept(c, contexts[i])
+		lb.contexts[c.Name] = c
+	}
+	return lb, nil
 }
 
 // relink makes the linkbase that follows lb when the contexts at the
@@ -295,11 +327,12 @@ func (lb *linkbase) relink(contexts []*navigation.LinkbaseContext, changed []int
 	if err != nil {
 		return nil, err
 	}
-	byName := maps.Clone(lb.contexts)
-	for _, c := range parsed {
-		byName[c.Name] = c
+	next := &linkbase{text: text, ordered: slices.Clone(lb.ordered), contexts: maps.Clone(lb.contexts)}
+	for k, i := range changed {
+		next.ordered[i] = kept(parsed[k], contexts[i])
+		next.contexts[parsed[k].Name] = parsed[k]
 	}
-	return &linkbase{text: text, derived: contexts, contexts: byName}, nil
+	return next, nil
 }
 
 // Store returns the conceptual store.
@@ -308,12 +341,11 @@ func (app *App) Store() *conceptual.Store { return app.store }
 // Model returns the navigational model.
 func (app *App) Model() *navigation.Model { return app.model }
 
-// Resolved returns the resolved navigation model.
-func (app *App) Resolved() *navigation.ResolvedModel {
-	app.mu.RLock()
-	defer app.mu.RUnlock()
-	return app.resolved
-}
+// Resolved returns the resolved navigation model: the newest one a
+// rebuild has published. It takes no lock, so it never waits for a
+// rebuild in progress; it returns the model that rebuild replaces until
+// the rebuild publishes.
+func (app *App) Resolved() *navigation.ResolvedModel { return app.lineage.Newest() }
 
 // Weaver returns the aspect weaver, so callers can register further
 // aspects (logging, access control) beside navigation.
@@ -321,13 +353,12 @@ func (app *App) Weaver() *aspect.Weaver { return app.weaver }
 
 // Linkbase returns the generated links.xml document. The App holds
 // links.xml as bytes, not as a tree, so each call builds a fresh tree
-// from the contexts those bytes were made from: the caller may change
-// it freely.
+// from the contexts it holds: the caller may change it freely.
 func (app *App) Linkbase() *xmldom.Document {
 	app.mu.RLock()
-	derived := app.links.derived
+	ordered := app.links.ordered
 	app.mu.RUnlock()
-	return navigation.BuildLinkbase(derived)
+	return navigation.BuildLinkbase(ordered)
 }
 
 // Repository returns a deep copy of the data-document repository (node
@@ -340,9 +371,9 @@ func (app *App) Repository() xlink.MapRepository {
 	for uri, doc := range app.repo {
 		repo[uri] = doc.Clone()
 	}
-	derived := app.links.derived
+	ordered := app.links.ordered
 	app.mu.RUnlock()
-	repo[linksURI] = navigation.BuildLinkbase(derived)
+	repo[linksURI] = navigation.BuildLinkbase(ordered)
 	return repo
 }
 
@@ -436,7 +467,7 @@ func (app *App) View() ModelView {
 	return ModelView{
 		SpecText:   navigation.SpecText(app.model),
 		Access:     access,
-		Resolved:   app.resolved,
+		Resolved:   app.Resolved(),
 		Generation: app.cache.generation(),
 	}
 }

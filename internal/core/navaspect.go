@@ -129,7 +129,7 @@ func (app *App) injectNavigation(doc *xmldom.Document, ctxName, nodeID string) e
 
 	// Landmarks: entry points reachable from every page (OOHDM's
 	// landmark primitive — the global navigation bar).
-	if landmarks := app.resolved.Landmarks; len(landmarks) > 0 {
+	if landmarks := app.Resolved().Landmarks; len(landmarks) > 0 {
 		div := xmldom.NewElement("div")
 		div.SetAttr("class", "landmarks")
 		for _, lm := range landmarks {
@@ -178,7 +178,7 @@ func (app *App) embedMember(parent *xmldom.Element, ctxName, nodeID string) {
 	div := parent.AddElement("div")
 	div.SetAttr("class", "embed")
 	div.SetAttr("data-node", nodeID)
-	rc := app.resolved.Context(ctxName)
+	rc := app.Resolved().Context(ctxName)
 	if rc == nil {
 		return
 	}

@@ -23,6 +23,12 @@ const oracleStylesheet = `<s:stylesheet xmlns:s="urn:repro:style">
   </s:template>
 </s:stylesheet>`
 
+// titleSuffixes end the oracle's titles: most with nothing, some with a
+// byte of invalid UTF-8, which links.xml carries as U+FFFD, and some
+// with the whitespace an attribute value holds only as a character
+// reference.
+var titleSuffixes = []string{"", "", "\xff", "", "\t\r\n"}
+
 // served is one response body with its validator.
 type served struct {
 	etag string
@@ -102,7 +108,8 @@ func (o *rebuildOracle) mutate() string {
 	case k < 2:
 		return patch("technique", "Medium "+strconv.Itoa(o.rng.Intn(4)))
 	case k < 4:
-		return patch("title", "Work "+strconv.Itoa(o.rng.Intn(30)))
+		n := o.rng.Intn(30)
+		return patch("title", "Work "+strconv.Itoa(n)+titleSuffixes[n%len(titleSuffixes)])
 	case k < 6:
 		return patch("year", strconv.Itoa(1850+o.rng.Intn(150)))
 	case k < 9:

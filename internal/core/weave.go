@@ -125,7 +125,7 @@ func (app *App) WeaveSiteWorkers(workers int) (*Site, error) {
 	jp := &aspect.JoinPoint{Kind: KindSiteWeave, Name: "site", Target: app}
 	_, err := app.weaver.Execute(jp, func(*aspect.JoinPoint) (any, error) {
 		var tasks []weaveTask
-		for _, rc := range app.resolved.Contexts {
+		for _, rc := range app.Resolved().Contexts {
 			if rc.Def.Access.HasHub() {
 				tasks = append(tasks, weaveTask{rc, navigation.HubID})
 			}
@@ -278,7 +278,7 @@ func (app *App) RenderPageCachedStat(contextName, nodeID string) (*Page, CacheOu
 
 // renderPageLocked weaves one page. Callers must hold app.mu for reading.
 func (app *App) renderPageLocked(contextName, nodeID string) (*Page, error) {
-	rc := app.resolved.Context(contextName)
+	rc := app.Resolved().Context(contextName)
 	if rc == nil {
 		return nil, fmt.Errorf("core: unknown context %q", contextName)
 	}

@@ -67,6 +67,12 @@ type ResolvedContext struct {
 	// Members are the context's nodes in traversal order.
 	Members []*Node
 
+	// sym is the symbol of Name and syms[i] that of Members[i].ID(), in
+	// the table of the lineage the context was resolved into: what a
+	// session's visits hold.
+	sym  uint32
+	syms []uint32
+
 	// out is the OutEdges index, built on first use under outMu; it is
 	// read lock-free once built.
 	outMu     sync.Mutex
@@ -221,15 +227,30 @@ func (rc *ResolvedContext) Member(nodeID string) *Node {
 // this context, in Edges order, from an index built on first use. The
 // slice is shared by every caller and must not be modified.
 func (rc *ResolvedContext) OutEdges(fromID string) []Edge {
-	ix := rc.outIndex()
-	g := len(rc.Members)
-	if fromID != HubID {
-		if g = rc.Position(fromID); g < 0 {
-			return nil
-		}
+	g := rc.group(fromID)
+	if g < 0 {
+		return nil
 	}
+	return rc.outEdgesOf(g)
+}
+
+// outEdgesOf returns the edges of OutEdges group g.
+func (rc *ResolvedContext) outEdgesOf(g int) []Edge {
+	ix := rc.outIndex()
 	end := ix.start[g+1]
 	return ix.out[ix.start[g]:end:end]
+}
+
+// symOf returns the symbol of a member id or of HubID, and false for a
+// node outside the context.
+func (rc *ResolvedContext) symOf(nodeID string) (uint32, bool) {
+	if nodeID == HubID {
+		return symHub, true
+	}
+	if i := rc.Position(nodeID); i >= 0 {
+		return rc.syms[i], true
+	}
+	return 0, false
 }
 
 // Next returns the member after nodeID in context order, or nil at the
@@ -273,6 +294,10 @@ type ResolvedModel struct {
 	Landmarks []*ResolvedContext
 
 	byName map[string]*ResolvedContext
+	// lin is the lineage the model was resolved into, and seq its place
+	// in the lineage's order of resolution.
+	lin *Lineage
+	seq uint64
 }
 
 // Context returns the named resolved context, or nil.
@@ -306,11 +331,11 @@ func (rm *ResolvedModel) ContextsContaining(nodeID string) []*ResolvedContext {
 // whether it did. edges are the context's edges as just derived
 // (LinkbaseContext.Edges). prev is adopted only when it is
 // interchangeable with the context it replaces: the same name,
-// declaration and members in the same order, and an OutEdges index that
-// is unbuilt or groups exactly edges. The caller vouches that the
-// members' titles are unchanged since prev's resolution. A superseded
-// model and its successor then share every unchanged context, so each
-// model costs only the contexts that changed.
+// declaration, members in the same order and symbols, and an OutEdges
+// index that is unbuilt or groups exactly edges. The caller vouches
+// that the members' titles are unchanged since prev's resolution. A
+// superseded model and its successor then share every unchanged
+// context, so each model costs only the contexts that changed.
 func (rm *ResolvedModel) Adopt(i int, prev *ResolvedContext, edges []Edge) bool {
 	cur := rm.Contexts[i]
 	// The declarations compare in full, access structure parameters
@@ -318,6 +343,7 @@ func (rm *ResolvedModel) Adopt(i int, prev *ResolvedContext, edges []Edge) bool 
 	// context is another declaration, even where this context's edges
 	// are the same.
 	if prev.Name != cur.Name || prev.Group != cur.Group ||
+		prev.sym != cur.sym || !slices.Equal(prev.syms, cur.syms) ||
 		!reflect.DeepEqual(prev.Def, cur.Def) || !sameMembers(prev.Members, cur.Members) ||
 		!prev.indexHolds(edges) {
 		return false
@@ -340,14 +366,26 @@ func sameMembers(a, b []*Node) bool {
 	})
 }
 
-// Resolve materializes every context family of the model against a store.
+// Resolve materializes every context family of the model against a
+// store, as the first model of a lineage of its own, which it publishes.
 // Each resolved context carries a snapshot of its definition, not the
 // live one: a later mutation of the model (SetAccessStructure swapping
 // def.Access) must not reach into contexts that were resolved before it
 // — sessions, renderers and the analytics deriver read their resolved
 // model lock-free on the strength of that immutability.
 func (m *Model) Resolve(store *conceptual.Store) (*ResolvedModel, error) {
-	rm := &ResolvedModel{Model: m, Store: store, byName: map[string]*ResolvedContext{}}
+	rm, err := m.resolveInto(NewLineage(), store)
+	if err != nil {
+		return nil, err
+	}
+	rm.Publish()
+	return rm, nil
+}
+
+// resolveInto resolves the model into lineage l. Context names are the
+// table's strings: every model of a lineage shares them.
+func (m *Model) resolveInto(l *Lineage, store *conceptual.Store) (*ResolvedModel, error) {
+	rm := &ResolvedModel{Model: m, Store: store, lin: l}
 	for _, live := range m.contexts {
 		def := new(ContextDef)
 		*def = *live
@@ -363,9 +401,7 @@ func (m *Model) Resolve(store *conceptual.Store) (*ResolvedModel, error) {
 			}
 			members = filterNodes(members, where)
 			orderNodes(members, def.OrderBy)
-			rc := &ResolvedContext{Def: def, Name: def.Name, Members: members}
-			rm.Contexts = append(rm.Contexts, rc)
-			rm.byName[rc.Name] = rc
+			rm.Contexts = append(rm.Contexts, &ResolvedContext{Def: def, Name: def.Name, Members: members})
 			continue
 		}
 		rel := store.Schema().Relationship(def.GroupBy)
@@ -394,9 +430,9 @@ func (m *Model) Resolve(store *conceptual.Store) (*ResolvedModel, error) {
 				Members: members,
 			}
 			rm.Contexts = append(rm.Contexts, rc)
-			rm.byName[rc.Name] = rc
 		}
 	}
+	rm.symbolize()
 	for _, name := range m.landmarks {
 		rc := rm.byName[name]
 		if rc == nil {
@@ -404,5 +440,26 @@ func (m *Model) Resolve(store *conceptual.Store) (*ResolvedModel, error) {
 		}
 		rm.Landmarks = append(rm.Landmarks, rc)
 	}
+	rm.seq = l.seq.Add(1)
 	return rm, nil
+}
+
+// symbolize interns the model's context names and member ids in its
+// lineage's table, gives each context the table's copy of its name, and
+// indexes the contexts by name.
+func (rm *ResolvedModel) symbolize() {
+	rm.lin.intern(func(in *interner) {
+		for _, rc := range rm.Contexts {
+			rc.sym = in.sym(rc.Name, false)
+			rc.Name = in.names[rc.sym]
+			rc.syms = make([]uint32, len(rc.Members))
+			for i, n := range rc.Members {
+				rc.syms[i] = in.sym(n.ID(), false)
+			}
+		}
+	})
+	rm.byName = make(map[string]*ResolvedContext, len(rm.Contexts))
+	for _, rc := range rm.Contexts {
+		rm.byName[rc.Name] = rc
+	}
 }

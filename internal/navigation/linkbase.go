@@ -287,7 +287,9 @@ type LinkbaseContext struct {
 }
 
 // ParseLinkbase extracts the navigation contexts encoded in a linkbase
-// document produced by GenerateLinkbase.
+// document produced by GenerateLinkbase. Titles read as the document's
+// serialization carries them (xmldom.ReadBack), so a tree built in
+// memory reads back the contexts its served bytes do.
 func ParseLinkbase(doc *xmldom.Document) ([]*LinkbaseContext, error) {
 	ls, err := xlink.FindLinks(doc)
 	if err != nil {
@@ -310,7 +312,7 @@ func ParseLinkbase(doc *xmldom.Document) ([]*LinkbaseContext, error) {
 		}
 		for _, loc := range x.Locators {
 			id := loc.Label
-			lc.NodeTitles[id] = loc.Title
+			lc.NodeTitles[id] = xmldom.ReadBack(loc.Title)
 			lc.Order = append(lc.Order, id)
 		}
 		for _, a := range x.Arcs() {
@@ -322,7 +324,7 @@ func ParseLinkbase(doc *xmldom.Document) ([]*LinkbaseContext, error) {
 				From:  a.From.Label,
 				To:    a.To.Label,
 				Kind:  kind,
-				Label: a.Title,
+				Label: xmldom.ReadBack(a.Title),
 				Show:  string(a.Show),
 			})
 		}

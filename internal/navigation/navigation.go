@@ -11,6 +11,10 @@
 //     traversable in a particular order.
 //   - Session: the paper's §2 semantics — what "Next" means depends on
 //     the context through which the current node was reached.
+//   - Lineage: the successive resolutions of one model as it changes.
+//     Its table numbers their context names and node ids, so a session
+//     holds each visit as two symbols and no model: it resolves against
+//     the newest model the lineage has published.
 //
 // Nothing in this package renders HTML or stores data; it is purely the
 // navigational aspect, which packages core and aspect weave into pages.

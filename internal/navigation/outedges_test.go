@@ -56,12 +56,15 @@ func TestOutEdgesMatchesLinearFilter(t *testing.T) {
 	}
 }
 
-// TestNextLookupAllocatesNothing: a traversal finds its edge without
-// allocating. The trail and history appends still grow their slices
-// now and then, well under once per step, which AllocsPerRun's
-// integer average rounds away; a per-call edge slice would not.
+// TestNextLookupAllocatesNothing: a traversal finds its edge, and every
+// step stores where it lands, without allocating — Next, Prev, Up,
+// Select, Back, Forward and EnterContext take their symbols from the
+// model and intern nothing. The trail and history appends still grow
+// their slices now and then, well under once per step, which
+// AllocsPerRun's integer average rounds away; a per-call edge slice or
+// string would not.
 func TestNextLookupAllocatesNothing(t *testing.T) {
-	rm, err := museum.Model(navigation.GuidedTour{Circular: true}).Resolve(museum.PaperStore())
+	rm, err := museum.Model(navigation.IndexedGuidedTour{Circular: true}).Resolve(museum.PaperStore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +73,34 @@ func TestNextLookupAllocatesNothing(t *testing.T) {
 	if err := s.EnterContext("ByAuthor:picasso", "avignon"); err != nil {
 		t.Fatal(err)
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		if err := s.Next(); err != nil {
-			t.Fatal(err)
+	both := func(a, b func() error) func() error {
+		return func() error {
+			if err := a(); err != nil {
+				return err
+			}
+			return b()
 		}
-	}); avg != 0 {
-		t.Errorf("Session.Next allocates %.0f per step, want 0", avg)
+	}
+	enter := func(context string) func() error {
+		return func() error { return s.EnterContext(context, "guitar") }
+	}
+	for _, step := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"Next", s.Next},
+		{"Prev", s.Prev},
+		{"Up, Select", both(s.Up, func() error { return s.Select("guitar") })},
+		{"Back, Forward", both(s.Back, s.Forward)},
+		{"EnterContext", both(enter("ByMovement:cubism"), enter("ByAuthor:picasso"))},
+	} {
+		if avg := testing.AllocsPerRun(1000, func() {
+			if err := step.fn(); err != nil {
+				t.Fatalf("%s: %v", step.name, err)
+			}
+		}); avg != 0 {
+			t.Errorf("%s allocates %.0f per step, want 0", step.name, avg)
+		}
 	}
 	rc := s.Context()
 	if avg := testing.AllocsPerRun(1000, func() { _ = rc.OutEdges("guitar") }); avg != 0 {

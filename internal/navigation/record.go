@@ -25,7 +25,7 @@ type Record struct {
 // control byte here can never be read as a legacy JSON record.
 const recordVersion = 0x01
 
-// linearTableMax is how many strings the encoder's table holds before
+// linearTableMax is how many keys the encoder's table holds before
 // it stops searching linearly and indexes them in a map: small records
 // skip the map, and a trail at the 1,024-visit limit still encodes in
 // linear time.
@@ -46,59 +46,91 @@ const linearTableMax = 16
 // and nanoseconds are kept apart so every instant JSON can carry
 // (years 0–9999) fits, which UnixNano's 1678–2262 would not.
 func AppendRecord(dst []byte, r Record) []byte {
-	st := &r.State
-	return appendRecord(dst, r.Expires, st.Context, st.NodeID, st.History, st.Nav, st.Cursor)
+	enc := recordEncoders.Get().(*recordEncoder)
+	t, st := &enc.strs, &r.State
+	// Everything after the table, written first so the table is complete.
+	body := appendPair(enc.body[:0], t.ref(st.Context), t.ref(st.NodeID))
+	for _, list := range [...][]Visit{st.History, st.Nav} {
+		body = binary.AppendUvarint(body, uint64(len(list)))
+		for _, v := range list {
+			body = appendPair(body, t.ref(v.Context), t.ref(v.NodeID))
+		}
+	}
+	body = binary.AppendVarint(body, int64(st.Cursor))
+	dst = enc.finish(dst, r.Expires, t.keys, body)
+	t.reset()
+	recordEncoders.Put(enc)
+	return dst
 }
 
-// recordEncoder is an encoding's working memory: the string table, and
-// the bytes that follow the table in the record. Encoders are pooled,
-// so a steady stream of records allocates the records and nothing else.
+// appendSessionRecord is AppendRecord over a session's own lists, whose
+// visits are symbols of names, so that a Session encodes its record
+// without copying or converting them first. The bytes are those of
+// AppendRecord: a record table entry per distinct symbol is one per
+// distinct string, since a table holds each name once.
+func appendSessionRecord(dst []byte, expires time.Time, names []string, here visit, history, nav []visit, cursor int) []byte {
+	enc := recordEncoders.Get().(*recordEncoder)
+	t := &enc.refs
+	body := appendPair(enc.body[:0], t.ref(here.ctx), t.ref(here.node))
+	for _, list := range [...][]visit{history, nav} {
+		body = binary.AppendUvarint(body, uint64(len(list)))
+		for _, v := range list {
+			body = appendPair(body, t.ref(v.ctx), t.ref(v.node))
+		}
+	}
+	body = binary.AppendVarint(body, int64(cursor))
+	strs := enc.names[:0]
+	for _, sym := range t.keys {
+		strs = append(strs, names[sym])
+	}
+	dst = enc.finish(dst, expires, strs, body)
+	clear(strs)
+	enc.names = strs[:0]
+	t.reset()
+	recordEncoders.Put(enc)
+	return dst
+}
+
+// recordEncoder is an encoding's working memory: the record's table,
+// keyed by string or by symbol, and the bytes that follow the table in
+// the record. Encoders are pooled, so a steady stream of records
+// allocates the records and nothing else.
 type recordEncoder struct {
-	table stringTable
+	strs  refTable[string]
+	refs  refTable[uint32]
+	names []string
 	body  []byte
 }
 
-var recordEncoders = sync.Pool{New: func() any {
-	return &recordEncoder{table: stringTable{strs: make([]string, 0, linearTableMax)}}
-}}
+var recordEncoders = sync.Pool{New: func() any { return new(recordEncoder) }}
 
-// appendRecord is AppendRecord's encoder, over the parts of a state, so
-// that a Session encodes its own lists without copying them first.
-func appendRecord(dst []byte, expires time.Time, context, node string, history, nav []Visit, cursor int) []byte {
-	enc := recordEncoders.Get().(*recordEncoder)
-	table := &enc.table
-	// Everything after the table, written first so the table is complete.
-	body := table.appendVisit(enc.body[:0], context, node)
-	body = binary.AppendUvarint(body, uint64(len(history)))
-	for _, v := range history {
-		body = table.appendVisit(body, v.Context, v.NodeID)
-	}
-	body = binary.AppendUvarint(body, uint64(len(nav)))
-	for _, v := range nav {
-		body = table.appendVisit(body, v.Context, v.NodeID)
-	}
-	body = binary.AppendVarint(body, int64(cursor))
-
+// finish appends the record whose table holds strs and whose remaining
+// bytes are body, with one allocation at most, and keeps body's memory
+// for the next record.
+func (enc *recordEncoder) finish(dst []byte, expires time.Time, strs []string, body []byte) []byte {
 	sec, nsec := expires.Unix(), uint64(expires.Nanosecond())
-	size := 1 + varintLen(sec) + uvarintLen(nsec) + uvarintLen(uint64(len(table.strs))) + len(body)
-	for _, s := range table.strs {
+	size := 1 + varintLen(sec) + uvarintLen(nsec) + uvarintLen(uint64(len(strs))) + len(body)
+	for _, s := range strs {
 		size += uvarintLen(uint64(len(s))) + len(s)
 	}
 	dst = slices.Grow(dst, size) // the record costs one allocation
 	dst = append(dst, recordVersion)
 	dst = binary.AppendVarint(dst, sec)
 	dst = binary.AppendUvarint(dst, nsec)
-	dst = binary.AppendUvarint(dst, uint64(len(table.strs)))
-	for _, s := range table.strs {
+	dst = binary.AppendUvarint(dst, uint64(len(strs)))
+	for _, s := range strs {
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		dst = append(dst, s...)
 	}
 	dst = append(dst, body...)
-
 	enc.body = body[:0]
-	table.reset()
-	recordEncoders.Put(enc)
 	return dst
+}
+
+// appendPair appends two table indices: a visit's context and node.
+func appendPair(dst []byte, ctx, node uint32) []byte {
+	dst = binary.AppendUvarint(dst, uint64(ctx))
+	return binary.AppendUvarint(dst, uint64(node))
 }
 
 // ParseRecord decodes a session record in either form: the binary form
@@ -152,54 +184,49 @@ func parseBinary(b []byte) (Record, error) {
 	return r, nil
 }
 
-// stringTable interns a record's strings in order of first use.
-type stringTable struct {
-	strs []string
-	// index maps the strings to their indices once the table outgrows
+// refTable numbers a record's distinct keys, strings or symbols, in
+// order of first use.
+type refTable[K comparable] struct {
+	keys []K
+	// index maps the keys to their indices once the table outgrows
 	// linearTableMax; below that it is empty, or nil until first needed.
-	index map[string]uint32
+	index map[K]uint32
 }
 
 // reset empties the table for another record, keeping its memory but
-// no reference to the strings it held.
-func (t *stringTable) reset() {
-	clear(t.strs)
-	t.strs = t.strs[:0]
+// no reference to the keys it held.
+func (t *refTable[K]) reset() {
+	clear(t.keys)
+	t.keys = t.keys[:0]
 	clear(t.index)
 }
 
-// appendVisit appends the table indices of a visit's context and node.
-func (t *stringTable) appendVisit(dst []byte, context, node string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(t.ref(context)))
-	return binary.AppendUvarint(dst, uint64(t.ref(node)))
-}
-
-// ref returns s's index, adding s to the table on first use.
-func (t *stringTable) ref(s string) uint32 {
-	if len(t.strs) <= linearTableMax {
-		for i, have := range t.strs {
-			if have == s {
+// ref returns k's index, adding k to the table on first use.
+func (t *refTable[K]) ref(k K) uint32 {
+	if len(t.keys) <= linearTableMax {
+		for i, have := range t.keys {
+			if have == k {
 				return uint32(i)
 			}
 		}
-		if len(t.strs) < linearTableMax {
-			t.strs = append(t.strs, s)
-			return uint32(len(t.strs) - 1)
+		if len(t.keys) < linearTableMax {
+			t.keys = append(t.keys, k)
+			return uint32(len(t.keys) - 1)
 		}
 		// The table is full: index it, and search the index from now on.
 		if t.index == nil {
-			t.index = make(map[string]uint32, 4*linearTableMax)
+			t.index = make(map[K]uint32, 4*linearTableMax)
 		}
-		for i, have := range t.strs {
+		for i, have := range t.keys {
 			t.index[have] = uint32(i)
 		}
 	}
-	if i, ok := t.index[s]; ok {
+	if i, ok := t.index[k]; ok {
 		return i
 	}
-	i := uint32(len(t.strs))
-	t.index[s] = i
-	t.strs = append(t.strs, s)
+	i := uint32(len(t.keys))
+	t.index[k] = i
+	t.keys = append(t.keys, k)
 	return i
 }
 

@@ -41,24 +41,32 @@ type Visit struct {
 // reload and leaves the history untouched. Traversals (Next, Prev, Up,
 // Select) always act from the cursor's position — a session that went
 // Back is mid-history, and its Next is the next of where it stands, not
-// of the trail tip.
+// of the trail tip. The cursor's entry is the position: a session keeps
+// no other.
+//
+// A session holds its lists as symbols of its lineage's table (see
+// Lineage), eight bytes a visit, and holds no model: each call resolves
+// against the newest model the lineage has published when the call
+// begins. A mutation published between two calls therefore changes what
+// the second sees — including between the server's Rebase and the step
+// that follows it, exactly as if the request had arrived a moment
+// later. A position the newest model no longer has is kept, and a
+// traversal from it fails.
 //
 // A Session is safe for concurrent use: one visitor may have several
 // in-flight requests (tabs, prefetching agents) mutating the same trail.
 type Session struct {
-	model *ResolvedModel
-
-	mu      sync.Mutex
-	context *ResolvedContext
-	nodeID  string // current node, or HubID when on the entry page
-	history []Visit
+	mu  sync.Mutex
+	lin *Lineage
+	// history is the trail.
+	history []visit
 	// nav is the navigation-history list and cur the cursor into it;
-	// nav[cur] is always the current position once the session entered a
+	// nav[cur] is the current position once the session entered a
 	// context. Back/forward move cur; a navigation truncates nav[cur+1:]
 	// and appends. The front is capped at the trail limit by advancing
 	// the slice start (the append realloc compacts the backing array
 	// once per ~limit steps, so the cap is amortized O(1) per step).
-	nav []Visit
+	nav []visit
 	cur int
 	// limit caps the trail at its most-recent limit visits (0 keeps
 	// everything). The internal buffer trims with a little slack so the
@@ -99,12 +107,13 @@ func (s *Session) trimNavLocked() {
 	}
 }
 
-// navigateLocked applies one navigation to the history list, per the
-// Brewster–Jeffrey semantics: navigating to the current position is a
-// reload and changes nothing; navigating anywhere else discards the
-// forward history (the entries a Back had stepped away from), appends
-// the new position, and moves the cursor to it.
-func (s *Session) navigateLocked(v Visit) {
+// visitLocked navigates to v: the trail logs it, and the history moves
+// to it per the Brewster–Jeffrey semantics — navigating to the current
+// position is a reload and changes nothing; navigating anywhere else
+// discards the forward history (the entries a Back had stepped away
+// from), appends the new position, and moves the cursor to it.
+func (s *Session) visitLocked(v visit) {
+	s.recordVisitLocked(v)
 	if len(s.nav) == 0 {
 		s.nav = append(s.nav, v)
 		s.cur = 0
@@ -122,7 +131,7 @@ func (s *Session) navigateLocked(v Visit) {
 
 // recordVisitLocked appends a visit, trimming the trail once it
 // overruns the cap by a quarter (amortized O(1) per step).
-func (s *Session) recordVisitLocked(v Visit) {
+func (s *Session) recordVisitLocked(v visit) {
 	s.history = append(s.history, v)
 	if s.limit > 0 && len(s.history) > s.limit+s.limit/4 {
 		s.history = trimTrail(s.history, s.limit)
@@ -131,7 +140,7 @@ func (s *Session) recordVisitLocked(v Visit) {
 
 // trailLocked is the externally visible trail: the most-recent limit
 // visits (the buffer may briefly hold up to limit/4 more).
-func (s *Session) trailLocked() []Visit {
+func (s *Session) trailLocked() []visit {
 	h := s.history
 	if s.limit > 0 && len(h) > s.limit {
 		h = h[len(h)-s.limit:]
@@ -141,23 +150,34 @@ func (s *Session) trailLocked() []Visit {
 
 // trimTrail copies the most-recent limit visits into a fresh slice
 // (with trim slack), releasing the old backing array.
-func trimTrail(h []Visit, limit int) []Visit {
-	trimmed := make([]Visit, limit, limit+limit/4+1)
+func trimTrail(h []visit, limit int) []visit {
+	trimmed := make([]visit, limit, limit+limit/4+1)
 	copy(trimmed, h[len(h)-limit:])
 	return trimmed
 }
 
-// NewSession starts a session over a resolved model.
-func NewSession(model *ResolvedModel) *Session {
-	return &Session{model: model}
+// hereLocked returns the current position: the zero visit before any
+// EnterContext.
+func (s *Session) hereLocked() visit {
+	if len(s.nav) == 0 {
+		return visit{}
+	}
+	return s.nav[s.cur]
 }
 
-// Model returns the session's resolved model (the one the session was
-// created with, or last rebased onto).
+// NewSession starts a session in the lineage of model. A lineage that
+// has published no model yet publishes model.
+func NewSession(model *ResolvedModel) *Session {
+	model.lin.newest.CompareAndSwap(nil, model)
+	return &Session{lin: model.lin}
+}
+
+// Model returns the model the session resolves against: the newest its
+// lineage has published.
 func (s *Session) Model() *ResolvedModel {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.model
+	return s.lin.Newest()
 }
 
 // EnterContext moves the session into the named context at the given node
@@ -170,7 +190,7 @@ func (s *Session) EnterContext(contextName, nodeID string) error {
 
 // enterLocked is EnterContext with s.mu held.
 func (s *Session) enterLocked(contextName, nodeID string) error {
-	rc := s.model.Context(contextName)
+	rc := s.lin.Newest().Context(contextName)
 	if rc == nil {
 		return fmt.Errorf("navigation: unknown context %q", contextName)
 	}
@@ -183,82 +203,124 @@ func (s *Session) enterLocked(contextName, nodeID string) error {
 			return fmt.Errorf("navigation: context %q is empty", contextName)
 		}
 	}
-	// The visit holds the model's strings, never the caller's: a name
-	// cut out of a request would keep the whole request line alive for
-	// as long as the session remembers the visit.
-	if nodeID == HubID {
-		nodeID = HubID // the constant, not the caller's copy of it
-	} else if i := rc.Position(nodeID); i >= 0 {
-		nodeID = rc.Members[i].ID()
-	} else {
+	node, ok := rc.symOf(nodeID)
+	if !ok {
 		return fmt.Errorf("%w: %q in %q", ErrNotInContext, nodeID, contextName)
 	}
-	s.context = rc
-	s.nodeID = nodeID
-	v := Visit{Context: rc.Name, NodeID: nodeID}
-	s.recordVisitLocked(v)
-	s.navigateLocked(v)
+	s.visitLocked(visit{rc.sym, node})
 	return nil
 }
 
-// Context returns the current context, or nil before EnterContext.
+// Context returns the current context in the newest model, or nil
+// before EnterContext or when that model no longer has the position.
 func (s *Session) Context() *ResolvedContext {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.context
+	rc, _ := s.Location()
+	return rc
 }
 
 // Location returns the current context and node id as one consistent
 // snapshot. Callers that need both must use this rather than separate
 // Context/Here calls, which could interleave with a concurrent
-// traversal on the same session.
+// traversal on the same session. The context is nil before
+// EnterContext, and when the newest model no longer has the position.
 func (s *Session) Location() (*ResolvedContext, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.context, s.nodeID
+	if len(s.nav) == 0 {
+		return nil, ""
+	}
+	here := s.nav[s.cur]
+	node := s.lin.name(here.node)
+	if rc, g := s.lin.Newest().locate(s.lin.name(here.ctx), node); g >= 0 {
+		return rc, node
+	}
+	return nil, node
+}
+
+// Current returns the current position by name, whether or not the
+// newest model still has it: the zero Visit before EnterContext.
+func (s *Session) Current() Visit {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	here := s.hereLocked()
+	return Visit{Context: s.lin.name(here.ctx), NodeID: s.lin.name(here.node)}
 }
 
 // Here returns the current node, or nil when on a hub page.
 func (s *Session) Here() *Node {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.context == nil || s.nodeID == HubID {
+	rc, node := s.Location()
+	if rc == nil || node == HubID {
 		return nil
 	}
-	return s.context.Member(s.nodeID)
+	return rc.Member(node)
 }
 
 // AtHub reports whether the session is on the context's entry page.
 func (s *Session) AtHub() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.context != nil && s.nodeID == HubID
+	rc, node := s.Location()
+	return rc != nil && node == HubID
+}
+
+// visitsLocked returns visits in their exported form: one allocation,
+// the list, whose strings are the table's.
+func (s *Session) visitsLocked(vs []visit) []Visit {
+	if len(vs) == 0 {
+		return nil
+	}
+	names := *s.lin.names.Load()
+	out := make([]Visit, len(vs))
+	for i, v := range vs {
+		out[i] = Visit{Context: names[v.ctx], NodeID: names[v.node]}
+	}
+	return out
 }
 
 // History returns the visit trail in order (capped at the trail limit).
 func (s *Session) History() []Visit {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Visit(nil), s.trailLocked()...)
+	return s.visitsLocked(s.trailLocked())
+}
+
+// resolveLocked resolves a visit against the newest model. op names
+// the caller in the error.
+func (s *Session) resolveLocked(v visit, op string) (*ResolvedContext, int, error) {
+	return s.lin.Newest().resolve(s.lin.name(v.ctx), s.lin.name(v.node), op)
+}
+
+// fromLocked resolves the current position for a traversal from it:
+// its context and its OutEdges group.
+func (s *Session) fromLocked() (*ResolvedContext, int, error) {
+	if len(s.nav) == 0 {
+		return nil, 0, fmt.Errorf("navigation: no current context")
+	}
+	return s.resolveLocked(s.nav[s.cur], "traversal")
+}
+
+// moveLocked navigates along an edge of rc to the edge's target.
+func (s *Session) moveLocked(rc *ResolvedContext, to string) error {
+	node, ok := rc.symOf(to)
+	if !ok {
+		return fmt.Errorf("%w: edge target %q in %q", ErrNotInContext, to, rc.Name)
+	}
+	s.visitLocked(visit{rc.sym, node})
+	return nil
 }
 
 // follow moves along the first out-edge of the given kind.
 func (s *Session) follow(kind EdgeKind) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.context == nil {
-		return fmt.Errorf("navigation: no current context")
+	rc, g, err := s.fromLocked()
+	if err != nil {
+		return err
 	}
-	for _, e := range s.context.OutEdges(s.nodeID) {
+	for _, e := range rc.outEdgesOf(g) {
 		if e.Kind == kind {
-			s.nodeID = e.To
-			v := Visit{Context: s.context.Name, NodeID: e.To}
-			s.recordVisitLocked(v)
-			s.navigateLocked(v)
-			return nil
+			return s.moveLocked(rc, e.To)
 		}
 	}
-	return fmt.Errorf("%w: %s from %q in %q", ErrNoSuchEdge, kind, s.nodeID, s.context.Name)
+	return fmt.Errorf("%w: %s from %q in %q", ErrNoSuchEdge, kind, s.lin.name(s.nav[s.cur].node), rc.Name)
 }
 
 // Next moves to the following member of the current context.
@@ -274,19 +336,16 @@ func (s *Session) Up() error { return s.follow(EdgeUp) }
 func (s *Session) Select(nodeID string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.context == nil {
-		return fmt.Errorf("navigation: no current context")
+	rc, g, err := s.fromLocked()
+	if err != nil {
+		return err
 	}
-	for _, e := range s.context.OutEdges(s.nodeID) {
+	for _, e := range rc.outEdgesOf(g) {
 		if e.Kind == EdgeMember && e.To == nodeID {
-			s.nodeID = e.To
-			v := Visit{Context: s.context.Name, NodeID: e.To}
-			s.recordVisitLocked(v)
-			s.navigateLocked(v)
-			return nil
+			return s.moveLocked(rc, e.To)
 		}
 	}
-	return fmt.Errorf("%w: member %q from %q in %q", ErrNoSuchEdge, nodeID, s.nodeID, s.context.Name)
+	return fmt.Errorf("%w: member %q from %q in %q", ErrNoSuchEdge, nodeID, s.lin.name(s.nav[s.cur].node), rc.Name)
 }
 
 // Back moves the cursor one entry toward the start of the navigation
@@ -294,9 +353,9 @@ func (s *Session) Select(nodeID string) error {
 // history. The history list itself is unchanged, so a later Forward
 // returns here; a later navigation discards the forward part instead
 // (truncate-on-new-navigation). Back fails with ErrNoHistory at the
-// start of the history, and with a resolution error when the target
-// entry no longer exists in the session's (possibly rebased) model —
-// the session then stays where it is.
+// start of the history, and with a resolution error when the newest
+// model no longer has the target entry — the session then stays where
+// it is.
 func (s *Session) Back() error { return s.seek(-1) }
 
 // Forward moves the cursor one entry toward the end of the navigation
@@ -306,7 +365,7 @@ func (s *Session) Back() error { return s.seek(-1) }
 func (s *Session) Forward() error { return s.seek(+1) }
 
 // seek moves the history cursor by delta (±1), re-resolving the target
-// entry against the current model before committing.
+// entry against the newest model before committing.
 func (s *Session) seek(delta int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -315,13 +374,10 @@ func (s *Session) seek(delta int) error {
 		return fmt.Errorf("%w (cursor %d of %d)", ErrNoHistory, s.cur, len(s.nav))
 	}
 	v := s.nav[target]
-	rc, err := s.model.resolve(v, "history entry")
-	if err != nil {
+	if _, _, err := s.resolveLocked(v, "history entry"); err != nil {
 		return err
 	}
 	s.cur = target
-	s.context = rc
-	s.nodeID = v.NodeID
 	// Re-arriving via history is still a visit the trail logs — the
 	// analytics view of "where has this visitor been" includes the
 	// positions reached by going back.
@@ -349,7 +405,7 @@ func (s *Session) CanForward() bool {
 func (s *Session) NavHistory() ([]Visit, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Visit(nil), s.nav...), s.cur
+	return s.visitsLocked(s.nav), s.cur
 }
 
 // SessionState is the serializable snapshot of a Session: the current
@@ -376,108 +432,117 @@ type SessionState struct {
 func (s *Session) State() SessionState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := SessionState{NodeID: s.nodeID, Cursor: s.cur}
-	if s.context != nil {
-		st.Context = s.context.Name
+	here := s.hereLocked()
+	return SessionState{
+		Context: s.lin.name(here.ctx),
+		NodeID:  s.lin.name(here.node),
+		History: s.visitsLocked(s.trailLocked()),
+		Nav:     s.visitsLocked(s.nav),
+		Cursor:  s.cur,
 	}
-	st.History = append([]Visit(nil), s.trailLocked()...)
-	st.Nav = append([]Visit(nil), s.nav...)
-	return st
 }
 
 // AppendRecord appends the durable record of the session's current
 // state, expiring at expires (zero for never), to dst: the bytes
 // AppendRecord(dst, Record{State: s.State(), Expires: expires})
-// appends, encoded straight from the session's own lists under its lock
-// instead of from copies of them.
+// appends, encoded straight from the session's symbols under its lock
+// instead of from copies of its lists.
 func (s *Session) AppendRecord(dst []byte, expires time.Time) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var context string
-	if s.context != nil {
-		context = s.context.Name
+	return appendSessionRecord(dst, expires, *s.lin.names.Load(), s.hereLocked(), s.trailLocked(), s.nav, s.cur)
+}
+
+// locate finds a position in the model: its context, nil when the
+// model has none of that name, and its OutEdges group, -1 when the
+// context lacks the node or, for HubID, an entry page.
+func (rm *ResolvedModel) locate(context, node string) (*ResolvedContext, int) {
+	rc := rm.Context(context)
+	if rc == nil {
+		return nil, -1
 	}
-	return appendRecord(dst, expires, context, s.nodeID, s.trailLocked(), s.nav, s.cur)
+	if node == HubID && !rc.Def.Access.HasHub() {
+		return rc, -1
+	}
+	return rc, rc.group(node)
 }
 
 // resolve re-checks a stored position against the model: its context
 // must exist, a hub position needs an access structure with an entry
-// page, and a member position needs the node in the context. op names
-// the caller in the error.
-func (rm *ResolvedModel) resolve(v Visit, op string) (*ResolvedContext, error) {
-	rc := rm.Context(v.Context)
-	if rc == nil {
-		return nil, fmt.Errorf("navigation: %s: unknown context %q", op, v.Context)
-	}
+// page, and a member position needs the node in the context. It returns
+// the context and the position's OutEdges group; op names the caller in
+// the error.
+func (rm *ResolvedModel) resolve(context, node, op string) (*ResolvedContext, int, error) {
+	rc, g := rm.locate(context, node)
 	switch {
-	case v.NodeID == HubID:
-		if !rc.Def.Access.HasHub() {
-			return nil, fmt.Errorf("navigation: %s: context %q no longer has an entry page", op, v.Context)
-		}
-	case rc.Position(v.NodeID) < 0:
-		return nil, fmt.Errorf("%w: %s: %q in %q", ErrNotInContext, op, v.NodeID, v.Context)
+	case rc == nil:
+		return nil, -1, fmt.Errorf("navigation: %s: unknown context %q", op, context)
+	case g >= 0:
+		return rc, g, nil
+	case node == HubID:
+		return nil, -1, fmt.Errorf("navigation: %s: context %q no longer has an entry page", op, context)
+	default:
+		return nil, -1, fmt.Errorf("%w: %s: %q in %q", ErrNotInContext, op, node, context)
 	}
-	return rc, nil
 }
 
-// RestoreSession rebuilds a session from a snapshot over the given
-// model: the history is restored verbatim (no new visit is appended) and
-// the position is re-resolved against the current model. It fails when
-// the snapshot's position no longer exists — the model changed under the
-// stored trail — in which case the caller should start a fresh session.
+// RestoreSession rebuilds a session from a snapshot in the lineage of
+// the given model: the history is restored verbatim (no new visit is
+// appended), names the model no longer has included, and the position
+// is re-resolved against the model. It fails when the snapshot's
+// position no longer exists — the model changed under the stored trail
+// — in which case the caller should start a fresh session. Every check
+// comes before any name is interned, so a snapshot that fails to
+// restore adds nothing to the lineage's table; one that restores adds
+// each distinct name the table lacks, once, in one batch.
 func RestoreSession(model *ResolvedModel, state SessionState) (*Session, error) {
+	here := Visit{Context: state.Context, NodeID: state.NodeID}
+	var nav []Visit
+	cur := 0
+	if here.Context != "" {
+		if _, _, err := model.resolve(here.Context, here.NodeID, "restore"); err != nil {
+			return nil, err
+		}
+		nav, cur = state.Nav, state.Cursor
+		switch {
+		case len(nav) == 0:
+			// Pre-history record: the position is the whole known history.
+			nav, cur = []Visit{here}, 0
+		case cur < 0 || cur >= len(nav):
+			return nil, fmt.Errorf("navigation: restore: cursor %d outside history of %d", cur, len(nav))
+		case nav[cur] != here:
+			return nil, fmt.Errorf("navigation: restore: history cursor disagrees with position %s/%s", here.Context, here.NodeID)
+		}
+	}
 	s := NewSession(model)
-	s.history = append([]Visit(nil), state.History...)
-	if state.Context == "" {
-		return s, nil
-	}
-	rc, err := model.resolve(Visit{Context: state.Context, NodeID: state.NodeID}, "restore")
-	if err != nil {
-		return nil, err
-	}
-	s.context = rc
-	s.nodeID = state.NodeID
-	switch {
-	case len(state.Nav) == 0:
-		// Pre-history record: the position is the whole known history.
-		s.nav = []Visit{{Context: state.Context, NodeID: state.NodeID}}
-		s.cur = 0
-	case state.Cursor < 0 || state.Cursor >= len(state.Nav):
-		return nil, fmt.Errorf("navigation: restore: cursor %d outside history of %d", state.Cursor, len(state.Nav))
-	case state.Nav[state.Cursor] != (Visit{Context: state.Context, NodeID: state.NodeID}):
-		return nil, fmt.Errorf("navigation: restore: history cursor disagrees with position %s/%s", state.Context, state.NodeID)
-	default:
-		s.nav = append([]Visit(nil), state.Nav...)
-		s.cur = state.Cursor
-	}
+	s.history, s.nav = model.lin.internRecord(state.History, nav)
+	s.cur = cur
 	return s, nil
 }
 
-// Rebase re-resolves the session's position against a newer resolved
-// model, so a live visitor follows the navigation structure the pages
-// are currently woven with — without it, a session created before a
-// model mutation (an access-structure swap, an adaptation cycle) would
-// keep answering Next per the old edges while freshly woven pages
-// display the new ones. The history is kept verbatim. Rebase fails
-// when the position no longer exists in the new model (the context is
-// gone, the node left it, the entry page vanished); the session is
-// then unchanged and the caller should start a fresh one.
+// Rebase re-resolves the session's position against rm, so a live
+// visitor follows the navigation structure the pages are woven with.
+// Within the session's lineage there is nothing to move — the session
+// already resolves against the lineage's newest model — so Rebase only
+// checks that rm has the position. A model of another lineage takes the
+// session along: its lists are re-interned in rm's table, and it then
+// resolves against the newest model of rm's lineage. The history is
+// kept verbatim. Rebase fails when rm does not have the position (the
+// context is gone, the node left it, the entry page vanished); the
+// session is then unchanged and the caller should start a fresh one.
 func (s *Session) Rebase(rm *ResolvedModel) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.model == rm {
-		return nil
+	if len(s.nav) > 0 {
+		if _, _, err := rm.resolve(s.lin.name(s.nav[s.cur].ctx), s.lin.name(s.nav[s.cur].node), "rebase"); err != nil {
+			return err
+		}
 	}
-	if s.context == nil {
-		s.model = rm
-		return nil
+	if rm.lin != s.lin {
+		s.lin.remap(rm.lin, s.history, s.nav)
+		rm.lin.newest.CompareAndSwap(nil, rm)
+		s.lin = rm.lin
 	}
-	rc, err := rm.resolve(Visit{Context: s.context.Name, NodeID: s.nodeID}, "rebase")
-	if err != nil {
-		return err
-	}
-	s.model = rm
-	s.context = rc
 	return nil
 }
 
@@ -487,8 +552,9 @@ func (s *Session) Rebase(rm *ResolvedModel) error {
 func (s *Session) SwitchContext(contextName string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.context == nil || s.nodeID == HubID {
+	here := s.hereLocked()
+	if len(s.nav) == 0 || here.node == symHub {
 		return fmt.Errorf("navigation: can only switch contexts at a member node")
 	}
-	return s.enterLocked(contextName, s.nodeID)
+	return s.enterLocked(contextName, s.lin.name(here.node))
 }

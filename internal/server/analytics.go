@@ -151,12 +151,12 @@ func (s *Server) StartAdaptation(interval time.Duration, minHops uint64) (stop f
 // context — are not traversals and are not counted.
 //
 //repro:hotpath
-func (s *Server) recordHop(prev *navigation.ResolvedContext, prevNode, ctx, node string) {
-	if prev != nil && prev.Name == ctx {
-		if prevNode == node {
+func (s *Server) recordHop(prev navigation.Visit, ctx, node string) {
+	if prev.Context == ctx {
+		if prev.NodeID == node {
 			return
 		}
-		s.rec.Record(ctx, prevNode, node)
+		s.rec.Record(ctx, prev.NodeID, node)
 		return
 	}
 	s.rec.Record(ctx, analytics.EntryFrom, node)

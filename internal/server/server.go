@@ -702,20 +702,20 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, path string, 
 		return
 	}
 	id, sess := s.session(w, r, rt)
-	var prevCtx *navigation.ResolvedContext
-	var prevNode string
+	var prev navigation.Visit
 	if s.rec != nil {
-		prevCtx, prevNode = sess.Location()
+		prev = sess.Current()
 	}
 	if err := sess.EnterContext(contextName, nodeID); err != nil {
-		// RenderPage accepted the pair, so the session must too;
-		// failing here indicates a model/session mismatch.
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		// The page was woven from a model that a mutation has since
+		// replaced, and the newest model no longer has the pair: the
+		// page is gone, as a request a moment later would have found.
+		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
 	if s.rec != nil {
 		hopFrom := rt.now()
-		s.recordHop(prevCtx, prevNode, contextName, nodeID)
+		s.recordHop(prev, contextName, nodeID)
 		rt.span(obs.PhaseHopRecord, hopFrom)
 	}
 	// The visit counts even when the response is a 304: revalidating a
@@ -731,14 +731,10 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, path string, 
 // current context, the §2 semantics over HTTP.
 func (s *Server) serveTraversal(w http.ResponseWriter, r *http.Request, action string, rt reqTrace) {
 	id, sess := s.session(w, r, rt)
-	if sess.Context() == nil {
+	prev := sess.Current()
+	if prev.Context == "" {
 		http.Error(w, "no current context; visit a page first", http.StatusConflict)
 		return
-	}
-	var prevCtx *navigation.ResolvedContext
-	var prevNode string
-	if s.rec != nil {
-		prevCtx, prevNode = sess.Location()
 	}
 	var err error
 	switch action {
@@ -777,13 +773,15 @@ func (s *Server) serveTraversal(w http.ResponseWriter, r *http.Request, action s
 	s.saveSession(id, sess, rt)
 	// One consistent snapshot: reading context and node separately
 	// could mix states from two concurrent traversals on this session.
-	rc, nodeID := sess.Location()
+	// It is read by name, which a mutation since the step cannot take
+	// away: the redirect then leads to a page that answers 404.
+	here := sess.Current()
 	if s.rec != nil {
 		hopFrom := rt.now()
-		s.recordHop(prevCtx, prevNode, rc.Name, nodeID)
+		s.recordHop(prev, here.Context, here.NodeID)
 		rt.span(obs.PhaseHopRecord, hopFrom)
 	}
-	target := "/" + core.PagePath(rc.Name, nodeID)
+	target := "/" + core.PagePath(here.Context, here.NodeID)
 	writeFrom := rt.now()
 	http.Redirect(w, r, target, http.StatusSeeOther)
 	rt.span(obs.PhaseWrite, writeFrom)
@@ -824,13 +822,13 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request, rt reqTrace) (s
 		id = c.Value
 	}
 	if sess := s.lookup(id, rt); sess != nil {
-		// A session that outlived a model mutation (an adaptation
-		// cycle, an operator swap) is rebased onto the current model,
-		// so its traversals follow the same edges the woven pages
-		// show; an unchanged model makes Rebase a pointer compare
-		// under the session's own lock. A position the new model no
-		// longer has means the trail cannot continue — fall through to
-		// a fresh session (the stale one ages out via its TTL).
+		// A session resolves against the newest model, so its
+		// traversals follow the same edges the woven pages show; Rebase
+		// checks that the model still has its position, a few lookups
+		// under the session's own lock. A position the model no longer
+		// has (an adaptation cycle, an operator swap) means the trail
+		// cannot continue — fall through to a fresh session (the stale
+		// one ages out via its TTL).
 		if sess.Rebase(s.app.Resolved()) == nil {
 			return id, sess
 		}

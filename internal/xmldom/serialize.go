@@ -412,6 +412,26 @@ func escapeSet(chars string) (set [256]bool) {
 	return set
 }
 
+// ReadBack returns str as the writer's output of it reads back: the
+// same string, but for each byte of invalid UTF-8, which the writer
+// writes as U+FFFD.
+func ReadBack(str string) string {
+	if utf8.ValidString(str) {
+		return str
+	}
+	b := make([]byte, 0, len(str)+8)
+	for i := 0; i < len(str); {
+		r, n := utf8.DecodeRuneInString(str[i:])
+		if r == utf8.RuneError && n == 1 {
+			b = append(b, "\uFFFD"...)
+		} else {
+			b = append(b, str[i:i+n]...)
+		}
+		i += n
+	}
+	return string(b)
+}
+
 // appendEscaped appends str escaped as text content or, with attr, as
 // an attribute value, copying runs of bytes that need no escape in one
 // append. Each byte of invalid UTF-8 becomes U+FFFD.

@@ -287,3 +287,27 @@ func TestQuickCloneEquivalence(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReadBackMatchesWriter: ReadBack gives what parsing the writer's
+// output gives, in attribute values and in text, for valid strings and
+// for runs of invalid UTF-8 between them.
+func TestReadBackMatchesWriter(t *testing.T) {
+	for _, s := range []string{
+		"", "plain", "naïve 北斎", "a\xffb", "\xff\xfe", "\xe2\x82", "x\xed\xa0\x80y", "t\t\r\nu", "\xc3\xa9\xc3",
+	} {
+		root := NewElement("a")
+		root.SetAttr("v", s)
+		root.AppendText(s)
+		doc, err := ParseString(NewDocument(root).String())
+		if err != nil {
+			t.Fatalf("%q: %v", s, err)
+		}
+		want := ReadBack(s)
+		if got := doc.Root().AttrValue("v"); got != want {
+			t.Errorf("%q: attribute reads back %q, ReadBack %q", s, got, want)
+		}
+		if got := doc.Root().StringValue(); got != want {
+			t.Errorf("%q: text reads back %q, ReadBack %q", s, got, want)
+		}
+	}
+}
