@@ -51,15 +51,19 @@ bench-module:
 
 # fuzz-smoke fuzzes the XML writer against its reference serializer, the
 # session record codec's decode/re-encode round trip, restoring decoded
-# records into sessions, the control plane's structure-spec decoding and
-# the If-None-Match matcher against its split reference, ten seconds
-# each, beyond the seed corpora (CI runs this).
+# records into sessions, the control plane's structure-spec decoding,
+# the If-None-Match matcher against its split reference, the
+# traceparent parser against its reference grammar and the file store's
+# log recovery, ten seconds each, beyond the seed corpora (CI runs
+# this).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSerializeMatchesReference$$' -fuzztime 10s ./internal/xmldom
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRecord$$' -fuzztime 10s ./internal/navigation
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSession$$' -fuzztime 10s ./internal/navigation
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzEtagMatches$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzFileLogReplay$$' -fuzztime 10s ./internal/storage
 
 # api-smoke boots a real navserve with -api-token, drives navctl
 # through a structure swap over the control plane, and asserts the

@@ -114,10 +114,11 @@
 //	                   snapshot compaction, crash-safe)
 //	-store-dir         directory the file backend lives in (required
 //	                   with -store file)
-//	-sync-persist      write each session record synchronously on every
-//	                   navigation step instead of through the
-//	                   write-behind flusher (durability per step, at
-//	                   the old per-request cost)
+//	-sync-persist      make the flusher write each step's session
+//	                   record before the response goes out instead of
+//	                   queueing it (durability per step, at one store
+//	                   write per request); a failed write is retried,
+//	                   as on the write-behind path
 //	-flush-interval    how often the write-behind flusher drains the
 //	                   dirty-session queue (default 100ms; bounds the
 //	                   crash-loss window)
@@ -136,10 +137,10 @@
 //	                   go tool pprof http://127.0.0.1:6060/debug/pprof/profile
 //
 // With -store file, every visitor session reaches the store after each
-// navigation step — write-behind by default, coalesced by the flusher;
-// synchronously with -sync-persist — and is rehydrated lazily after a
-// restart, so a redeploy loses nobody's place in their tour; the woven
-// site
+// navigation step through the flusher — write-behind by default,
+// coalesced; written through with -sync-persist — and is rehydrated
+// lazily after a restart, so a redeploy loses nobody's place in their
+// tour; the woven site
 // definition (data documents + links.xml) is also exported into the
 // store at startup, so the next navserve — or any XLink-aware agent —
 // can reload the same site from the same directory. The file backend
@@ -284,7 +285,7 @@ func build(args []string) (*http.Server, *buildConfig, int, error) {
 	storeKind := fs.String("store", "mem", `persistence backend: "mem" or "file"`)
 	storeDir := fs.String("store-dir", "", "directory for the file backend (required with -store file)")
 	syncPersist := fs.Bool("sync-persist", false,
-		"write session records synchronously per step instead of write-behind")
+		"write each step's session record before responding instead of write-behind (failed writes are retried)")
 	flushInterval := fs.Duration("flush-interval", server.DefaultFlushInterval,
 		"write-behind flush interval (bounds the crash-loss window)")
 	flushBatch := fs.Int("flush-batch", server.DefaultFlushBatch,

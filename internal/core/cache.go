@@ -126,7 +126,8 @@ func (c *pageCache) beginOrJoin(k pageKey) (page *Page, f *flight, leader bool) 
 
 // finish completes a flight begun with beginOrJoin: it publishes the
 // result to waiters and caches the page unless the generation moved (an
-// invalidation raced the weave).
+// invalidation raced the weave). The page is cached under its own
+// names, equal to k's: k's strings may be cut from a request line.
 func (c *pageCache) finish(k pageKey, f *flight, page *Page, err error, gen uint64) {
 	sh := c.shard(k)
 	sh.mu.Lock()
@@ -135,7 +136,7 @@ func (c *pageCache) finish(k pageKey, f *flight, page *Page, err error, gen uint
 		delete(sh.inflight, k)
 	}
 	if err == nil && c.gen.Load() == gen {
-		sh.pages[k] = page
+		sh.pages[pageKey{page.Context, page.NodeID}] = page
 	}
 	sh.mu.Unlock()
 	f.wg.Done()

@@ -282,20 +282,19 @@ func (app *App) renderPageLocked(contextName, nodeID string) (*Page, error) {
 	if rc == nil {
 		return nil, fmt.Errorf("core: unknown context %q", contextName)
 	}
-	if nodeID == "" {
-		nodeID = navigation.HubID
-	}
-	if nodeID == navigation.HubID {
+	// The page keeps the model's own names, never the caller's: a
+	// caller's id may be cut from a request line, which a cached page
+	// would otherwise keep alive.
+	var class string
+	if nodeID == "" || nodeID == navigation.HubID {
 		if !rc.Def.Access.HasHub() {
 			return nil, fmt.Errorf("core: context %q has no index page (%s)", contextName, rc.Def.Access.Kind())
 		}
-	} else if rc.Position(nodeID) < 0 {
+		nodeID = navigation.HubID
+	} else if m := rc.Member(nodeID); m != nil {
+		class, nodeID = m.Class.Name, m.ID()
+	} else {
 		return nil, fmt.Errorf("core: node %q is not a member of context %q", nodeID, contextName)
-	}
-
-	var class string
-	if nodeID != navigation.HubID {
-		class = rc.Member(nodeID).Class.Name
 	}
 	jp := &aspect.JoinPoint{
 		Kind: KindPageRender,

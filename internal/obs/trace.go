@@ -414,23 +414,23 @@ func FormatTraceparent(traceID [16]byte, spanID [8]byte, sampled bool) string {
 }
 
 // ParseTraceparent parses a W3C traceparent header (version 00):
-// "00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>". It reports
-// ok=false for malformed headers, unknown versions and the all-zero
-// ids the spec declares invalid.
+// "00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>", in lowercase
+// hex as the spec requires. It reports ok=false for malformed headers,
+// unknown versions and the all-zero ids the spec declares invalid.
 func ParseTraceparent(h string) (traceID [16]byte, parentID [8]byte, ok bool) {
 	if len(h) != traceparentLen || h[0] != '0' || h[1] != '0' ||
 		h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return traceID, parentID, false
 	}
-	if _, err := hex.Decode(traceID[:], []byte(h[3:35])); err != nil {
-		return traceID, parentID, false
+	// Checked here, not left to hex.Decode, which also takes A–F.
+	for i := 3; i < traceparentLen; i++ {
+		if i != 35 && i != 52 && !isHexByte(h[i]) {
+			return traceID, parentID, false
+		}
 	}
-	if _, err := hex.Decode(parentID[:], []byte(h[36:52])); err != nil {
-		return traceID, parentID, false
-	}
-	if !isHexByte(h[53]) || !isHexByte(h[54]) {
-		return traceID, parentID, false
-	}
+	// Neither decode can fail: every digit was checked above.
+	_, _ = hex.Decode(traceID[:], []byte(h[3:35]))
+	_, _ = hex.Decode(parentID[:], []byte(h[36:52]))
 	if traceID == ([16]byte{}) || parentID == ([8]byte{}) {
 		return traceID, parentID, false
 	}

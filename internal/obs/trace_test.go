@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -145,11 +146,51 @@ func TestParseTraceparentRejects(t *testing.T) {
 		"00-00000000000000000000000000000000-0123456789abcdef-01", // zero trace id
 		"00-0123456789abcdef0123456789abcdef-0000000000000000-01", // zero parent id
 		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-zz", // non-hex flags
+		"00-0123456789ABCDEF0123456789ABCDEF-0123456789abcdef-01", // uppercase trace id
+		"00-0123456789abcdef0123456789abcdef-0123456789ABCDEF-01", // uppercase parent id
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-0A", // uppercase flags
 	} {
 		if _, _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) = ok, want rejection", h)
 		}
 	}
+}
+
+// traceparentRef is the reference grammar FuzzParseTraceparent checks
+// the parser against: version 00 in lowercase hex throughout. The spec
+// also rejects all-zero ids, which the fuzz target checks beside it.
+var traceparentRef = regexp.MustCompile(`^00-[0-9a-f]{32}-[0-9a-f]{16}-[0-9a-f]{2}$`)
+
+// FuzzParseTraceparent: the parser accepts exactly what the reference
+// grammar does, minus all-zero ids, and an accepted header re-formats
+// to itself apart from the flags byte, which the parser does not keep.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-ff",
+		"00-0123456789ABCDEF0123456789ABCDEF-0123456789abcdef-01",
+		"00-00000000000000000000000000000000-0123456789abcdef-01",
+		"00-0123456789abcdef0123456789abcdef-0000000000000000-00",
+		"01-0123456789abcdef0123456789abcdef-0123456789abcdef-01",
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-zz",
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01\n",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		traceID, parentID, ok := ParseTraceparent(h)
+		want := traceparentRef.MatchString(h) &&
+			h[3:35] != strings.Repeat("0", 32) && h[36:52] != strings.Repeat("0", 16)
+		if ok != want {
+			t.Fatalf("ParseTraceparent(%q) ok = %v, reference says %v", h, ok, want)
+		}
+		if ok {
+			if got := FormatTraceparent(traceID, parentID, false); got[:53] != h[:53] {
+				t.Fatalf("ParseTraceparent(%q) re-formats to %q", h, got)
+			}
+		}
+	})
 }
 
 // TestAdoptParent: a valid traceparent swaps the request onto the

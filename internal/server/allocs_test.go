@@ -111,7 +111,7 @@ func TestEnqueueSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
 	}
-	f := newFlusher(storage.NewMem(), 0, time.Now, 1<<20, time.Hour, DefaultRetryLimit, newBreaker(0))
+	f := newFlusher(storage.NewMem(), 0, time.Now, 1<<20, time.Hour, DefaultRetryLimit, newBreaker(0), false)
 	defer f.close()
 	// A tombstone enqueue exercises the same path as a state write: one
 	// map assignment under the lock.

@@ -81,8 +81,7 @@ func (s *Server) Degraded() (degraded bool, cause string) {
 
 // RetryStats reports the failed-write retry queue: how many sessions
 // await a re-attempt and how many entries were dropped because the
-// queue was full. Zeroes on the synchronous path and when persistence
-// is off.
+// queue was full. Zeroes when persistence is off.
 func (s *Server) RetryStats() (queued int, dropped uint64) {
 	if s.flush == nil {
 		return 0, 0

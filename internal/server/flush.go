@@ -43,11 +43,15 @@ type retryEntry struct {
 // queue in bounded batches on an interval. The request path pays a map
 // insert; the encoding and the store write happen off-request.
 //
-// A nil session in the queue is a tombstone: the session was evicted and
-// its durable record must be deleted instead of written. All store
-// writes go through the single flusher goroutine (or through flushNow's
-// caller while it holds the drain lock), so one session's Put and
-// Delete can never land out of order.
+// A nil session in the queue is a tombstone: the session was evicted or
+// its record discarded, and the durable record must be deleted instead
+// of written. The flusher is the only code that writes or deletes
+// session records, and every write happens under the drain lock, so one
+// session's Put and Delete can never land out of order.
+//
+// With writeThrough (WithSyncPersistence) enqueue does not queue: it
+// writes the record itself, under the drain lock, before returning —
+// the path post-close stragglers take in either mode.
 //
 // A write the store rejects is not dropped: it moves to a bounded retry
 // queue and is re-attempted with capped exponential backoff, so a store
@@ -74,21 +78,25 @@ type flusher struct {
 	retryLimit int
 	dropped    atomic.Uint64
 
-	// drainMu serializes flush rounds, so a synchronous flushNow and
-	// the background loop never interleave writes for one batch.
+	// drainMu serializes flush rounds and write-throughs, so a
+	// synchronous flushNow, a writeNow and the background loop never
+	// interleave writes.
 	drainMu sync.Mutex
 
 	kick chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup
 
-	batch    int
-	interval time.Duration
-	flushed  atomic.Uint64
+	batch        int
+	interval     time.Duration
+	writeThrough bool
+	flushed      atomic.Uint64
 }
 
-// newFlusher starts the background flusher over st.
-func newFlusher(st storage.Store, ttl time.Duration, now func() time.Time, batch int, interval time.Duration, retryLimit int, health *breaker) *flusher {
+// newFlusher starts the background flusher over st. With writeThrough
+// every enqueue writes before it returns; the background loop then only
+// drains retries.
+func newFlusher(st storage.Store, ttl time.Duration, now func() time.Time, batch int, interval time.Duration, retryLimit int, health *breaker, writeThrough bool) *flusher {
 	if batch < 1 {
 		batch = 1
 	}
@@ -99,17 +107,18 @@ func newFlusher(st storage.Store, ttl time.Duration, now func() time.Time, batch
 		retryLimit = 1
 	}
 	f := &flusher{
-		st:         st,
-		ttl:        ttl,
-		now:        now,
-		health:     health,
-		dirty:      map[string]*navigation.Session{},
-		retry:      map[string]*retryEntry{},
-		retryLimit: retryLimit,
-		kick:       make(chan struct{}, 1),
-		done:       make(chan struct{}),
-		batch:      batch,
-		interval:   interval,
+		st:           st,
+		ttl:          ttl,
+		now:          now,
+		health:       health,
+		dirty:        map[string]*navigation.Session{},
+		retry:        map[string]*retryEntry{},
+		retryLimit:   retryLimit,
+		kick:         make(chan struct{}, 1),
+		done:         make(chan struct{}),
+		batch:        batch,
+		interval:     interval,
+		writeThrough: writeThrough,
 	}
 	f.wg.Add(1)
 	go f.run()
@@ -118,21 +127,17 @@ func newFlusher(st storage.Store, ttl time.Duration, now func() time.Time, batch
 
 // enqueue marks a session dirty; the latest enqueue for an id wins, and
 // supersedes any retry pending for the id — the write that happens next
-// round carries this fresher state. After close, the write happens
-// synchronously — a late request must not lose its step just because
-// shutdown started — but still under drainMu, so it cannot interleave
-// with the final drain and land a Put/Delete pair for one id out of
-// order.
+// round carries this fresher state. In write-through mode, and after
+// close — a late request must not lose its step just because shutdown
+// started — the write happens here instead (see writeNow).
 //
 //repro:hotpath
 func (f *flusher) enqueue(id string, sess *navigation.Session) {
 	f.mu.Lock()
-	if f.closed {
+	if f.closed || f.writeThrough {
 		f.mu.Unlock()
-		f.drainMu.Lock()
-		//repro:allow(post-close stragglers write synchronously; shutdown only)
-		f.writeObserved(id, sess)
-		f.drainMu.Unlock()
+		//repro:allow(write-through mode and post-close stragglers write before returning)
+		f.writeNow(id, sess)
 		return
 	}
 	f.dirty[id] = sess
@@ -147,9 +152,29 @@ func (f *flusher) enqueue(id string, sess *navigation.Session) {
 	}
 }
 
-// enqueueDelete queues a tombstone: the session was evicted, its durable
-// record dies with it. Any pending state write for the id is superseded.
+// enqueueDelete queues a tombstone: the session was evicted or its
+// record discarded, and the durable record dies with it. Any pending
+// state write for the id is superseded.
 func (f *flusher) enqueueDelete(id string) { f.enqueue(id, nil) }
+
+// writeNow writes one session's state (or tombstone) before returning.
+// It holds drainMu, so it cannot interleave with a flush round and land
+// a Put/Delete pair for one id out of order, and so concurrent steps on
+// one session write in the order they encode: the last write carries
+// the final state. The id's pending and retrying entries are dropped
+// first — this write supersedes them — and a failure is rescheduled the
+// way a failed round's write is.
+func (f *flusher) writeNow(id string, sess *navigation.Session) {
+	f.drainMu.Lock()
+	defer f.drainMu.Unlock()
+	f.mu.Lock()
+	delete(f.dirty, id)
+	delete(f.retry, id)
+	f.mu.Unlock()
+	if err := f.write(id, sess); err != nil {
+		f.reschedule(id, sess, 1)
+	}
+}
 
 // depth reports how many sessions are waiting to be flushed.
 func (f *flusher) depth() int {
@@ -249,7 +274,7 @@ func (f *flusher) flushBatchLocked() int {
 	}
 	start := time.Now()
 	for i, id := range ids {
-		if err := f.writeObserved(id, sessions[i]); err != nil {
+		if err := f.write(id, sessions[i]); err != nil {
 			f.reschedule(id, sessions[i], attempts[i]+1)
 		}
 	}
@@ -303,39 +328,30 @@ func (f *flusher) reschedule(id string, sess *navigation.Session, attempts int) 
 	persistRetries.Inc()
 }
 
-// writeObserved is write plus health accounting: a store failure trips
-// the breaker toward degraded mode, a success resets it.
-func (f *flusher) writeObserved(id string, sess *navigation.Session) error {
-	err := f.write(id, sess)
+// write persists one session's current state (or deletes its record for
+// a tombstone) and feeds the outcome to the health breaker: a store
+// failure trips it toward degraded mode, a success resets it. The
+// session is encoded here, at write time, so coalesced steps are
+// captured by their final state. The store's error is returned so the
+// caller can retry.
+func (f *flusher) write(id string, sess *navigation.Session) error {
+	var err error
+	if sess == nil {
+		err = f.st.Delete(sessionKeyPrefix + id)
+	} else {
+		var expires time.Time
+		if f.ttl > 0 {
+			expires = f.now().Add(f.ttl)
+		}
+		err = f.st.Put(sessionKeyPrefix+id, sess.AppendRecord(nil, expires))
+	}
 	if err != nil {
 		persistErrors.Inc()
 		f.health.fail("session persistence failing: " + err.Error())
 		return err
 	}
-	f.health.ok()
-	return nil
-}
-
-// write persists one session's current state (or deletes its record for
-// a tombstone). The session is encoded here, at write time, so
-// coalesced steps are captured by their final state. The store's error
-// is returned so the caller can retry.
-func (f *flusher) write(id string, sess *navigation.Session) error {
-	if sess == nil {
-		if err := f.st.Delete(sessionKeyPrefix + id); err != nil {
-			return err
-		}
-		f.flushed.Add(1)
-		return nil
-	}
-	var expires time.Time
-	if f.ttl > 0 {
-		expires = f.now().Add(f.ttl)
-	}
-	if err := f.st.Put(sessionKeyPrefix+id, sess.AppendRecord(nil, expires)); err != nil {
-		return err
-	}
 	f.flushed.Add(1)
+	f.health.ok()
 	return nil
 }
 

@@ -200,60 +200,64 @@ func (s *Server) serveMetrics(w http.ResponseWriter) {
 	_, _ = io.WriteString(w, b.String())
 }
 
-// writeInstanceGauges renders the per-instance vitals — the /healthz
-// payload, as scrapeable series. These live on the Server (several can
-// coexist in one process), so they render inline rather than register
-// globally.
+// writeInstanceGauges renders the per-instance vitals as scrapeable
+// gauges. These live on the Server (several can coexist in one
+// process), so they render inline rather than register globally.
 func (s *Server) writeInstanceGauges(b *strings.Builder) {
-	obs.WriteGauge(b, "navserve_sessions",
-		"Live visitor sessions.", float64(s.sessions.len()))
-	obs.WriteGauge(b, "navserve_cached_pages",
-		"Woven pages currently cached.", float64(s.app.CachedPages()))
-	obs.WriteGauge(b, "navserve_cache_generation",
-		"Woven-page cache generation; advances with every model mutation.", float64(s.app.CacheGeneration()))
-	queued, written := s.PersistStats()
-	obs.WriteGauge(b, "navserve_flush_queue_depth",
-		"Dirty sessions awaiting their write-behind flush.", float64(queued))
-	obs.WriteGauge(b, "navserve_persist_writes",
-		"Session records written to the persistence backend since start.", float64(written))
-	retryQueued, _ := s.RetryStats()
-	obs.WriteGauge(b, "navserve_persist_retry_queue_depth",
-		"Failed session writes awaiting their backoff retry.", float64(retryQueued))
-	degraded, _ := s.Degraded()
-	degradedVal := 0.0
-	if degraded {
-		degradedVal = 1
+	for _, v := range s.vitals() {
+		obs.WriteGauge(b, v.gauge, v.help, v.value)
 	}
-	obs.WriteGauge(b, "navserve_degraded",
-		"1 while the store-health breaker is open (persistence failing, /readyz 503).", degradedVal)
+}
+
+// vital is one per-instance vital: its /healthz key, its /metrics gauge
+// name and HELP text, and its current value. Every vital is a count, a
+// flag or a duration in seconds; counts stay exact in a float64 far
+// past any this server reaches, and JSON renders an integral float
+// without a fraction, so integer /healthz keys stay integers.
+type vital struct {
+	key, gauge, help string
+	value            float64
+}
+
+// vitals lists the instance vitals once, for /healthz and /metrics to
+// render alike. Analytics and tracing vitals read zero when no recorder
+// or tracer is configured.
+func (s *Server) vitals() []vital {
+	queued, written := s.PersistStats()
+	retryQueued, retryDropped := s.RetryStats()
+	degraded := 0.0
+	if d, _ := s.Degraded(); d {
+		degraded = 1
+	}
 	var rec analytics.Stats
 	if s.rec != nil {
 		rec = s.rec.Stats()
 	}
-	obs.WriteGauge(b, "navserve_analytics_recorded",
-		"Navigation hops recorded by the analytics recorder.", float64(rec.Recorded))
-	obs.WriteGauge(b, "navserve_analytics_sampled_out",
-		"Hops skipped by sampling.", float64(rec.SampledOut))
-	obs.WriteGauge(b, "navserve_analytics_dropped",
-		"Hops dropped because the recorder's tables were full.", float64(rec.Dropped))
 	adaptGen, derived := s.AdaptStats()
-	obs.WriteGauge(b, "navserve_adapt_generation",
-		"Completed adaptation cycles on this instance.", float64(adaptGen))
-	obs.WriteGauge(b, "navserve_derived_structures",
-		"Per-context structures the last adaptation cycle derived.", float64(derived))
-	obs.WriteGauge(b, "navserve_mutation_events",
-		"Model mutations traced since start (GET /api/v1/events for the ring).", float64(s.app.Events().Total()))
+	var traces uint64
 	if s.tracer != nil {
-		obs.WriteGauge(b, "navserve_traces_kept",
-			"Request traces kept (sampled or slow) since start (GET /api/v1/traces for the ring).",
-			float64(s.tracer.Ring().Total()))
+		traces = s.tracer.Ring().Total()
 	}
-	obs.WriteGauge(b, "navserve_uptime_seconds",
-		"Seconds since this server was constructed.", time.Since(s.start).Seconds())
-	obs.WriteGauge(b, "navserve_goroutines",
-		"Live goroutines in the process.", float64(runtime.NumGoroutine()))
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
-	obs.WriteGauge(b, "navserve_heap_bytes",
-		"Bytes of allocated heap objects.", float64(mem.HeapAlloc))
+	return []vital{
+		{"sessions", "navserve_sessions", "Live visitor sessions.", float64(s.sessions.len())},
+		{"cached_pages", "navserve_cached_pages", "Woven pages currently cached.", float64(s.app.CachedPages())},
+		{"cache_generation", "navserve_cache_generation", "Woven-page cache generation; advances with every model mutation.", float64(s.app.CacheGeneration())},
+		{"persist_queue", "navserve_flush_queue_depth", "Dirty sessions awaiting their write-behind flush.", float64(queued)},
+		{"persist_flushed", "navserve_persist_writes", "Session records written to the persistence backend since start.", float64(written)},
+		{"persist_retry_queue", "navserve_persist_retry_queue_depth", "Failed session writes awaiting their backoff retry.", float64(retryQueued)},
+		{"persist_retry_dropped", "navserve_persist_retry_dropped", "Retry-queue entries this instance dropped because the queue was full.", float64(retryDropped)},
+		{"degraded", "navserve_degraded", "1 while the store-health breaker is open (persistence failing, /readyz 503).", degraded},
+		{"analytics_recorded", "navserve_analytics_recorded", "Navigation hops recorded by the analytics recorder.", float64(rec.Recorded)},
+		{"analytics_sampled_out", "navserve_analytics_sampled_out", "Hops skipped by sampling.", float64(rec.SampledOut)},
+		{"analytics_dropped", "navserve_analytics_dropped", "Hops dropped because the recorder's tables were full.", float64(rec.Dropped)},
+		{"adapt_generation", "navserve_adapt_generation", "Completed adaptation cycles on this instance.", float64(adaptGen)},
+		{"derived_structures", "navserve_derived_structures", "Per-context structures the last adaptation cycle derived.", float64(derived)},
+		{"mutation_events", "navserve_mutation_events", "Model mutations traced since start (GET /api/v1/events for the ring).", float64(s.app.Events().Total())},
+		{"traces_kept", "navserve_traces_kept", "Request traces kept (sampled or slow) since start (GET /api/v1/traces for the ring).", float64(traces)},
+		{"uptime_seconds", "navserve_uptime_seconds", "Seconds since this server was constructed.", time.Since(s.start).Seconds()},
+		{"goroutines", "navserve_goroutines", "Live goroutines in the process.", float64(runtime.NumGoroutine())},
+		{"heap_bytes", "navserve_heap_bytes", "Bytes of allocated heap objects.", float64(mem.HeapAlloc)},
+	}
 }

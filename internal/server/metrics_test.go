@@ -276,6 +276,65 @@ func TestHealthzRuntimeFields(t *testing.T) {
 	}
 }
 
+// TestVitalsRenderedOnce: every instance vital appears exactly once as
+// a /healthz key and once as a /metrics gauge, beside only the status
+// strings on /healthz, and an integer vital stays a JSON integer.
+func TestVitalsRenderedOnce(t *testing.T) {
+	srv, ts := testServer(t)
+	doGet(t, ts, "/ByAuthor/picasso/guitar.html", "")
+	vitals := srv.vitals()
+
+	_, body, _ := doGet(t, ts, "/healthz", "")
+	var health map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &health); err != nil {
+		t.Fatalf("unmarshalling %q: %v", body, err)
+	}
+	keys := map[string]bool{"status": true, "degraded_cause": true, "store": true}
+	gauges := map[string]bool{}
+	for _, v := range vitals {
+		if keys[v.key] || gauges[v.gauge] {
+			t.Errorf("vital %s/%s is listed twice", v.key, v.gauge)
+		}
+		keys[v.key], gauges[v.gauge] = true, true
+		raw, ok := health[v.key]
+		if !ok {
+			t.Errorf("/healthz lacks vital %q", v.key)
+			continue
+		}
+		// Uptime is the one fractional vital.
+		if v.key == "uptime_seconds" {
+			continue
+		}
+		if _, err := strconv.ParseUint(string(raw), 10, 64); err != nil {
+			t.Errorf("/healthz %s = %s, want an integer", v.key, raw)
+		}
+	}
+	for k := range health {
+		if !keys[k] {
+			t.Errorf("/healthz key %q is not a listed vital", k)
+		}
+	}
+
+	exposition := scrape(t, ts.URL)
+	for _, v := range vitals {
+		if n := strings.Count(exposition, "\n# TYPE "+v.gauge+" "); n != 1 {
+			t.Errorf("/metrics declares %s %d times, want once", v.gauge, n)
+		}
+		if !strings.Contains(exposition, "\n# TYPE "+v.gauge+" gauge\n") {
+			t.Errorf("/metrics %s is not a gauge", v.gauge)
+		}
+		samples := 0
+		for _, line := range strings.Split(exposition, "\n") {
+			if strings.HasPrefix(line, v.gauge+" ") || strings.HasPrefix(line, v.gauge+"{") {
+				samples++
+			}
+		}
+		if samples != 1 {
+			t.Errorf("/metrics has %d %s samples, want 1", samples, v.gauge)
+		}
+	}
+}
+
 // TestMutationEventBlastRadius is the tracing acceptance scenario: a
 // structure swap's event must report exactly the family-local blast
 // radius — the two cached ByAuthor pages drop and are counted, the

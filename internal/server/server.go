@@ -35,12 +35,15 @@
 //
 // With WithPersistence, every visitor's session reaches a storage.Store
 // and is rehydrated lazily on first access — a restarted server resumes
-// every context trail mid-tour. Persistence is write-behind by default:
-// a step marks the session dirty in a coalescing queue and a background
-// flusher writes the latest state in batches (WithFlushInterval,
-// WithFlushBatch; Close runs the final drain). WithSyncPersistence
-// restores the synchronous per-step write. The /healthz payload exposes
-// the queue depth and total flushed writes.
+// every context trail mid-tour. The flusher (flush.go) is the only code
+// that writes or deletes session records. It is write-behind by
+// default: a step marks the session dirty in a coalescing queue and a
+// background loop writes the latest state in batches
+// (WithFlushInterval, WithFlushBatch; Close runs the final drain).
+// WithSyncPersistence makes it write through on every step instead. In
+// both modes a failed write is retried. /healthz and /metrics render
+// one list of instance vitals (vitals in metrics.go), the queue depth
+// and written-record total among them.
 package server
 
 import (
@@ -50,15 +53,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
-	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/analytics"
@@ -98,19 +98,10 @@ type Server struct {
 	useCache bool
 	persist  storage.Store
 
-	// flush is the write-behind persistence queue (nil when persistence
-	// is off or WithSyncPersistence is set).
+	// flush is the only writer of session records (nil when
+	// persistence is off): write-behind by default, write-through under
+	// WithSyncPersistence.
 	flush *flusher
-	// syncWrites counts the records written on the synchronous path,
-	// mirroring flusher.flushed for /healthz.
-	syncWrites atomic.Uint64
-
-	// saveMu stripes serialize snapshot-then-Put per session id on the
-	// synchronous path, so two concurrent saves of one session cannot
-	// land in the store out of order (the stale snapshot overwriting
-	// the fresh one). The write-behind path needs no stripes: one
-	// flusher goroutine orders all writes.
-	saveMu [16]sync.Mutex
 
 	// health is the store-health breaker: consecutive persistence
 	// failures flip the server into degraded mode (serving from cache,
@@ -186,11 +177,12 @@ func WithPersistence(st storage.Store) Option {
 	return func(s *Server) { s.persist = st }
 }
 
-// WithSyncPersistence makes every navigation step encode and write the
+// WithSyncPersistence makes the flusher write every navigation step's
 // session record before the response is sent, instead of queueing it
-// for the write-behind flusher. A crash then loses no step — at the
-// old synchronous cost per request. It also makes persistence effects
-// deterministic for tests.
+// for the next flush round. A crash then loses no step — at the cost of
+// one store write per request, serialized with every other write. A
+// failed write enters the retry queue, as on the write-behind path. It
+// also makes persistence effects deterministic for tests.
 func WithSyncPersistence() Option {
 	return func(s *Server) { s.syncPersist = true }
 }
@@ -257,26 +249,13 @@ func New(app *core.App, opts ...Option) *Server {
 	}
 	s.health = newBreaker(s.breakerThreshold)
 	s.sessions = newSessionStore(s.shards, s.ttl, s.now)
-	if s.persist != nil && !s.syncPersist {
-		s.flush = newFlusher(s.persist, s.sessions.ttl, s.sessions.now, s.flushBatch, s.flushInterval, s.retryLimit, s.health)
-	}
 	if s.persist != nil {
+		s.flush = newFlusher(s.persist, s.sessions.ttl, s.sessions.now, s.flushBatch, s.flushInterval, s.retryLimit, s.health, s.syncPersist)
 		// An expired session's durable record must die with it, or the
 		// backing store would accumulate (and later resurrect) every
-		// abandoned trail. On the write-behind path the delete is a
-		// queued tombstone, so it cannot race a pending state write.
-		s.sessions.onEvict = func(id string) {
-			if s.flush != nil {
-				s.flush.enqueueDelete(id)
-				return
-			}
-			if err := s.persist.Delete(sessionKeyPrefix + id); err != nil {
-				persistErrors.Inc()
-				s.health.fail("session delete failing: " + err.Error())
-			} else {
-				s.health.ok()
-			}
-		}
+		// abandoned trail. The delete is a tombstone through the flusher,
+		// so it cannot race a pending state write.
+		s.sessions.onEvict = s.flush.enqueueDelete
 	}
 	return s
 }
@@ -292,9 +271,10 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// FlushSessions synchronously drains the write-behind queue, so a
-// caller (an operator endpoint, a test) can force durability without
-// shutting down. It is a no-op under synchronous persistence.
+// FlushSessions synchronously drains the write-behind queue and every
+// pending retry, so a caller (an operator endpoint, a test) can force
+// durability without shutting down. Under synchronous persistence only
+// failed writes await a retry.
 func (s *Server) FlushSessions() {
 	if s.flush != nil {
 		s.flush.flushNow()
@@ -302,13 +282,13 @@ func (s *Server) FlushSessions() {
 }
 
 // PersistStats reports the write-behind queue depth and how many
-// records have been written to the persistence backend so far (both
-// paths). Zeroes when persistence is off.
+// records have been written to (or deleted from) the persistence
+// backend so far. Zeroes when persistence is off.
 func (s *Server) PersistStats() (queued int, written uint64) {
-	if s.flush != nil {
-		return s.flush.depth(), s.flush.flushed.Load()
+	if s.flush == nil {
+		return 0, 0
 	}
-	return 0, s.syncWrites.Load()
+	return s.flush.depth(), s.flush.flushed.Load()
 }
 
 // EvictExpiredSessions drops every session idle past its TTL and
@@ -596,12 +576,10 @@ func (s *Server) serveXML(w http.ResponseWriter, r *http.Request, uri string, rt
 }
 
 // serveHealth reports the serving stack's vitals for load-balancer
-// checks: live session count, woven-page cache state, the session
-// persistence backend ("none" when sessions are memory-only), the
-// write-behind queue — persist_queue is how many dirty sessions await
-// their flush, persist_flushed how many records have reached the store
-// — and process vitals (uptime, goroutine count, heap bytes) so a
-// probe can catch a leak without attaching pprof.
+// checks: the instance vitals /metrics also exports (sessions, page
+// cache, persistence queue and retries, analytics, process vitals — see
+// vitals), plus the status ("ok" or "degraded", with the cause) and the
+// session persistence backend ("none" when sessions are memory-only).
 //
 //repro:nostore
 func (s *Server) serveHealth(w http.ResponseWriter) {
@@ -609,66 +587,16 @@ func (s *Server) serveHealth(w http.ResponseWriter) {
 	if s.persist != nil {
 		backend = s.persist.Name()
 	}
-	queued, written := s.PersistStats()
-	retryQueued, retryDropped := s.RetryStats()
-	status := "ok"
-	degraded, cause := s.Degraded()
-	if degraded {
-		status = "degraded"
+	health := map[string]any{"status": "ok", "store": backend}
+	if degraded, cause := s.Degraded(); degraded {
+		health["status"] = "degraded"
+		health["degraded_cause"] = cause
 	}
-	var rec analytics.Stats
-	if s.rec != nil {
-		rec = s.rec.Stats()
+	for _, v := range s.vitals() {
+		health[v.key] = v.value
 	}
-	adaptGen, derived := s.AdaptStats()
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
 	// Operational state must never be served stale by an intermediary.
 	w.Header().Set("Cache-Control", "no-store")
-	health := struct {
-		Status          string `json:"status"`
-		DegradedCause   string `json:"degraded_cause,omitempty"`
-		Sessions        int    `json:"sessions"`
-		CacheGeneration uint64 `json:"cache_generation"`
-		CachedPages     int    `json:"cached_pages"`
-		Store           string `json:"store"`
-		PersistQueue    int    `json:"persist_queue"`
-		PersistFlushed  uint64 `json:"persist_flushed"`
-		RetryQueue      int    `json:"persist_retry_queue"`
-		RetryDropped    uint64 `json:"persist_retry_dropped"`
-		// Process vitals.
-		UptimeSeconds float64 `json:"uptime_seconds"`
-		Goroutines    int     `json:"goroutines"`
-		HeapBytes     uint64  `json:"heap_bytes"`
-		// Analytics vitals: zero across the board when no recorder is
-		// configured.
-		AnalyticsRecorded   uint64 `json:"analytics_recorded"`
-		AnalyticsSampledOut uint64 `json:"analytics_sampled_out"`
-		AnalyticsDropped    uint64 `json:"analytics_dropped"`
-		AdaptGeneration     uint64 `json:"adapt_generation"`
-		DerivedStructures   uint64 `json:"derived_structures"`
-	}{
-		Status:          status,
-		DegradedCause:   cause,
-		Sessions:        s.sessions.len(),
-		CacheGeneration: s.app.CacheGeneration(),
-		CachedPages:     s.app.CachedPages(),
-		Store:           backend,
-		PersistQueue:    queued,
-		PersistFlushed:  written,
-		RetryQueue:      retryQueued,
-		RetryDropped:    retryDropped,
-
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Goroutines:    runtime.NumGoroutine(),
-		HeapBytes:     mem.HeapAlloc,
-
-		AnalyticsRecorded:   rec.Recorded,
-		AnalyticsSampledOut: rec.SampledOut,
-		AnalyticsDropped:    rec.Dropped,
-		AdaptGeneration:     adaptGen,
-		DerivedStructures:   derived,
-	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(health)
 }
@@ -714,8 +642,10 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, path string, 
 		return
 	}
 	if s.rec != nil {
+		// The page's names, not the path's: a recorder slot keeps the
+		// strings it first sees, and the path's pin the request line.
 		hopFrom := rt.now()
-		s.recordHop(prev, contextName, nodeID)
+		s.recordHop(prev, page.Context, page.NodeID)
 		rt.span(obs.PhaseHopRecord, hopFrom)
 	}
 	// The visit counts even when the response is a 304: revalidating a
@@ -870,61 +800,30 @@ func (s *Server) lookup(id string, rt reqTrace) *navigation.Session {
 	return sess
 }
 
-// saveSession records that the session's durable state is behind. On
-// the default write-behind path that is one coalescing map insert — the
-// encoding and store write happen on the background flusher,
-// and ten steps between two flushes cost one write. Under
-// WithSyncPersistence the record is encoded and written here, under
-// a per-id stripe lock — without it, two concurrent steps on one
-// session could persist out of order and leave the durable record a
-// step behind the in-memory trail until the next save. Either way a
-// failed write costs durability of this one step, not the request.
+// saveSession hands the session to the flusher. On the default
+// write-behind path that is one coalescing map insert — the encoding
+// and store write happen on the background flusher, and ten steps
+// between two flushes cost one write. Under WithSyncPersistence the
+// flusher writes the record before returning, and the trace files that
+// write as the storage-op phase: it is the span a slow-request trace
+// points at when the backend stalls. Either way a failed write is
+// retried, and costs the request nothing.
 func (s *Server) saveSession(id string, sess *navigation.Session, rt reqTrace) {
-	if s.persist == nil {
+	if s.flush == nil {
 		return
 	}
-	if s.flush != nil {
-		enqueueFrom := rt.now()
-		s.flush.enqueue(id, sess)
-		rt.span(obs.PhaseFlushEnqueue, enqueueFrom)
-		return
+	phase := obs.PhaseFlushEnqueue
+	if s.syncPersist {
+		phase = obs.PhaseStorageOp
 	}
-	mu := &s.saveMu[fnv32(id)%uint32(len(s.saveMu))]
-	mu.Lock()
-	defer mu.Unlock()
-	var expires time.Time
-	if s.sessions.ttl > 0 {
-		expires = s.sessions.now().Add(s.sessions.ttl)
-	}
-	raw := sess.AppendRecord(nil, expires)
-	// The storage-op phase covers only the store write, not the encoding
-	// above — it is the span a slow-request trace points at when the
-	// backend stalls.
-	putFrom := rt.now()
-	err := s.persist.Put(sessionKeyPrefix+id, raw)
-	rt.span(obs.PhaseStorageOp, putFrom)
-	if err != nil {
-		// The synchronous path has no retry queue — this step's
-		// durability is lost — but the failure still counts and still
-		// trips the breaker, so /readyz drains the instance.
-		persistErrors.Inc()
-		s.health.fail("session persistence failing: " + err.Error())
-		return
-	}
-	s.syncWrites.Add(1)
-	s.health.ok()
-}
-
-// fnv32 hashes a session id onto the save stripes.
-func fnv32(s string) uint32 {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum32()
+	from := rt.now()
+	s.flush.enqueue(id, sess)
+	rt.span(phase, from)
 }
 
 // rehydrate restores a session from its durable record, tracking it in
 // memory on success. Expired, corrupt or model-orphaned records are
-// deleted and treated as a miss.
+// discarded through the flusher and treated as a miss.
 func (s *Server) rehydrate(id string) *navigation.Session {
 	raw, err := s.persist.Get(sessionKeyPrefix + id)
 	if err != nil {
@@ -939,18 +838,18 @@ func (s *Server) rehydrate(id string) *navigation.Session {
 	}
 	rec, err := navigation.ParseRecord(raw)
 	if err != nil {
-		_ = s.persist.Delete(sessionKeyPrefix + id)
+		s.flush.enqueueDelete(id)
 		return nil
 	}
 	if !rec.Expires.IsZero() && s.sessions.now().After(rec.Expires) {
-		_ = s.persist.Delete(sessionKeyPrefix + id)
+		s.flush.enqueueDelete(id)
 		return nil
 	}
 	sess, err := navigation.RestoreSession(s.app.Resolved(), rec.State)
 	if err != nil {
 		// The model moved on under the stored trail; a fresh session is
 		// more honest than a position that no longer exists.
-		_ = s.persist.Delete(sessionKeyPrefix + id)
+		s.flush.enqueueDelete(id)
 		return nil
 	}
 	// A record written under an older (or absent) cap is trimmed on the

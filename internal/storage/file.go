@@ -135,7 +135,7 @@ func (f *File) loadSnapshot() error {
 		return fmt.Errorf("storage: opening snapshot: %w", err)
 	}
 	defer file.Close()
-	f.snapshotBytes, err = f.replay(bufio.NewReader(file), false)
+	f.snapshotBytes, err = f.replay(file, false)
 	if err != nil {
 		return fmt.Errorf("storage: snapshot corrupt: %w", err)
 	}
@@ -151,7 +151,7 @@ func (f *File) replayLog() error {
 	if err != nil {
 		return fmt.Errorf("storage: opening log: %w", err)
 	}
-	good, err := f.replay(bufio.NewReader(file), true)
+	good, err := f.replay(file, true)
 	if err != nil {
 		file.Close()
 		return fmt.Errorf("storage: log corrupt: %w", err)
@@ -169,15 +169,20 @@ func (f *File) replayLog() error {
 	return nil
 }
 
-// replay applies records from r to the in-memory state and returns the
-// byte offset of the last complete record. With tolerateTorn, a record
-// cut short by EOF stops the replay cleanly (the offset excludes it);
-// otherwise it is an error. Malformed records that are not torn tails
-// are errors either way.
-func (f *File) replay(r *bufio.Reader, tolerateTorn bool) (int64, error) {
+// replay applies the records in file to the in-memory state and returns
+// the byte offset of the last complete record. With tolerateTorn, a
+// record cut short by EOF stops the replay cleanly (the offset excludes
+// it); otherwise it is an error. Malformed records that are not torn
+// tails are errors either way.
+func (f *File) replay(file *os.File, tolerateTorn bool) (int64, error) {
+	info, err := file.Stat()
+	if err != nil {
+		return 0, err
+	}
+	r := bufio.NewReader(file)
 	var offset int64
 	for {
-		rec, n, err := readRecord(r)
+		rec, n, err := readRecord(r, info.Size()-offset)
 		if err == io.EOF {
 			return offset, nil
 		}
@@ -255,10 +260,12 @@ func appendRecord(buf []byte, rec record) []byte {
 	return buf
 }
 
-// readRecord decodes the next record from r, returning it and the number
-// of bytes it occupied. io.EOF at a record boundary is returned as-is; an
-// EOF inside a record comes back as *tornError.
-func readRecord(r *bufio.Reader) (record, int64, error) {
+// readRecord decodes the next record from r, which holds left more
+// bytes, returning it and the number of bytes it occupied. io.EOF at a
+// record boundary is returned as-is; an EOF inside a record comes back
+// as *tornError — before the body is allocated, when the header
+// declares more bytes than are left.
+func readRecord(r *bufio.Reader, left int64) (record, int64, error) {
 	header, err := r.ReadString('\n')
 	if err == io.EOF && header == "" {
 		return record{}, 0, io.EOF
@@ -280,6 +287,9 @@ func readRecord(r *bufio.Reader) (record, int64, error) {
 			klen < 0 || vlen < 0 || klen > maxRecordLen || vlen > maxRecordLen {
 			return record{}, 0, fmt.Errorf("storage: bad put header %q", header)
 		}
+		if int64(klen+vlen+1) > left-n {
+			return record{}, 0, &tornError{cause: io.ErrUnexpectedEOF}
+		}
 		body := make([]byte, klen+vlen+1)
 		m, err := io.ReadFull(r, body)
 		n += int64(m)
@@ -296,6 +306,9 @@ func readRecord(r *bufio.Reader) (record, int64, error) {
 		klen, err := strconv.Atoi(fields[1])
 		if err != nil || klen < 0 || klen > maxRecordLen {
 			return record{}, 0, fmt.Errorf("storage: bad delete header %q", header)
+		}
+		if int64(klen+1) > left-n {
+			return record{}, 0, &tornError{cause: io.ErrUnexpectedEOF}
 		}
 		body := make([]byte, klen+1)
 		m, rerr := io.ReadFull(r, body)
