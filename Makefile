@@ -50,20 +50,24 @@ bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke fuzzes the XML writer against its reference serializer, the
-# session record codec's decode/re-encode round trip, restoring decoded
-# records into sessions, the control plane's structure-spec decoding,
-# the If-None-Match matcher against its split reference, the
-# traceparent parser against its reference grammar and the file store's
-# log recovery, ten seconds each, beyond the seed corpora (CI runs
-# this).
+# one-pass links.xml writer against the tree round trip, the session
+# record codec's decode/re-encode round trip, restoring decoded records
+# into sessions, the control plane's structure-spec decoding, the
+# If-None-Match matcher against its split reference, the traceparent
+# parser against its reference grammar, the file store's log recovery,
+# and XPath compilation and XPointer parsing with evaluation, ten
+# seconds each, beyond the seed corpora (CI runs this).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSerializeMatchesReference$$' -fuzztime 10s ./internal/xmldom
+	$(GO) test -run '^$$' -fuzz '^FuzzLinkbaseText$$' -fuzztime 10s ./internal/navigation
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRecord$$' -fuzztime 10s ./internal/navigation
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSession$$' -fuzztime 10s ./internal/navigation
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzEtagMatches$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzFileLogReplay$$' -fuzztime 10s ./internal/storage
+	$(GO) test -run '^$$' -fuzz '^FuzzXPathCompile$$' -fuzztime 10s ./internal/xpath
+	$(GO) test -run '^$$' -fuzz '^FuzzXPointerParse$$' -fuzztime 10s ./internal/xpointer
 
 # api-smoke boots a real navserve with -api-token, drives navctl
 # through a structure swap over the control plane, and asserts the

@@ -14,11 +14,22 @@ type Store struct {
 	instances map[string]*Instance
 	order     []string
 
-	// links[rel] is the ordered list of (from, to) instance-ID pairs.
+	// links[rel] is the ordered list of (from, to) instance-ID pairs, and
+	// index[rel] indexes it.
 	links map[string][]linkPair
+	index map[string]*linkIndex
 }
 
 type linkPair struct{ from, to string }
+
+// linkIndex indexes one relationship's links: the targets of each
+// source and the sources of each target, both in link order, and the
+// pairs linked.
+type linkIndex struct {
+	targets map[string][]string
+	sources map[string][]string
+	pairs   map[linkPair]struct{}
+}
 
 // NewStore returns an empty store over the given schema.
 func NewStore(schema *Schema) *Store {
@@ -26,6 +37,7 @@ func NewStore(schema *Schema) *Store {
 		schema:    schema,
 		instances: map[string]*Instance{},
 		links:     map[string][]linkPair{},
+		index:     map[string]*linkIndex{},
 	}
 }
 
@@ -184,28 +196,28 @@ func (s *Store) Link(rel, fromID, toID string) error {
 	if to.Class != r.Target {
 		return fmt.Errorf("conceptual: %s: target %s is %q, want %q", rel, toID, to.Class, r.Target)
 	}
-	for _, p := range s.links[rel] {
-		if p.from == fromID && p.to == toID {
-			return fmt.Errorf("conceptual: %s: duplicate link %s -> %s", rel, fromID, toID)
-		}
+	ix := s.index[rel]
+	if ix == nil {
+		ix = &linkIndex{targets: map[string][]string{}, sources: map[string][]string{}, pairs: map[linkPair]struct{}{}}
+		s.index[rel] = ix
+	}
+	pair := linkPair{from: fromID, to: toID}
+	if _, dup := ix.pairs[pair]; dup {
+		return fmt.Errorf("conceptual: %s: duplicate link %s -> %s", rel, fromID, toID)
 	}
 	// Cardinality: OneToMany/OneToOne restrict the target to one source;
-	// ManyToOne/OneToOne restrict the source to one target.
-	if r.Card == OneToMany || r.Card == OneToOne {
-		for _, p := range s.links[rel] {
-			if p.to == toID {
-				return fmt.Errorf("conceptual: %s (%s): target %s already linked from %s", rel, r.Card, toID, p.from)
-			}
-		}
+	// ManyToOne/OneToOne restrict the source to one target. Each error
+	// names the first link in the way.
+	if sources := ix.sources[toID]; len(sources) > 0 && (r.Card == OneToMany || r.Card == OneToOne) {
+		return fmt.Errorf("conceptual: %s (%s): target %s already linked from %s", rel, r.Card, toID, sources[0])
 	}
-	if r.Card == ManyToOne || r.Card == OneToOne {
-		for _, p := range s.links[rel] {
-			if p.from == fromID {
-				return fmt.Errorf("conceptual: %s (%s): source %s already linked to %s", rel, r.Card, fromID, p.to)
-			}
-		}
+	if targets := ix.targets[fromID]; len(targets) > 0 && (r.Card == ManyToOne || r.Card == OneToOne) {
+		return fmt.Errorf("conceptual: %s (%s): source %s already linked to %s", rel, r.Card, fromID, targets[0])
 	}
-	s.links[rel] = append(s.links[rel], linkPair{from: fromID, to: toID})
+	s.links[rel] = append(s.links[rel], pair)
+	ix.targets[fromID] = append(ix.targets[fromID], toID)
+	ix.sources[toID] = append(ix.sources[toID], fromID)
+	ix.pairs[pair] = struct{}{}
 	return nil
 }
 
@@ -218,24 +230,31 @@ func (s *Store) MustLink(rel, fromID, toID string) {
 
 // Related returns the targets related to fromID via rel, in link order.
 func (s *Store) Related(fromID, rel string) []*Instance {
-	var out []*Instance
-	for _, p := range s.links[rel] {
-		if p.from == fromID {
-			out = append(out, s.instances[p.to])
-		}
+	if ix := s.index[rel]; ix != nil {
+		return s.instancesByID(ix.targets[fromID])
 	}
-	return out
+	return nil
 }
 
 // RelatedReverse returns the sources whose rel points at toID. When the
 // schema declares an inverse name for rel, traversing by that inverse name
 // is equivalent.
 func (s *Store) RelatedReverse(toID, rel string) []*Instance {
-	var out []*Instance
-	for _, p := range s.links[rel] {
-		if p.to == toID {
-			out = append(out, s.instances[p.from])
-		}
+	if ix := s.index[rel]; ix != nil {
+		return s.instancesByID(ix.sources[toID])
+	}
+	return nil
+}
+
+// instancesByID returns the instances with the given IDs, in order; nil
+// for none.
+func (s *Store) instancesByID(ids []string) []*Instance {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]*Instance, len(ids))
+	for i, id := range ids {
+		out[i] = s.instances[id]
 	}
 	return out
 }

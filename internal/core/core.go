@@ -20,14 +20,19 @@
 // SetAccessStructure re-resolves, regenerates links.xml and re-weaves.
 //
 // The App holds links.xml only as its served bytes, with no tree: the
-// weaver reads the contexts parsed back out of that markup. The round
-// trip runs per context: a mutation builds and reads back only the
-// extended links whose derivation it changed, splices their bytes into
-// a new links.xml between the unchanged contexts' bytes, and re-exports
-// only the data documents it edited. A structure swap re-derives its
-// family's contexts and no document; a caption edit re-exports one
-// document and leaves links.xml as it was; a title edit re-exports its
-// document and rebuilds the contexts that list the title.
+// weaver reads the contexts as that markup reads back. One pass writes
+// both from the derived contexts (navigation.NewLinkbaseText): the
+// bytes the linkbase document serializes to, and the contexts
+// ParseLinkbase would read out of it, with no document built or parsed;
+// a differential test and a fuzz target hold the pass equal to that
+// tree round trip, and the rebuild oracle parses the served bytes. The
+// pass runs per context: a mutation writes only the extended links
+// whose derivation it changed, splices them into a new links.xml
+// between the unchanged contexts' bytes, and re-exports only the data
+// documents it edited. A structure swap re-derives its family's
+// contexts and no document; a caption edit re-exports one document and
+// leaves links.xml as it was; a title edit re-exports its document and
+// rewrites the contexts that list the title.
 package core
 
 import (
@@ -105,14 +110,14 @@ type App struct {
 // builds beside the current one and installs whole, never editing it:
 // the served bytes with where each context's extended link begins in
 // them (the doc cache's links.xml entry is the same body), and its
-// contexts as the weaver reads them, parsed back out of the markup, in
+// contexts as the weaver reads them, as the markup reads back, in
 // linkbase order and by name. Each context is held once: the next
-// rebuild compares its derivation with the parsed context, except where
-// the markup could not carry a derivation exactly (xmldom writes each
-// byte of invalid UTF-8 as U+FFFD), which is then kept in the parsed
-// one's place in the order, so the comparison never takes a change for
-// none. No tree of links.xml stays resident: Linkbase and
-// Repository build one on demand.
+// rebuild compares its derivation with the read-back context, except
+// where the markup could not carry a derivation exactly (xmldom writes
+// each byte of invalid UTF-8 as U+FFFD), which is then kept in the
+// read-back one's place in the order, so the comparison never takes a
+// change for none. No tree of links.xml is built to make it, and none
+// stays resident: Linkbase and Repository build one on demand.
 type linkbase struct {
 	text     navigation.LinkbaseText
 	ordered  []*navigation.LinkbaseContext
@@ -287,9 +292,9 @@ func compareContexts(held, fresh *navigation.LinkbaseContext) (members, structur
 }
 
 // kept returns what the linkbase keeps in its order for a context
-// derived as derived and read back as parsed: the parsed context when
-// it carries the derivation exactly, which it does unless the markup
-// could not.
+// derived as derived that the markup reads back as parsed: the parsed
+// context when it carries the derivation exactly, which it does unless
+// the markup could not.
 func kept(parsed, derived *navigation.LinkbaseContext) *navigation.LinkbaseContext {
 	if members, structure := compareContexts(parsed, derived); members && structure && parsed.Name == derived.Name {
 		return parsed
@@ -297,7 +302,8 @@ func kept(parsed, derived *navigation.LinkbaseContext) *navigation.LinkbaseConte
 	return derived
 }
 
-// link generates the whole linkbase from contexts and reads it back.
+// link writes the whole linkbase of contexts, with the contexts as its
+// markup reads back.
 func link(contexts []*navigation.LinkbaseContext) (*linkbase, error) {
 	text, parsed, err := navigation.NewLinkbaseText(contexts)
 	if err != nil {
@@ -316,12 +322,12 @@ func link(contexts []*navigation.LinkbaseContext) (*linkbase, error) {
 }
 
 // relink makes the linkbase that follows lb when the contexts at the
-// changed positions change. Each is built alone and read back with
-// ParseLinkbase, so the weaver still reads navigation out of linkbase
-// markup and never out of the model, and its bytes are spliced between
-// the unchanged contexts' bytes, which carry over with their parsed
-// contexts. Skipping the other contexts rests on BuildLinkbase being a
-// pure function of its input.
+// changed positions change. Each is written alone, with the context its
+// markup reads back, so the weaver still reads navigation as linkbase
+// markup carries it and never out of the model, and its bytes are
+// spliced between the unchanged contexts' bytes, which carry over with
+// their read-back contexts. Skipping the other contexts rests on an
+// extended link's bytes depending on its context alone.
 func (lb *linkbase) relink(contexts []*navigation.LinkbaseContext, changed []int) (*linkbase, error) {
 	text, parsed, err := lb.text.Splice(contexts, changed)
 	if err != nil {

@@ -42,6 +42,35 @@ func TestAppendIndentedLinkbaseAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkNewApp assembles the synthetic museum's App from its store,
+// as benchMuseum and navserve's start-up do: resolution, the export
+// and serialization of every data document, and links.xml.
+func BenchmarkNewApp(b *testing.B) {
+	store := museum.Synthetic(museum.SyntheticSpec{Painters: 50, PaintingsPerPainter: 20, Movements: 8, Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewApp(store, museum.Model(navigation.IndexedGuidedTour{})); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewLinkbaseText writes the synthetic museum's links.xml from
+// its contexts and reads them back, the linkbase work of NewApp.
+func BenchmarkNewLinkbaseText(b *testing.B) {
+	contexts := navigation.LinkbaseContexts(benchMuseum(b).Resolved())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		text, _, err := navigation.NewLinkbaseText(contexts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(text.Bytes())))
+	}
+}
+
 // BenchmarkAppendIndentedLinkbase serializes the synthetic museum's
 // links.xml into a reused buffer, the work rebuild does per mutation.
 func BenchmarkAppendIndentedLinkbase(b *testing.B) {

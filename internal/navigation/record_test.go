@@ -356,3 +356,20 @@ func BenchmarkSessionRecordParse(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSessionRecordRestore restores a walked session's state into a
+// new session over its model, as rehydrating a returning visitor does.
+func BenchmarkSessionRecordRestore(b *testing.B) {
+	for _, visits := range []int{24, trailLimit} {
+		s := walkedSession(b, visits)
+		rm, st := s.Model(), s.State()
+		b.Run(fmt.Sprintf("trail=%d", visits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := navigation.RestoreSession(rm, st); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -515,7 +515,7 @@ func RestoreSession(model *ResolvedModel, state SessionState) (*Session, error) 
 		}
 	}
 	s := NewSession(model)
-	s.history, s.nav = model.lin.internRecord(state.History, nav)
+	s.history, s.nav = model.internRecord(state.History, nav)
 	s.cur = cur
 	return s, nil
 }

@@ -127,26 +127,69 @@ func (in *interner) sym(s string, clone bool) uint32 {
 	return sym
 }
 
+// symStale stands, while a record is restored, for a name the model's
+// contexts do not hold; no table grows large enough to number a name
+// with it.
+const symStale = ^uint32(0)
+
 // internRecord returns a restored record's trail and history as visits
-// of the lineage's table, interned in one batch. A name the table lacks
-// is cloned, so the table never keeps a decoded record's buffer alive.
-func (l *Lineage) internRecord(history, nav []Visit) (h, n []visit) {
-	l.intern(func(in *interner) {
-		h, n = in.visits(history), in.visits(nav)
-	})
+// of rm's lineage's table. A name rm has resolves through the symbols
+// its contexts hold, with no lock; only the names it lacks (contexts and
+// members the site lost after the record was written, or a node the
+// record places in a context that does not list it) are interned, in
+// one batch. A name the table lacks is cloned, so the table never keeps
+// a decoded record's buffer alive.
+func (rm *ResolvedModel) internRecord(history, nav []Visit) (h, n []visit) {
+	h, staleH := rm.visits(history)
+	n, staleN := rm.visits(nav)
+	if staleH || staleN {
+		rm.lin.intern(func(in *interner) {
+			in.unstale(h, history)
+			in.unstale(n, nav)
+		})
+	}
 	return h, n
 }
 
-// visits interns the names of vs, nil when there are none.
-func (in *interner) visits(vs []Visit) []visit {
+// visits returns vs as visits of rm's contexts' symbols, nil when there
+// are none, with symStale for each name they do not hold, and whether
+// there was one.
+func (rm *ResolvedModel) visits(vs []Visit) ([]visit, bool) {
 	if len(vs) == 0 {
-		return nil
+		return nil, false
 	}
 	out := make([]visit, len(vs))
+	stale := false
+	// A trail mostly steps within one context, so each context is
+	// looked up once per run of visits in it.
+	var rc *ResolvedContext
 	for i, v := range vs {
-		out[i] = visit{in.sym(v.Context, true), in.sym(v.NodeID, true)}
+		if rc == nil || rc.Name != v.Context {
+			rc = rm.byName[v.Context]
+		}
+		w := visit{symStale, symStale}
+		if rc != nil {
+			w.ctx = rc.sym
+			if sym, ok := rc.symOf(v.NodeID); ok {
+				w.node = sym
+			}
+		}
+		out[i] = w
+		stale = stale || w.ctx == symStale || w.node == symStale
 	}
-	return out
+	return out, stale
+}
+
+// unstale interns the names of vs that out holds as symStale.
+func (in *interner) unstale(out []visit, vs []Visit) {
+	for i := range out {
+		if out[i].ctx == symStale {
+			out[i].ctx = in.sym(vs[i].Context, true)
+		}
+		if out[i].node == symStale {
+			out[i].node = in.sym(vs[i].NodeID, true)
+		}
+	}
 }
 
 // remap re-interns lists of visits of l in to's table, in place.

@@ -68,7 +68,14 @@ type File struct {
 	// outgrow (as well as compactAt) before it is compacted.
 	snapshotBytes int64
 	closed        bool
+	// enc is the buffer records are encoded into on their way to the log
+	// or a snapshot, reused from one record to the next; f.mu guards it.
+	// Grown past encKeep by a large record, it is let go after use.
+	enc []byte
 }
+
+// encKeep is the largest encode buffer a File keeps between records.
+const encKeep = 64 << 10
 
 // OpenFile opens (creating if needed) a file store rooted at dir and
 // replays its snapshot and log into memory.
@@ -246,18 +253,41 @@ func isTorn(err error) bool {
 func appendRecord(buf []byte, rec record) []byte {
 	switch rec.op {
 	case opPut:
-		buf = append(buf, fmt.Sprintf("p %d %d\n", len(rec.key), len(rec.value))...)
+		buf = append(buf, "p "...)
+		buf = strconv.AppendInt(buf, int64(len(rec.key)), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(len(rec.value)), 10)
+		buf = append(buf, '\n')
 		buf = append(buf, rec.key...)
 		buf = append(buf, rec.value...)
 		buf = append(buf, '\n')
 	case opDelete:
-		buf = append(buf, fmt.Sprintf("d %d\n", len(rec.key))...)
+		buf = append(buf, "d "...)
+		buf = strconv.AppendInt(buf, int64(len(rec.key)), 10)
+		buf = append(buf, '\n')
 		buf = append(buf, rec.key...)
 		buf = append(buf, '\n')
 	case opGen:
-		buf = append(buf, fmt.Sprintf("g %d\n", rec.gen)...)
+		buf = append(buf, "g "...)
+		buf = strconv.AppendUint(buf, rec.gen, 10)
+		buf = append(buf, '\n')
 	}
 	return buf
+}
+
+// encode encodes rec into f's encode buffer and returns the bytes,
+// valid until the next call or release. f.mu must be held.
+func (f *File) encode(rec record) []byte {
+	f.enc = appendRecord(f.enc[:0], rec)
+	return f.enc
+}
+
+// releaseEnc lets go of an encode buffer a large record grew past
+// encKeep. f.mu must be held.
+func (f *File) releaseEnc() {
+	if cap(f.enc) > encKeep {
+		f.enc = nil
+	}
 }
 
 // readRecord decodes the next record from r, which holds left more
@@ -343,7 +373,8 @@ func (f *File) appendLocked(rec record) error {
 	if len(rec.key) > maxRecordLen || len(rec.value) > maxRecordLen {
 		return fmt.Errorf("storage: record exceeds %d-byte limit", maxRecordLen)
 	}
-	buf := appendRecord(nil, rec)
+	buf := f.encode(rec)
+	defer f.releaseEnc()
 	if _, err := f.log.Write(buf); err != nil {
 		// Roll the log back to the last record boundary. Without this a
 		// short write would sit mid-file, get buried by the next
@@ -384,15 +415,15 @@ func (f *File) compactLocked() error {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var buf []byte
-	buf = appendRecord(buf[:0], record{op: opGen, gen: f.gen})
+	defer f.releaseEnc()
+	buf := f.encode(record{op: opGen, gen: f.gen})
 	size += int64(len(buf))
 	if _, err := w.Write(buf); err != nil {
 		tmp.Close()
 		return fmt.Errorf("storage: compacting: %w", err)
 	}
 	for _, k := range keys {
-		buf = appendRecord(buf[:0], record{op: opPut, key: k, value: f.data[k]})
+		buf = f.encode(record{op: opPut, key: k, value: f.data[k]})
 		size += int64(len(buf))
 		if _, err := w.Write(buf); err != nil {
 			tmp.Close()

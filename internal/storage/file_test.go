@@ -278,3 +278,42 @@ func TestFileAbsurdLengthHeaderRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestFileLogBytes: the log holds each record in its documented
+// encoding, byte for byte as fmt formats it, generations past the int64
+// range and empty and large values included, and a compaction writes
+// the snapshot in the same encoding.
+func TestFileLogBytes(t *testing.T) {
+	dir := t.TempDir()
+	st, err := storage.OpenFile(dir, storage.WithCompactBytes(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	large := strings.Repeat("x\n", 40<<10)
+	var want strings.Builder
+	for _, kv := range [][2]string{{"a", "1"}, {"site/links.xml", large}, {"empty", ""}, {"a", "2"}} {
+		if err := st.Put(kv[0], []byte(kv[1])); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&want, "p %d %d\n%s%s\n", len(kv[0]), len(kv[1]), kv[0], kv[1])
+	}
+	if err := st.Delete("empty"); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&want, "d %d\n%s\n", len("empty"), "empty")
+	const gen = 1<<64 - 2
+	if err := st.SetGeneration(gen); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&want, "g %d\n", uint64(gen))
+	if got, err := os.ReadFile(filepath.Join(dir, "log")); err != nil || string(got) != want.String() {
+		t.Fatalf("log holds %q (%v), want %q", got, err, want.String())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := fmt.Sprintf("g %d\np 1 1\na2\np 14 %d\nsite/links.xml%s\n", uint64(gen), len(large), large)
+	if got, err := os.ReadFile(filepath.Join(dir, "snapshot")); err != nil || string(got) != snapshot {
+		t.Fatalf("snapshot holds %q (%v), want %q", got, err, snapshot)
+	}
+}

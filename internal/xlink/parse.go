@@ -167,7 +167,7 @@ func parseSimple(e *xmldom.Element) (*Simple, error) {
 	if s.Href == "" {
 		return nil, fmt.Errorf("xlink: simple link <%s> missing xlink:href", e.Path())
 	}
-	if !validShow(s.Show) {
+	if !s.Show.Valid() {
 		return nil, fmt.Errorf("xlink: simple link <%s>: invalid xlink:show %q", e.Path(), s.Show)
 	}
 	if !validActuate(s.Actuate) {
@@ -213,7 +213,7 @@ func parseExtended(e *xmldom.Element) (*Extended, error) {
 				show:    Show(attr(c, "show")),
 				actuate: Actuate(attr(c, "actuate")),
 			}
-			if !validShow(arc.show) {
+			if !arc.show.Valid() {
 				return nil, fmt.Errorf("xlink: arc <%s>: invalid xlink:show %q", c.Path(), arc.show)
 			}
 			if !validActuate(arc.actuate) {

@@ -58,7 +58,9 @@ const (
 	ActuateNone        Actuate = "none"
 )
 
-func validShow(s Show) bool {
+// Valid reports whether s is in xlink:show's value space; the XLink
+// processor rejects a link whose behaviour is not.
+func (s Show) Valid() bool {
 	switch s {
 	case ShowUnspecified, ShowNew, ShowReplace, ShowEmbed, ShowOther, ShowNone:
 		return true

@@ -375,9 +375,17 @@ func (s *serializer) attr(prefix, local, value string) {
 	s.buf = append(s.buf, ' ')
 	s.buf = appendName(s.buf, prefix, local)
 	s.buf = append(s.buf, `="`...)
-	s.buf = appendEscaped(s.buf, value, true)
+	s.buf = AppendAttrValue(s.buf, value)
 	s.buf = append(s.buf, '"')
 }
+
+// AppendAttrValue appends str escaped as the serializer writes every
+// attribute value, and returns the extended slice: &, <, >, " and the
+// whitespace characters tab, line feed and carriage return become
+// references, and each byte of invalid UTF-8 becomes U+FFFD. Writers
+// that produce markup without a tree escape through it, so their bytes
+// and the serializer's cannot drift apart.
+func AppendAttrValue(dst []byte, str string) []byte { return appendEscaped(dst, str, true) }
 
 func appendName(dst []byte, prefix, local string) []byte {
 	if prefix != "" {
