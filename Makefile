@@ -53,10 +53,11 @@ bench-module:
 # one-pass links.xml writer against the tree round trip, the session
 # record codec's decode/re-encode round trip, restoring decoded records
 # into sessions, the control plane's structure-spec decoding, the
-# If-None-Match matcher against its split reference, the traceparent
-# parser against its reference grammar, the file store's log recovery,
-# and XPath compilation and XPointer parsing with evaluation, ten
-# seconds each, beyond the seed corpora (CI runs this).
+# If-None-Match matcher against its split reference, the session-cookie
+# scanner against r.Cookie, the traceparent parser against its reference
+# grammar, the file store's log recovery and its header splitter against
+# strings.Fields, and XPath compilation and XPointer parsing with
+# evaluation, ten seconds each, beyond the seed corpora (CI runs this).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSerializeMatchesReference$$' -fuzztime 10s ./internal/xmldom
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkbaseText$$' -fuzztime 10s ./internal/navigation
@@ -64,8 +65,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSession$$' -fuzztime 10s ./internal/navigation
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzEtagMatches$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionCookie$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzFileLogReplay$$' -fuzztime 10s ./internal/storage
+	$(GO) test -run '^$$' -fuzz '^FuzzHeaderFields$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzXPathCompile$$' -fuzztime 10s ./internal/xpath
 	$(GO) test -run '^$$' -fuzz '^FuzzXPointerParse$$' -fuzztime 10s ./internal/xpointer
 

@@ -23,12 +23,25 @@ type Store struct {
 type linkPair struct{ from, to string }
 
 // linkIndex indexes one relationship's links: the targets of each
-// source and the sources of each target, both in link order, and the
-// pairs linked.
+// source and the sources of each target, both in link order.
 type linkIndex struct {
 	targets map[string][]string
 	sources map[string][]string
-	pairs   map[linkPair]struct{}
+}
+
+// linked reports whether fromID is already linked to toID, scanning the
+// shorter of fromID's targets and toID's sources.
+func (ix *linkIndex) linked(fromID, toID string) bool {
+	ids, want := ix.targets[fromID], toID
+	if sources := ix.sources[toID]; len(sources) < len(ids) {
+		ids, want = sources, fromID
+	}
+	for _, id := range ids {
+		if id == want {
+			return true
+		}
+	}
+	return false
 }
 
 // NewStore returns an empty store over the given schema.
@@ -198,11 +211,10 @@ func (s *Store) Link(rel, fromID, toID string) error {
 	}
 	ix := s.index[rel]
 	if ix == nil {
-		ix = &linkIndex{targets: map[string][]string{}, sources: map[string][]string{}, pairs: map[linkPair]struct{}{}}
+		ix = &linkIndex{targets: map[string][]string{}, sources: map[string][]string{}}
 		s.index[rel] = ix
 	}
-	pair := linkPair{from: fromID, to: toID}
-	if _, dup := ix.pairs[pair]; dup {
+	if ix.linked(fromID, toID) {
 		return fmt.Errorf("conceptual: %s: duplicate link %s -> %s", rel, fromID, toID)
 	}
 	// Cardinality: OneToMany/OneToOne restrict the target to one source;
@@ -214,10 +226,9 @@ func (s *Store) Link(rel, fromID, toID string) error {
 	if targets := ix.targets[fromID]; len(targets) > 0 && (r.Card == ManyToOne || r.Card == OneToOne) {
 		return fmt.Errorf("conceptual: %s (%s): source %s already linked to %s", rel, r.Card, fromID, targets[0])
 	}
-	s.links[rel] = append(s.links[rel], pair)
+	s.links[rel] = append(s.links[rel], linkPair{from: fromID, to: toID})
 	ix.targets[fromID] = append(ix.targets[fromID], toID)
 	ix.sources[toID] = append(ix.sources[toID], fromID)
-	ix.pairs[pair] = struct{}{}
 	return nil
 }
 

@@ -16,7 +16,7 @@ import (
 // bookkeeping and the session step. The guards keep regressions from
 // sneaking the serialization back onto the request path.
 const (
-	maxPageServeAllocs = 9
+	maxPageServeAllocs = 7
 	maxDocServeAllocs  = 8
 )
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"net/http"
 	"reflect"
 	"strings"
 	"testing"
@@ -107,6 +108,42 @@ func FuzzEtagMatches(f *testing.F) {
 		}
 		if got, want := etagMatches(header, etag), etagMatchesSplit(header, etag); got != want {
 			t.Fatalf("etagMatches(%q, %q) = %v, the split reading says %v", header, etag, got, want)
+		}
+	})
+}
+
+// FuzzSessionCookie compares sessionCookieValue with r.Cookie over
+// arbitrary one- to three-line Cookie headers: both find the same
+// navsession value, or none.
+func FuzzSessionCookie(f *testing.F) {
+	for _, seed := range [][3]string{
+		{"navsession=abc", "", ""},
+		{"a=1; navsession=abc; b=2", "", ""},
+		{"navsession=\"abc\"", "", ""},
+		{"navsession=a\\b; navsession=ok", "", ""},
+		{"navsession=; navsession=later", "", ""},
+		{" navsession = abc ;", "", ""},
+		{"navsession", "navsession=x", ""},
+		{"other=1", "navsession=\"\"", "navsession=y"},
+		{"navsession=\"", "navsession=\xff", "navsession=\tz"},
+		{"NAVSESSION=abc;navsession=a b", "", ""},
+	} {
+		f.Add(seed[0], seed[1], seed[2])
+	}
+	f.Fuzz(func(t *testing.T, a, b, c string) {
+		r := &http.Request{Header: http.Header{"Cookie": {a}}}
+		if b != "" {
+			r.Header["Cookie"] = append(r.Header["Cookie"], b)
+			if c != "" {
+				r.Header["Cookie"] = append(r.Header["Cookie"], c)
+			}
+		}
+		want := ""
+		if cookie, err := r.Cookie(sessionCookie); err == nil {
+			want = cookie.Value
+		}
+		if got := sessionCookieValue(r); got != want {
+			t.Fatalf("sessionCookieValue(%q) = %q, r.Cookie says %q", r.Header["Cookie"], got, want)
 		}
 	})
 }

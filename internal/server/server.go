@@ -54,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/textproto"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -747,10 +748,7 @@ func splitPagePath(path string) (contextName, nodeID string, err error) {
 // SameSite=Lax: the session id is never readable from page scripts and
 // is not sent on cross-site subrequests.
 func (s *Server) session(w http.ResponseWriter, r *http.Request, rt reqTrace) (string, *navigation.Session) {
-	id := ""
-	if c, err := r.Cookie(sessionCookie); err == nil && c.Value != "" {
-		id = c.Value
-	}
+	id := sessionCookieValue(r)
 	if sess := s.lookup(id, rt); sess != nil {
 		// A session resolves against the newest model, so its
 		// traversals follow the same edges the woven pages show; Rebase
@@ -775,6 +773,41 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request, rt reqTrace) (s
 	sess.SetTrailLimit(s.trailLimit)
 	s.sessions.put(id, sess)
 	return id, sess
+}
+
+// sessionCookieValue returns the value r.Cookie(sessionCookie) returns —
+// the first valid cookie of that name, quotes stripped, invalid values
+// skipped — or "" when there is none, without building a Cookie for
+// every pair in the header. The value is a substring of the header.
+func sessionCookieValue(r *http.Request) string {
+	for _, line := range r.Header["Cookie"] {
+		for len(line) > 0 {
+			var part string
+			part, line, _ = strings.Cut(line, ";")
+			name, val, _ := strings.Cut(textproto.TrimString(part), "=")
+			if textproto.TrimString(name) != sessionCookie {
+				continue
+			}
+			if len(val) > 1 && val[0] == '"' && val[len(val)-1] == '"' {
+				val = val[1 : len(val)-1]
+			}
+			if validCookieValue(val) {
+				return val
+			}
+		}
+	}
+	return ""
+}
+
+// validCookieValue reports whether every byte of v may appear in a
+// cookie value, by net/http's rule.
+func validCookieValue(v string) bool {
+	for i := 0; i < len(v); i++ {
+		if b := v[i]; b < 0x20 || b >= 0x7f || b == '"' || b == ';' || b == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 // lookup finds a live session by id: in memory first, then (when
@@ -857,8 +890,9 @@ func (s *Server) rehydrate(id string) *navigation.Session {
 	sess.SetTrailLimit(s.trailLimit)
 	// putIfAbsent, not put: a concurrent request may have rehydrated
 	// (and even advanced) this session while we were rebuilding it, and
-	// overwriting would roll the visitor back a step.
-	return s.sessions.putIfAbsent(id, sess)
+	// overwriting would roll the visitor back a step. The id is cut from
+	// the request's Cookie header; the table keeps a copy, not the header.
+	return s.sessions.putIfAbsent(strings.Clone(id), sess)
 }
 
 // serveSession returns the requester's visit trail as JSON — the context
@@ -867,12 +901,10 @@ func (s *Server) rehydrate(id string) *navigation.Session {
 //repro:nostore
 func (s *Server) serveSession(w http.ResponseWriter, r *http.Request, rt reqTrace) {
 	visits := []navigation.Visit{}
-	if c, err := r.Cookie(sessionCookie); err == nil {
-		if sess := s.lookup(c.Value, rt); sess != nil {
-			visits = sess.History()
-			if visits == nil {
-				visits = []navigation.Visit{}
-			}
+	if sess := s.lookup(sessionCookieValue(r), rt); sess != nil {
+		visits = sess.History()
+		if visits == nil {
+			visits = []navigation.Visit{}
 		}
 	}
 	// The trail is keyed by the requester's cookie; a shared cache serving
@@ -900,16 +932,14 @@ type historyJSON struct {
 //repro:nostore
 func (s *Server) serveHistory(w http.ResponseWriter, r *http.Request, rt reqTrace) {
 	h := historyJSON{Entries: []navigation.Visit{}}
-	if c, err := r.Cookie(sessionCookie); err == nil {
-		if sess := s.lookup(c.Value, rt); sess != nil {
-			entries, cur := sess.NavHistory()
-			if entries != nil {
-				h.Entries = entries
-			}
-			h.Cursor = cur
-			h.CanBack = cur > 0 && len(entries) > 0
-			h.CanForward = cur < len(entries)-1
+	if sess := s.lookup(sessionCookieValue(r), rt); sess != nil {
+		entries, cur := sess.NavHistory()
+		if entries != nil {
+			h.Entries = entries
 		}
+		h.Cursor = cur
+		h.CanBack = cur > 0 && len(entries) > 0
+		h.CanForward = cur < len(entries)-1
 	}
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("Content-Type", "application/json")

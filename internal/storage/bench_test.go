@@ -77,3 +77,46 @@ func BenchmarkFileReopen(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// BenchmarkFileOpenResumeShaped measures opening the store the resume
+// workload restarts over: 21,059 records in a 7.6 MB snapshot.
+func BenchmarkFileOpenResumeShaped(b *testing.B) {
+	dir := b.TempDir()
+	writeResumeShaped(b, dir)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := storage.OpenFile(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := st.CloseWithoutFlush(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// BenchmarkFileGet measures reading session records back out of a
+// resume-shaped store, as a restarted server rehydrates its visitors.
+func BenchmarkFileGet(b *testing.B) {
+	dir := b.TempDir()
+	writeResumeShaped(b, dir)
+	st, err := storage.OpenFile(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.CloseWithoutFlush()
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = resumeSessionKey(i * (resumeSessions / len(keys)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.Get(keys[i%len(keys)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,14 +2,17 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
 )
 
 // File layout: <dir>/snapshot holds the full state as of the last
@@ -50,19 +53,31 @@ func WithCompactBytes(n int64) FileOption {
 	return func(f *File) { f.compactAt = n }
 }
 
-// File is the durable Store backend: an in-memory map mirrored to an
-// append-only record log with periodic snapshot compaction. Reads are
-// served from memory; every mutation is appended to the log before it is
-// applied, so the on-disk state is never behind the in-memory one.
+// File is the durable Store backend: an append-only record log with
+// periodic snapshot compaction, indexed by an in-memory key directory.
+// The directory maps each key to where its value's bytes are — the
+// snapshot or the log, an offset and a length — and Get and Scan read
+// values from those files with pread, so values live in the kernel's
+// reclaimable page cache, not in the heap (nor in the process's resident
+// set, where mapping the files would put them). A key costs its string
+// plus one map slot of a 16-byte string header and a 16-byte location:
+// about 100 bytes for a session key. Every mutation is appended to the
+// log before the directory points at it, so the on-disk state is never
+// behind the directory.
 type File struct {
 	dir       string
 	compactAt int64
 
-	mu       sync.Mutex
-	data     map[string][]byte
-	gen      uint64
-	log      *os.File
-	lock     *os.File
+	mu   sync.Mutex
+	data map[string]loc
+	gen  uint64
+	// snap is a read handle on the snapshot the directory points into;
+	// nil while there is none.
+	snap *os.File
+	log  *os.File
+	lock *os.File
+	// logBytes is the log's length: every record is written at it, so it
+	// never drifts from the offsets the directory records.
 	logBytes int64
 	// snapshotBytes is the size of the snapshot file, which the log must
 	// outgrow (as well as compactAt) before it is compacted.
@@ -74,11 +89,19 @@ type File struct {
 	enc []byte
 }
 
+// loc is where a stored value's n bytes are: at off in the log, or in
+// the snapshot.
+type loc struct {
+	off   int64
+	n     int32
+	inLog bool
+}
+
 // encKeep is the largest encode buffer a File keeps between records.
 const encKeep = 64 << 10
 
 // OpenFile opens (creating if needed) a file store rooted at dir and
-// replays its snapshot and log into memory.
+// replays its snapshot and log into the key directory.
 func OpenFile(dir string, opts ...FileOption) (*File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: opening file store: %w", err)
@@ -86,7 +109,7 @@ func OpenFile(dir string, opts ...FileOption) (*File, error) {
 	f := &File{
 		dir:       dir,
 		compactAt: DefaultCompactBytes,
-		data:      map[string][]byte{},
+		data:      map[string]loc{},
 	}
 	for _, opt := range opts {
 		opt(f)
@@ -99,6 +122,7 @@ func OpenFile(dir string, opts ...FileOption) (*File, error) {
 		return nil, err
 	}
 	if err := f.replayLog(); err != nil {
+		f.closeSnapshot()
 		f.releaseLock()
 		return nil, err
 	}
@@ -131,8 +155,17 @@ func (f *File) releaseLock() {
 	}
 }
 
-// loadSnapshot replays the snapshot file, if any. A snapshot is written
-// atomically (temp + rename), so unlike the log it must parse cleanly.
+// closeSnapshot closes the snapshot read handle, if any.
+func (f *File) closeSnapshot() {
+	if f.snap != nil {
+		f.snap.Close()
+		f.snap = nil
+	}
+}
+
+// loadSnapshot replays the snapshot file, if any, and keeps it open for
+// reads. A snapshot is written atomically (temp + rename), so unlike the
+// log it must parse cleanly.
 func (f *File) loadSnapshot() error {
 	file, err := os.Open(filepath.Join(f.dir, snapshotFile))
 	if os.IsNotExist(err) {
@@ -141,11 +174,12 @@ func (f *File) loadSnapshot() error {
 	if err != nil {
 		return fmt.Errorf("storage: opening snapshot: %w", err)
 	}
-	defer file.Close()
-	f.snapshotBytes, err = f.replay(file, false)
+	f.snapshotBytes, err = f.replay(file, false, false)
 	if err != nil {
+		file.Close()
 		return fmt.Errorf("storage: snapshot corrupt: %w", err)
 	}
+	f.snap = file
 	return nil
 }
 
@@ -158,7 +192,7 @@ func (f *File) replayLog() error {
 	if err != nil {
 		return fmt.Errorf("storage: opening log: %w", err)
 	}
-	good, err := f.replay(file, true)
+	good, err := f.replay(file, true, true)
 	if err != nil {
 		file.Close()
 		return fmt.Errorf("storage: log corrupt: %w", err)
@@ -167,26 +201,24 @@ func (f *File) replayLog() error {
 		file.Close()
 		return fmt.Errorf("storage: truncating torn log tail: %w", err)
 	}
-	if _, err := file.Seek(good, io.SeekStart); err != nil {
-		file.Close()
-		return fmt.Errorf("storage: seeking log: %w", err)
-	}
 	f.log = file
 	f.logBytes = good
 	return nil
 }
 
-// replay applies the records in file to the in-memory state and returns
-// the byte offset of the last complete record. With tolerateTorn, a
-// record cut short by EOF stops the replay cleanly (the offset excludes
-// it); otherwise it is an error. Malformed records that are not torn
-// tails are errors either way.
-func (f *File) replay(file *os.File, tolerateTorn bool) (int64, error) {
+// replay indexes the records in file (the log when inLog, else the
+// snapshot) into the key directory and returns the byte offset of the
+// last complete record. With tolerateTorn, a record cut short by EOF
+// stops the replay cleanly (the offset excludes it); otherwise it is an
+// error. Malformed records that are not torn tails are errors either way.
+func (f *File) replay(file *os.File, inLog, tolerateTorn bool) (int64, error) {
 	info, err := file.Stat()
 	if err != nil {
 		return 0, err
 	}
-	r := bufio.NewReader(file)
+	// A 64 KiB buffer reads a large snapshot in a sixteenth of the
+	// syscalls the default 4 KiB one takes.
+	r := bufio.NewReaderSize(file, 64<<10)
 	var offset int64
 	for {
 		rec, n, err := readRecord(r, info.Size()-offset)
@@ -199,16 +231,44 @@ func (f *File) replay(file *os.File, tolerateTorn bool) (int64, error) {
 			}
 			return offset, err
 		}
+		offset += n
 		switch rec.op {
 		case opPut:
-			f.data[rec.key] = rec.value
+			f.data[rec.key] = valueLoc(offset, rec.vlen, inLog)
 		case opDelete:
 			delete(f.data, rec.key)
 		case opGen:
 			f.gen = rec.gen
 		}
-		offset += n
 	}
+}
+
+// valueLoc locates the vlen-byte value of the put record that ends at
+// end: its last bytes before the terminating newline.
+func valueLoc(end int64, vlen int, inLog bool) loc {
+	return loc{off: end - int64(vlen) - 1, n: int32(vlen), inLog: inLog}
+}
+
+// readAt reads the value at l into v, which is l.n bytes long. f.mu
+// must be held: a compaction or log truncation moves values.
+func (f *File) readAt(v []byte, l loc) error {
+	file := f.snap
+	if l.inLog {
+		file = f.log
+	}
+	if _, err := file.ReadAt(v, l.off); err != nil {
+		return fmt.Errorf("storage: reading value: %w", err)
+	}
+	return nil
+}
+
+// read returns a fresh copy of the value at l. f.mu must be held.
+func (f *File) read(l loc) ([]byte, error) {
+	v := make([]byte, l.n)
+	if err := f.readAt(v, l); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // Record ops.
@@ -225,11 +285,14 @@ const (
 // recovery is designed to give.
 const maxRecordLen = 64 << 20
 
-// record is one decoded log/snapshot entry.
+// record is one log/snapshot entry. A record to encode carries its
+// value; a decoded one carries only the value's length, vlen, since
+// replay leaves values on disk.
 type record struct {
 	op    byte
 	key   string
 	value []byte
+	vlen  int
 	gen   uint64
 }
 
@@ -291,28 +354,30 @@ func (f *File) releaseEnc() {
 }
 
 // readRecord decodes the next record from r, which holds left more
-// bytes, returning it and the number of bytes it occupied. io.EOF at a
-// record boundary is returned as-is; an EOF inside a record comes back
-// as *tornError — before the body is allocated, when the header
-// declares more bytes than are left.
+// bytes, returning it and the number of bytes it occupied. The header is
+// parsed where r buffers it and the value is skipped, so a put costs one
+// allocation, its key. io.EOF at a record boundary is returned as-is; an
+// EOF inside a record comes back as *tornError — before the body is
+// read, when the header declares more bytes than are left.
 func readRecord(r *bufio.Reader, left int64) (record, int64, error) {
-	header, err := r.ReadString('\n')
-	if err == io.EOF && header == "" {
+	header, err := readHeader(r)
+	if err == io.EOF && len(header) == 0 {
 		return record{}, 0, io.EOF
 	}
 	if err != nil {
 		return record{}, 0, &tornError{cause: err}
 	}
 	n := int64(len(header))
-	fields := strings.Fields(strings.TrimSuffix(header, "\n"))
+	var buf [4][]byte
+	fields := headerFields(header[:len(header)-1], buf[:0])
 	if len(fields) == 0 {
 		return record{}, 0, fmt.Errorf("storage: empty record header")
 	}
 	rec := record{op: fields[0][0]}
 	switch {
-	case fields[0] == "p" && len(fields) == 3:
-		klen, err1 := strconv.Atoi(fields[1])
-		vlen, err2 := strconv.Atoi(fields[2])
+	case string(fields[0]) == "p" && len(fields) == 3:
+		klen, err1 := strconv.Atoi(string(fields[1]))
+		vlen, err2 := strconv.Atoi(string(fields[2]))
 		if err1 != nil || err2 != nil ||
 			klen < 0 || vlen < 0 || klen > maxRecordLen || vlen > maxRecordLen {
 			return record{}, 0, fmt.Errorf("storage: bad put header %q", header)
@@ -320,39 +385,34 @@ func readRecord(r *bufio.Reader, left int64) (record, int64, error) {
 		if int64(klen+vlen+1) > left-n {
 			return record{}, 0, &tornError{cause: io.ErrUnexpectedEOF}
 		}
-		body := make([]byte, klen+vlen+1)
-		m, err := io.ReadFull(r, body)
-		n += int64(m)
+		if rec.key, err = readKey(r, klen); err == nil {
+			_, err = r.Discard(vlen)
+		}
 		if err != nil {
 			return record{}, 0, &tornError{cause: err}
 		}
-		if body[klen+vlen] != '\n' {
-			return record{}, 0, fmt.Errorf("storage: unterminated put record")
+		if err := readTerminator(r, "put"); err != nil {
+			return record{}, 0, err
 		}
-		rec.key = string(body[:klen])
-		rec.value = body[klen : klen+vlen]
-		return rec, n, nil
-	case fields[0] == "d" && len(fields) == 2:
-		klen, err := strconv.Atoi(fields[1])
+		rec.vlen = vlen
+		return rec, n + int64(klen+vlen+1), nil
+	case string(fields[0]) == "d" && len(fields) == 2:
+		klen, err := strconv.Atoi(string(fields[1]))
 		if err != nil || klen < 0 || klen > maxRecordLen {
 			return record{}, 0, fmt.Errorf("storage: bad delete header %q", header)
 		}
 		if int64(klen+1) > left-n {
 			return record{}, 0, &tornError{cause: io.ErrUnexpectedEOF}
 		}
-		body := make([]byte, klen+1)
-		m, rerr := io.ReadFull(r, body)
-		n += int64(m)
-		if rerr != nil {
-			return record{}, 0, &tornError{cause: rerr}
+		if rec.key, err = readKey(r, klen); err != nil {
+			return record{}, 0, &tornError{cause: err}
 		}
-		if body[klen] != '\n' {
-			return record{}, 0, fmt.Errorf("storage: unterminated delete record")
+		if err := readTerminator(r, "delete"); err != nil {
+			return record{}, 0, err
 		}
-		rec.key = string(body[:klen])
-		return rec, n, nil
-	case fields[0] == "g" && len(fields) == 2:
-		gen, err := strconv.ParseUint(fields[1], 10, 64)
+		return rec, n + int64(klen+1), nil
+	case string(fields[0]) == "g" && len(fields) == 2:
+		gen, err := strconv.ParseUint(string(fields[1]), 10, 64)
 		if err != nil {
 			return record{}, 0, fmt.Errorf("storage: bad generation header %q", header)
 		}
@@ -363,9 +423,70 @@ func readRecord(r *bufio.Reader, left int64) (record, int64, error) {
 	}
 }
 
-// appendLocked writes one record to the log and applies it to memory,
-// compacting when the log has outgrown both compactAt and the snapshot.
-// f.mu must be held.
+// readHeader reads a record header through its newline. The line is r's
+// own buffer, valid until the next read; a line longer than the buffer
+// (never a header this package writes) is copied out whole.
+func readHeader(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	head := bytes.Clone(line)
+	rest, err := r.ReadBytes('\n')
+	return append(head, rest...), err
+}
+
+// headerFields appends the fields of a header line, split around runs
+// of white space exactly as strings.Fields splits, to fields.
+func headerFields(line []byte, fields [][]byte) [][]byte {
+	for {
+		i := bytes.IndexFunc(line, isNotSpace)
+		if i < 0 {
+			return fields
+		}
+		line = line[i:]
+		j := bytes.IndexFunc(line, unicode.IsSpace)
+		if j < 0 {
+			return append(fields, line)
+		}
+		fields = append(fields, line[:j])
+		line = line[j:]
+	}
+}
+
+func isNotSpace(r rune) bool { return !unicode.IsSpace(r) }
+
+// readKey reads a klen-byte key from r into a string.
+func readKey(r *bufio.Reader, klen int) (string, error) {
+	if klen > r.Size() {
+		b := make([]byte, klen)
+		_, err := io.ReadFull(r, b)
+		return string(b), err
+	}
+	b, err := r.Peek(klen)
+	if err != nil {
+		return "", err
+	}
+	key := string(b)
+	_, err = r.Discard(klen)
+	return key, err
+}
+
+// readTerminator reads the newline that ends a record of the given kind.
+func readTerminator(r *bufio.Reader, kind string) error {
+	c, err := r.ReadByte()
+	if err != nil {
+		return &tornError{cause: err}
+	}
+	if c != '\n' {
+		return fmt.Errorf("storage: unterminated %s record", kind)
+	}
+	return nil
+}
+
+// appendLocked writes one record to the log and points the key
+// directory at it, compacting when the log has outgrown both compactAt
+// and the snapshot. f.mu must be held.
 func (f *File) appendLocked(rec record) error {
 	if f.closed {
 		return ErrClosed
@@ -375,20 +496,18 @@ func (f *File) appendLocked(rec record) error {
 	}
 	buf := f.encode(rec)
 	defer f.releaseEnc()
-	if _, err := f.log.Write(buf); err != nil {
-		// Roll the log back to the last record boundary. Without this a
-		// short write would sit mid-file, get buried by the next
-		// successful append, and turn into a non-torn parse error that
-		// bricks the store on reopen.
-		if terr := f.log.Truncate(f.logBytes); terr == nil {
-			_, _ = f.log.Seek(f.logBytes, io.SeekStart)
-		}
+	if _, err := f.log.WriteAt(buf, f.logBytes); err != nil {
+		// Roll the log back to the last record boundary. The next record
+		// is written at logBytes either way; without this a short write
+		// longer than that record would outlast it and turn into a
+		// non-torn parse error that bricks the store on reopen.
+		_ = f.log.Truncate(f.logBytes)
 		return fmt.Errorf("storage: appending to log: %w", err)
 	}
 	f.logBytes += int64(len(buf))
 	switch rec.op {
 	case opPut:
-		f.data[rec.key] = append([]byte(nil), rec.value...)
+		f.data[rec.key] = valueLoc(f.logBytes, len(rec.value), true)
 	case opDelete:
 		delete(f.data, rec.key)
 	case opGen:
@@ -401,61 +520,79 @@ func (f *File) appendLocked(rec record) error {
 }
 
 // compactLocked rewrites the full state as a fresh snapshot (temp file,
-// fsync, rename) and truncates the log. f.mu must be held.
+// fsync, rename), points the key directory at it and truncates the log.
+// f.mu must be held.
 func (f *File) compactLocked() error {
 	tmpPath := filepath.Join(f.dir, snapshotTmp)
 	tmp, err := os.Create(tmpPath)
 	if err != nil {
 		return fmt.Errorf("storage: compacting: %w", err)
 	}
-	w := bufio.NewWriter(tmp)
-	var size int64
-	keys := make([]string, 0, len(f.data))
-	for k := range f.data {
-		keys = append(keys, k)
+	keys, offs, size, err := f.writeSnapshot(tmp)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	sort.Strings(keys)
-	defer f.releaseEnc()
-	buf := f.encode(record{op: opGen, gen: f.gen})
-	size += int64(len(buf))
-	if _, err := w.Write(buf); err != nil {
+	if err != nil {
 		tmp.Close()
-		return fmt.Errorf("storage: compacting: %w", err)
-	}
-	for _, k := range keys {
-		buf = f.encode(record{op: opPut, key: k, value: f.data[k]})
-		size += int64(len(buf))
-		if _, err := w.Write(buf); err != nil {
-			tmp.Close()
-			return fmt.Errorf("storage: compacting: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("storage: compacting: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("storage: compacting: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("storage: compacting: %w", err)
 	}
 	if err := os.Rename(tmpPath, filepath.Join(f.dir, snapshotFile)); err != nil {
+		tmp.Close()
 		return fmt.Errorf("storage: publishing snapshot: %w", err)
 	}
-	f.snapshotBytes = size
-	// The snapshot now carries everything; restart the log. A crash
-	// before the truncate lands is harmless: replaying the old log over
-	// the new snapshot rewrites the same values.
-	if err := f.log.Truncate(0); err != nil {
-		return fmt.Errorf("storage: truncating log: %w", err)
+	// The snapshot now carries everything: read it through the handle it
+	// was written with (Sync has reported any write error a Close could),
+	// and only now repoint the directory at it, so a compaction that
+	// fails earlier leaves every location valid.
+	f.closeSnapshot()
+	f.snap = tmp
+	for i, k := range keys {
+		f.data[k] = loc{off: offs[i], n: f.data[k].n}
 	}
-	if _, err := f.log.Seek(0, io.SeekStart); err != nil {
+	f.snapshotBytes = size
+	// Restart the log. A crash before the truncate lands is harmless:
+	// replaying the old log over the new snapshot rewrites the same
+	// values.
+	if err := f.log.Truncate(0); err != nil {
 		return fmt.Errorf("storage: truncating log: %w", err)
 	}
 	f.logBytes = 0
 	return nil
+}
+
+// writeSnapshot writes the generation and every value, in sorted key
+// order, to file, reading each value into one reused buffer. It returns
+// the sorted keys, the offset in file of each one's value, and the bytes
+// written. f.mu must be held.
+func (f *File) writeSnapshot(file *os.File) (keys []string, offs []int64, size int64, err error) {
+	w := bufio.NewWriter(file)
+	keys = make([]string, 0, len(f.data))
+	for k := range f.data {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	offs = make([]int64, len(keys))
+	defer f.releaseEnc()
+	buf := f.encode(record{op: opGen, gen: f.gen})
+	size = int64(len(buf))
+	if _, err := w.Write(buf); err != nil {
+		return nil, nil, 0, err
+	}
+	var val []byte
+	for i, k := range keys {
+		l := f.data[k]
+		val = slices.Grow(val[:0], int(l.n))[:l.n]
+		if err := f.readAt(val, l); err != nil {
+			return nil, nil, 0, err
+		}
+		buf = f.encode(record{op: opPut, key: k, value: val})
+		size += int64(len(buf))
+		offs[i] = valueLoc(size, len(val), false).off
+		if _, err := w.Write(buf); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	return keys, offs, size, w.Flush()
 }
 
 // Get implements Store.
@@ -465,11 +602,11 @@ func (f *File) Get(key string) ([]byte, error) {
 	if f.closed {
 		return nil, ErrClosed
 	}
-	v, ok := f.data[key]
+	l, ok := f.data[key]
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return append([]byte(nil), v...), nil
+	return f.read(l)
 }
 
 // Put implements Store.
@@ -500,9 +637,14 @@ func (f *File) Scan(prefix string, fn func(key string, value []byte) error) erro
 		return ErrClosed
 	}
 	matched := make(map[string][]byte)
-	for k, v := range f.data {
+	for k, l := range f.data {
 		if strings.HasPrefix(k, prefix) {
-			matched[k] = append([]byte(nil), v...)
+			v, err := f.read(l)
+			if err != nil {
+				f.mu.Unlock()
+				return err
+			}
+			matched[k] = v
 		}
 	}
 	f.mu.Unlock()
@@ -543,6 +685,7 @@ func (f *File) CloseWithoutFlush() error {
 		return nil
 	}
 	err := f.log.Close()
+	f.closeSnapshot()
 	f.releaseLock()
 	f.closed = true
 	return err
@@ -572,6 +715,7 @@ func (f *File) Close() error {
 	if cerr := f.log.Close(); err == nil {
 		err = cerr
 	}
+	f.closeSnapshot()
 	f.releaseLock()
 	f.closed = true
 	return err

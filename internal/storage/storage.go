@@ -14,7 +14,9 @@
 //   - File: an append-only record log with periodic snapshot
 //     compaction. Crash-safe: snapshots are written to a temp file and
 //     renamed into place, and a torn final log record (a crash mid-
-//     append) is detected and discarded on reopen.
+//     append) is detected and discarded on reopen. Only keys and value
+//     locations are kept in memory (about 100 bytes per session key);
+//     values are read from the snapshot and log files with pread.
 //
 // Every backend must pass the shared conformance suite in
 // internal/storage/storagetest.

@@ -1,5 +1,5 @@
 #!/bin/sh
-# bench.sh — run the serve/persist/session-record/analytics/serialization/start-up/mutation/weave benchmarks and emit
+# bench.sh — run the serve/persist/session-record/storage/analytics/serialization/start-up/mutation/weave benchmarks and emit
 # BENCH_serve.json, a {benchmark: {ns_per_op, bytes_per_op,
 # allocs_per_op}} summary, so the serving stack's perf trajectory is
 # tracked PR over PR. Then run a fixed-seed navload scenario against a
@@ -26,6 +26,8 @@ trap 'rm -f "$TMP"' EXIT
 		-benchmem -benchtime "$BENCHTIME" ./internal/server/
 	${GO:-go} test -run '^$' -bench 'SessionRecord' \
 		-benchmem -benchtime "$BENCHTIME" ./internal/navigation/
+	${GO:-go} test -run '^$' -bench 'ChurnFile|Reopen|Open|FileGet' \
+		-benchmem -benchtime "$BENCHTIME" ./internal/storage/
 	${GO:-go} test -run '^$' -bench 'Record|Graph|Derive' \
 		-benchmem -benchtime "$BENCHTIME" ./internal/analytics/
 	${GO:-go} test -run '^$' -bench 'Counter|Histogram|Trace' \
