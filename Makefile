@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-full bench bench-all bench-smoke bench-module fuzz-smoke api-smoke metrics-smoke trace-smoke chaos-smoke load-smoke ci
+.PHONY: all build vet lint test test-full bench bench-all bench-smoke bench-module fuzz-smoke lines api-smoke metrics-smoke trace-smoke chaos-smoke load-smoke ci
 
 all: ci
 
@@ -54,7 +54,8 @@ bench-module:
 # record codec's decode/re-encode round trip, restoring decoded records
 # into sessions, the control plane's structure-spec decoding, the
 # If-None-Match matcher against its split reference, the session-cookie
-# scanner against r.Cookie, the traceparent parser against its reference
+# scanner against r.Cookie, the page-path splitter against its
+# Split/Join reference, the traceparent parser against its reference
 # grammar, the file store's log recovery and its header splitter against
 # strings.Fields, and XPath compilation and XPointer parsing with
 # evaluation, ten seconds each, beyond the seed corpora (CI runs this).
@@ -66,11 +67,18 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzEtagMatches$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionCookie$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzSplitPagePath$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzFileLogReplay$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzHeaderFields$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzXPathCompile$$' -fuzztime 10s ./internal/xpath
 	$(GO) test -run '^$$' -fuzz '^FuzzXPointerParse$$' -fuzztime 10s ./internal/xpointer
+
+# lines prints the Go line counts outside benchmark/, non-test and test
+# files apart, as wc -l counts them: the figure each change reports.
+lines:
+	@printf 'non-test: '; find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
+	@printf 'test:     '; find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 
 # api-smoke boots a real navserve with -api-token, drives navctl
 # through a structure swap over the control plane, and asserts the

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // pageKey identifies one woven page: the resolved context and the member
 // node (or navigation.HubID for the index page).
@@ -35,7 +32,6 @@ type flight struct {
 	wg   sync.WaitGroup
 	page *Page
 	err  error
-	gen  uint64 // cache generation the weave was rendered under
 }
 
 // cacheShard is one lock domain of the page cache.
@@ -50,27 +46,23 @@ type cacheShard struct {
 // concurrency without wasting maps on small sites.
 const pageCacheShards = 32
 
-// pageCache memoizes woven pages for the request-time serving path. It
-// is sharded — each key hashes onto one of pageCacheShards lock domains,
-// so concurrent hits on different pages never contend on one mutex —
-// and generation-stamped: every invalidation bumps the atomic
-// generation, and a weave result carrying a stale generation is
-// discarded, so a render that started before a model mutation can never
-// resurrect a stale page.
+// pageCache memoizes the pages woven from one generation for the
+// request-time serving path. It is sharded — each key hashes onto one
+// of pageCacheShards lock domains, so concurrent hits on different
+// pages never contend on one mutex. Every generation has a cache of its
+// own: a mutation starts the next generation's cache with the entries
+// whose recorded dependencies (pageDeps) it left untouched (carry), and
+// a weave fills the cache of the generation it was woven from, so a
+// page never outlives the inputs it was woven from. Concurrent misses
+// for the same key are coalesced into one weave (single-flight, per
+// key), so a mutation under heavy traffic does not stampede the
+// pipeline.
 //
-// Invalidation is dependency-aware: invalidateMatching drops only the
-// entries whose recorded dependencies (pageDeps) a mutation touched,
-// while invalidate drops everything. Both bump the generation.
-// Concurrent misses for the same key are coalesced into one weave
-// (single-flight, per key), so an invalidation under heavy traffic does
-// not stampede the pipeline.
-//
-// Cached *Page values are shared between callers; treat them as
-// immutable (serve Page.Body, do not modify it). A cached page holds
-// only its bytes: Doc is nil, and the tree stays on pages that
+// Cached *Page values are shared between callers and generations; treat
+// them as immutable (serve Page.Body, do not modify it). A cached page
+// holds only its bytes: Doc is nil, and the tree stays on pages that
 // RenderPage and WeaveSite return.
 type pageCache struct {
-	gen    atomic.Uint64
 	shards [pageCacheShards]cacheShard
 }
 
@@ -125,63 +117,38 @@ func (c *pageCache) beginOrJoin(k pageKey) (page *Page, f *flight, leader bool) 
 }
 
 // finish completes a flight begun with beginOrJoin: it publishes the
-// result to waiters and caches the page unless the generation moved (an
-// invalidation raced the weave). The page is cached under its own
-// names, equal to k's: k's strings may be cut from a request line.
-func (c *pageCache) finish(k pageKey, f *flight, page *Page, err error, gen uint64) {
+// result to waiters and caches the page. The page is cached under its
+// own names, equal to k's: k's strings may be cut from a request line.
+func (c *pageCache) finish(k pageKey, f *flight, page *Page, err error) {
 	sh := c.shard(k)
 	sh.mu.Lock()
-	f.page, f.err, f.gen = page, err, gen
-	if sh.inflight[k] == f {
-		delete(sh.inflight, k)
-	}
-	if err == nil && c.gen.Load() == gen {
+	f.page, f.err = page, err
+	delete(sh.inflight, k)
+	if err == nil {
 		sh.pages[pageKey{page.Context, page.NodeID}] = page
 	}
 	sh.mu.Unlock()
 	f.wg.Done()
 }
 
-// generation returns the current cache generation.
-func (c *pageCache) generation() uint64 { return c.gen.Load() }
-
-// invalidate drops every entry and starts a new generation, returning
-// how many entries were dropped. In-flight weaves are left to finish;
-// their stale generation keeps their result out of the cache and makes
-// waiters re-weave.
-func (c *pageCache) invalidate() int {
-	c.gen.Add(1)
-	dropped := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		dropped += len(sh.pages)
-		sh.pages = map[pageKey]*Page{}
-		sh.mu.Unlock()
-	}
-	return dropped
-}
-
-// invalidateMatching drops only the entries whose page matches pred and
-// returns how many were dropped. The generation still advances — a
-// weave in flight across the mutation cannot tell whether it depends on
-// the mutated input, so its result must not be cached either way (its
-// waiters re-weave against the new model).
-func (c *pageCache) invalidateMatching(pred func(*Page) bool) int {
-	c.gen.Add(1)
-	dropped := 0
+// carry returns the cache the next generation starts with: every page
+// of c that drop does not match (every page, for a nil drop), and how
+// many it dropped. Weaves still in flight on c finish into c alone.
+func (c *pageCache) carry(drop func(*Page) bool) (*pageCache, int) {
+	next, dropped := newPageCache(), 0
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		for k, p := range sh.pages {
-			if pred(p) {
-				delete(sh.pages, k)
+			if drop != nil && drop(p) {
 				dropped++
+			} else {
+				next.shards[i].pages[k] = p
 			}
 		}
 		sh.mu.Unlock()
 	}
-	return dropped
+	return next, dropped
 }
 
 // size returns the number of cached pages.

@@ -19,6 +19,11 @@
 // implementation (Figures 3–4) — becomes a one-line re-declaration here:
 // SetAccessStructure re-resolves, regenerates links.xml and re-weaves.
 //
+// Each response is woven or served from one immutable generation of
+// the App, so it comes from exactly one triple of data, linkbase and
+// presentation by construction; mutations publish the next generation
+// (see App).
+//
 // The App holds links.xml only as its served bytes, with no tree: the
 // weaver reads the contexts as that markup reads back. One pass writes
 // both from the derived contexts (navigation.NewLinkbaseText): the
@@ -43,8 +48,10 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/aspect"
@@ -70,46 +77,63 @@ const (
 // model, optional custom presentation, and an aspect weaver.
 //
 // An App is safe for concurrent use: any number of goroutines may render
-// pages (RenderPage, RenderPageCached, WeaveSite) while others mutate the
-// model (SetAccessStructure, SetStylesheet). Renders see either the old
-// or the new model, never a mix, and the page cache is invalidated
-// atomically with every mutation.
+// and serve (RenderPage, RenderPageCached, WeaveSite, DocBytes) while
+// others mutate (SetAccessStructure, SetStylesheet, InvalidateDocument).
+// Everything a response is woven or served from is one immutable
+// generation behind one atomic pointer, which a reader loads once and
+// uses to the end, so no reader waits for a mutation. Mutations
+// serialize on writeMu, build the next generation beside the current
+// one, sharing every part they did not change, and publish it with one
+// store. A page reads its data from its generation's documents, never
+// from the live store.
 type App struct {
-	store *conceptual.Store
-	model *navigation.Model
-
+	store  *conceptual.Store
 	weaver *aspect.Weaver
-	cache  *pageCache
-	docs   *docCache
-	// lineage holds the resolved model: every rebuild resolves into it
-	// and publishes there last, and Resolved reads it without a lock.
+	// lineage holds the resolved models: every rebuild resolves into it,
+	// and each generation's model is published there with it.
 	lineage *navigation.Lineage
 	// events traces recent mutations: duration, diff verdict and
 	// invalidation blast radius per model change (see Events).
 	events *obs.EventRing
 
-	// mu guards the model-derived state below: renders hold the read
-	// lock for the whole pipeline; rebuilds hold the write lock.
-	mu         sync.RWMutex
+	writeMu sync.Mutex
+	gen     atomic.Pointer[generation]
+}
+
+// generation is everything a response is woven or served from, never
+// changed once published but for its page cache filling.
+type generation struct {
+	// num is the generation ETags carry. It advances with every
+	// mutation that drops a cached page or changes a document.
+	num      uint64
+	model    *navigation.Model
+	resolved *navigation.ResolvedModel
+	links    *linkbase
+	// docs holds every repository document by name: the data documents
+	// and links.xml, whose body is links's.
+	docs       map[string]*document
 	stylesheet *presentation.Stylesheet
 	// stylesheetSrc is the XML source of the stylesheet when it was
-	// installed through SetStylesheetXML (the control plane's PUT), so
-	// GET /api/v1/stylesheet can serve back the exact artifact. Empty
-	// when the built-in presentation or a programmatic stylesheet is in
-	// effect.
+	// installed through SetStylesheetXML, or empty.
 	stylesheetSrc string
-	// repo holds the data documents, by repository name; links.xml is
-	// not among them.
-	repo xlink.MapRepository
-	// links is links.xml, replaced whole by every rebuild that changes
-	// it.
-	links *linkbase
+	pages         *pageCache
+}
+
+// document is one repository document as it is served: its tree (nil
+// for links.xml, which is held as bytes alone), and its serialized body
+// with the body's strong validator and Content-Length, precomputed so
+// the serve path neither serializes, hashes nor formats.
+type document struct {
+	tree *xmldom.Document
+	body []byte
+	etag string
+	clen string
 }
 
 // linkbase is links.xml as the App holds it, one value that a rebuild
 // builds beside the current one and installs whole, never editing it:
 // the served bytes with where each context's extended link begins in
-// them (the doc cache's links.xml entry is the same body), and its
+// them (the links.xml document's body is the same bytes), and its
 // contexts as the weaver reads them, as the markup reads back, in
 // linkbase order and by name. Each context is held once: the next
 // rebuild compares its derivation with the read-back context, except
@@ -129,60 +153,87 @@ const linksURI = "links.xml"
 
 // NewApp assembles an application: it resolves the navigational model,
 // exports the data documents, generates the linkbase and installs the
-// navigation aspect.
+// navigation aspect. The App never changes model; a structure swap
+// publishes a copy.
 func NewApp(store *conceptual.Store, model *navigation.Model) (*App, error) {
 	app := &App{
 		store:   store,
-		model:   model,
 		weaver:  aspect.NewWeaver(),
-		cache:   newPageCache(),
-		docs:    newDocCache(),
 		lineage: navigation.NewLineage(),
 		events:  obs.NewEventRing(eventRingCapacity),
-		repo:    xlink.MapRepository{},
 	}
-	if _, _, err := app.rebuild(conceptual.ExportAll(store)); err != nil {
+	empty := &generation{docs: map[string]*document{}, pages: newPageCache()}
+	g, _, _, err := app.rebuild(empty, model, conceptual.ExportAll(store))
+	if err != nil {
 		return nil, err
 	}
-	app.weaver.Use(NavigationAspect(app))
+	app.publish(g)
+	app.weaver.Use(NavigationAspect())
 	return app, nil
 }
 
-// rebuild re-derives what a mutation can have changed: it re-resolves
-// the model, compares every freshly derived context with the one the
-// previous rebuild derived, keeps the previous model's object for each
-// unchanged one, makes the next links.xml by splicing in the changed
-// contexts' bytes, and installs docs, the data documents the mutation
-// re-exported — every one from NewApp, the edited one from
-// InvalidateDocument, none from a structure swap. The new model is
-// published last, once the cache and documents agree with it. Callers
-// other than NewApp must hold app.mu for writing; rebuild takes
-// ownership of docs.
-// It returns how many cached pages were dropped and the diff's verdict
-// (verdictFull, verdictLocal or verdictNone) — the blast-radius
-// classification the mutation trace records.
+// publish makes g the generation every reader loads from now on, and
+// its resolved model the newest of the lineage, which sessions resolve
+// against.
+func (app *App) publish(g *generation) {
+	app.gen.Store(g)
+	g.resolved.Publish()
+}
+
+// mutate runs one mutation: holding writeMu, it builds the generation
+// that follows the current one with build, publishes it and records the
+// mutation. A build that fails publishes nothing, and the App stays on
+// the current generation. It returns how many cached pages the mutation
+// dropped.
+func (app *App) mutate(kind, target string, build func(cur *generation) (*generation, int, string, error)) (int, error) {
+	start := time.Now()
+	app.writeMu.Lock()
+	defer app.writeMu.Unlock()
+	next, dropped, verdict, err := build(app.gen.Load())
+	if err != nil {
+		return 0, err
+	}
+	app.publish(next)
+	app.recordMutation(kind, target, start, dropped, verdict)
+	return dropped, nil
+}
+
+// rebuild builds the generation that follows cur once model replaces
+// cur's and docs, the data documents a mutation re-exported, replace
+// cur's — every one from NewApp, the edited one from InvalidateDocument,
+// none from a structure swap. It re-resolves the model, compares every
+// freshly derived context with the one cur's linkbase holds, carries
+// each unchanged one over as cur's resolved object, makes the next
+// links.xml by splicing in the changed contexts' bytes, and shares with
+// cur every document and cached page the mutation did not change. cur
+// stays as it was.
+// It returns the next generation, how many of cur's cached pages it
+// dropped and the diff's verdict (verdictFull, verdictLocal or
+// verdictNone) — the blast-radius classification the mutation trace
+// records.
 //
 // Invalidation is dependency-aware: the per-context comparison and the
 // re-serialized documents' bytes decide which cached pages the mutation
-// actually touched, and only those drop — the paper's separation
-// applied to the cache. A change that stays inside one context family
-// (the §5 access-structure swap) costs that family's pages, not the
-// site's. A new member roll or title leaks into other contexts' pages
-// (their "Also in" links and embeds name it), and a moved landmark entry
-// into every page's landmark bar, so those drop the whole cache.
-func (app *App) rebuild(docs xlink.MapRepository) (int, string, error) {
+// actually touched, and only those are left behind — the paper's
+// separation applied to the cache. A change that stays inside one
+// context family (the §5 access-structure swap) costs that family's
+// pages, not the site's. A new member roll or title leaks into other
+// contexts' pages (their "Also in" links and embeds name it), and a
+// moved landmark entry into every page's landmark bar, so those start
+// the next generation with an empty cache.
+func (app *App) rebuild(cur *generation, model *navigation.Model, docs xlink.MapRepository) (*generation, int, string, error) {
 	start := time.Now()
-	rm, err := app.lineage.Resolve(app.model, app.store)
+	rm, err := app.lineage.Resolve(model, app.store)
 	if err != nil {
-		return 0, "", fmt.Errorf("core: resolving navigation model: %w", err)
+		return nil, 0, "", fmt.Errorf("core: resolving navigation model: %w", err)
 	}
 	contexts := navigation.LinkbaseContexts(rm)
-	prev, prevRM := app.links, app.lineage.Newest()
+	prev := cur.links
 	// A context list of a new shape — the first build, or a context
 	// that appeared, vanished or moved — regenerates the whole linkbase.
 	reshaped := prev == nil || !slices.EqualFunc(prev.ordered, contexts,
 		func(a, b *navigation.LinkbaseContext) bool { return a.Name == b.Name })
-	full := reshaped || landmarksMoved(prevRM, rm)
+	full := reshaped || landmarksMoved(cur.resolved, rm)
 	var changed []int
 	changedCtxs := map[string]bool{}
 	if !reshaped {
@@ -201,71 +252,96 @@ func (app *App) rebuild(docs xlink.MapRepository) (int, string, error) {
 				// model's object, with the OutEdges index and position
 				// map it built: a superseded model costs only what
 				// changed.
-				rm.Adopt(i, prevRM.Contexts[i], c.Edges)
+				rm.Adopt(i, cur.resolved.Contexts[i], c.Edges)
 			}
 		}
 	}
-	// The next links.xml is built beside the current one, which a
-	// failure leaves as it was; with no context changed there is none.
-	var next *linkbase
+	// The next links.xml is built beside the current one; with no
+	// context changed there is none.
+	var links *linkbase
 	switch {
 	case reshaped:
-		next, err = link(contexts)
+		links, err = link(contexts)
 	case len(changed) > 0:
-		next, err = prev.relink(contexts, changed)
+		links, err = prev.relink(contexts, changed)
 	}
 	if err != nil {
-		return 0, "", fmt.Errorf("core: reading generated linkbase: %w", err)
+		return nil, 0, "", fmt.Errorf("core: reading generated linkbase: %w", err)
 	}
-	for uri, doc := range docs {
-		app.repo[uri] = doc
-	}
+	next := &generation{num: cur.num, model: model, resolved: rm, links: prev, docs: maps.Clone(cur.docs),
+		stylesheet: cur.stylesheet, stylesheetSrc: cur.stylesheetSrc}
 
 	// Serialize each handed document once, at mutation time: the bytes
-	// seed the serialized-document cache the server hands out and the
-	// snapshot export writes (no per-request serialization), and
-	// comparing them with the cached bodies reveals which changed.
-	// links.xml comes serialized already.
-	changedDocs := app.docs.serialize(docs)
-	if next != nil {
-		if prev != nil && bytes.Equal(next.text.Bytes(), prev.text.Bytes()) {
-			// The same bytes keep the served body, and with it its ETag.
-			next.text = prev.text
-		} else {
-			changedDocs[linksURI] = next.text.Bytes()
+	// are what the server hands out and the snapshot export writes (no
+	// per-request serialization), and comparing them with cur's bodies
+	// reveals which changed. Each is appended into one scratch buffer,
+	// sized from the largest body among them and reused. links.xml
+	// comes serialized already.
+	largest := 0
+	for uri := range docs {
+		if d := cur.docs[uri]; d != nil {
+			largest = max(largest, len(d.body))
 		}
-		app.links = next
+	}
+	scratch := make([]byte, 0, largest)
+	changedDocs := map[string]bool{}
+	for uri, tree := range docs {
+		scratch = tree.AppendIndented(scratch[:0])
+		d := &document{tree: tree}
+		if old := cur.docs[uri]; old != nil && bytes.Equal(old.body, scratch) {
+			// The same bytes keep their body, and with it their ETag.
+			d.body, d.etag, d.clen = old.body, old.etag, old.clen
+		} else {
+			d.body = bytes.Clone(scratch)
+			changedDocs[uri] = true
+		}
+		next.docs[uri] = d
+	}
+	if links != nil {
+		if prev != nil && bytes.Equal(links.text.Bytes(), prev.text.Bytes()) {
+			links.text = prev.text
+		} else {
+			next.docs[linksURI] = &document{body: links.text.Bytes()}
+			changedDocs[linksURI] = true
+		}
+		next.links = links
 	}
 
-	// The generation advances with any invalidation, so weaves in flight
-	// across the mutation are discarded rather than cached against the
-	// new model.
-	dropped, verdict := 0, verdictNone
+	var drop func(*Page) bool
+	verdict := verdictNone
 	switch {
 	case full:
-		dropped = app.cache.invalidate()
+		drop = func(*Page) bool { return true }
 		verdict = verdictFull
 	case len(changedCtxs) > 0 || len(changedDocs) > 0:
-		dropped = app.cache.invalidateMatching(func(p *Page) bool {
+		drop = func(p *Page) bool {
 			if changedCtxs[p.deps.context] {
 				return true
 			}
 			for _, d := range p.deps.docs {
-				if changedDocs[d] != nil {
+				if changedDocs[d] {
 					return true
 				}
 			}
 			return false
-		})
+		}
 		verdict = verdictLocal
 	}
+	var dropped int
+	next.pages, dropped = cur.pages.carry(drop)
+	if verdict != verdictNone {
+		next.num++
+	}
 	// Unchanged documents keep their ETags (and cached pages their
-	// entries): a rebuild that changes nothing observable costs nothing.
-	app.docs.store(changedDocs, app.cache.generation())
-	rm.Publish()
+	// entries): a rebuild that changes nothing observable un-validates
+	// nothing.
+	for uri := range changedDocs {
+		d := next.docs[uri]
+		d.etag, d.clen = strongETag(next.num, d.body), strconv.Itoa(len(d.body))
+	}
 	rebuildDuration.Observe(time.Since(start))
 	rebuildsByVerdict[verdict].Inc()
-	return dropped, verdict, nil
+	return next, dropped, verdict, nil
 }
 
 // landmarksMoved reports whether the landmark bar differs between two
@@ -344,13 +420,13 @@ func (lb *linkbase) relink(contexts []*navigation.LinkbaseContext, changed []int
 // Store returns the conceptual store.
 func (app *App) Store() *conceptual.Store { return app.store }
 
-// Model returns the navigational model.
-func (app *App) Model() *navigation.Model { return app.model }
+// Model returns the navigational model the App serves. A model the App
+// has published is never changed: a structure swap publishes a copy.
+func (app *App) Model() *navigation.Model { return app.gen.Load().model }
 
 // Resolved returns the resolved navigation model: the newest one a
-// rebuild has published. It takes no lock, so it never waits for a
-// rebuild in progress; it returns the model that rebuild replaces until
-// the rebuild publishes.
+// mutation has published. It never waits for a mutation in progress; it
+// returns the model that mutation replaces until the mutation publishes.
 func (app *App) Resolved() *navigation.ResolvedModel { return app.lineage.Newest() }
 
 // Weaver returns the aspect weaver, so callers can register further
@@ -361,10 +437,7 @@ func (app *App) Weaver() *aspect.Weaver { return app.weaver }
 // links.xml as bytes, not as a tree, so each call builds a fresh tree
 // from the contexts it holds: the caller may change it freely.
 func (app *App) Linkbase() *xmldom.Document {
-	app.mu.RLock()
-	ordered := app.links.ordered
-	app.mu.RUnlock()
-	return navigation.BuildLinkbase(ordered)
+	return navigation.BuildLinkbase(app.gen.Load().links.ordered)
 }
 
 // Repository returns a deep copy of the data-document repository (node
@@ -372,24 +445,20 @@ func (app *App) Linkbase() *xmldom.Document {
 // input an XLink-aware agent works from: a snapshot no later mutation
 // reaches. DocumentCount counts the repository without copying it.
 func (app *App) Repository() xlink.MapRepository {
-	app.mu.RLock()
-	repo := make(xlink.MapRepository, len(app.repo)+1)
-	for uri, doc := range app.repo {
-		repo[uri] = doc.Clone()
+	g := app.gen.Load()
+	repo := make(xlink.MapRepository, len(g.docs))
+	for uri, d := range g.docs {
+		if d.tree != nil {
+			repo[uri] = d.tree.Clone()
+		}
 	}
-	ordered := app.links.ordered
-	app.mu.RUnlock()
-	repo[linksURI] = navigation.BuildLinkbase(ordered)
+	repo[linksURI] = navigation.BuildLinkbase(g.links.ordered)
 	return repo
 }
 
 // DocumentCount returns how many documents the repository holds: the
 // data documents and links.xml.
-func (app *App) DocumentCount() int {
-	app.mu.RLock()
-	defer app.mu.RUnlock()
-	return len(app.repo) + 1
-}
+func (app *App) DocumentCount() int { return len(app.gen.Load().docs) }
 
 // SetStylesheet installs a custom presentation stylesheet for node pages.
 // It must transform a node data document (e.g. Figure 7's painter XML)
@@ -397,15 +466,7 @@ func (app *App) DocumentCount() int {
 // presentation. Only the cached pages woven through the stylesheet slot
 // — member pages — are invalidated; hub shells and the serialized
 // documents never consult it and stay cached.
-func (app *App) SetStylesheet(ss *presentation.Stylesheet) {
-	start := time.Now()
-	app.mu.Lock()
-	defer app.mu.Unlock()
-	app.stylesheet = ss
-	app.stylesheetSrc = ""
-	dropped := app.cache.invalidateMatching(func(p *Page) bool { return p.deps.stylesheet })
-	app.recordMutation("stylesheet", "stylesheet", start, dropped, verdictLocal)
-}
+func (app *App) SetStylesheet(ss *presentation.Stylesheet) { app.installStylesheet(ss, "") }
 
 // SetStylesheetXML parses the XML form of a presentation stylesheet and
 // installs it, retaining the source text so the control plane can serve
@@ -421,14 +482,21 @@ func (app *App) SetStylesheetXML(src string) error {
 	if err != nil {
 		return err
 	}
-	start := time.Now()
-	app.mu.Lock()
-	defer app.mu.Unlock()
-	app.stylesheet = ss
-	app.stylesheetSrc = src
-	dropped := app.cache.invalidateMatching(func(p *Page) bool { return p.deps.stylesheet })
-	app.recordMutation("stylesheet", "stylesheet", start, dropped, verdictLocal)
+	app.installStylesheet(ss, src)
 	return nil
+}
+
+// installStylesheet publishes a generation presenting member pages
+// through ss, whose XML source is src ("" when it has none).
+func (app *App) installStylesheet(ss *presentation.Stylesheet, src string) {
+	_, _ = app.mutate("stylesheet", "stylesheet", func(cur *generation) (*generation, int, string, error) {
+		next := *cur
+		next.num++
+		next.stylesheet, next.stylesheetSrc = ss, src
+		var dropped int
+		next.pages, dropped = cur.pages.carry(func(p *Page) bool { return p.deps.stylesheet })
+		return &next, dropped, verdictLocal, nil
+	})
 }
 
 // StylesheetXML returns the XML source of the stylesheet installed
@@ -436,25 +504,19 @@ func (app *App) SetStylesheetXML(src string) error {
 // presentation and programmatically installed stylesheets have no XML
 // source, so they report false.
 func (app *App) StylesheetXML() (string, bool) {
-	app.mu.RLock()
-	defer app.mu.RUnlock()
-	return app.stylesheetSrc, app.stylesheetSrc != ""
+	src := app.gen.Load().stylesheetSrc
+	return src, src != ""
 }
 
 // SpecText renders the current navigational model as its declaration
-// artifact (navigation.SpecText), read under the model lock so a
-// concurrent access-structure swap cannot tear the text mid-render.
-func (app *App) SpecText() string {
-	app.mu.RLock()
-	defer app.mu.RUnlock()
-	return navigation.SpecText(app.model)
-}
+// artifact (navigation.SpecText).
+func (app *App) SpecText() string { return navigation.SpecText(app.Model()) }
 
 // ModelView is one consistent read of everything the control plane's
 // model endpoint serves: the declaration artifact, each family's access
-// structure, the resolved model and the cache generation, all taken
-// under a single acquisition of the model lock — a concurrent swap
-// yields either the before or the after view, never a mix.
+// structure, the resolved model and the cache generation, all read from
+// one generation — a concurrent swap yields either the before or the
+// after view, never a mix.
 type ModelView struct {
 	SpecText   string
 	Access     map[string]navigation.AccessStructure
@@ -464,17 +526,16 @@ type ModelView struct {
 
 // View snapshots a ModelView.
 func (app *App) View() ModelView {
-	app.mu.RLock()
-	defer app.mu.RUnlock()
-	access := make(map[string]navigation.AccessStructure, len(app.model.Contexts()))
-	for _, c := range app.model.Contexts() {
+	g := app.gen.Load()
+	access := make(map[string]navigation.AccessStructure, len(g.model.Contexts()))
+	for _, c := range g.model.Contexts() {
 		access[c.Name] = c.Access
 	}
 	return ModelView{
-		SpecText:   navigation.SpecText(app.model),
+		SpecText:   navigation.SpecText(g.model),
 		Access:     access,
-		Resolved:   app.Resolved(),
-		Generation: app.cache.generation(),
+		Resolved:   g.resolved,
+		Generation: g.num,
 	}
 }
 
@@ -486,8 +547,9 @@ var ErrUnknownFamily = errors.New("unknown context family")
 // SetAccessStructure swaps the access structure of one context family and
 // re-derives the linkbase — the paper's requirements change (Index to
 // Indexed Guided Tour), reduced from editing every page to one call.
-// Cached pages are invalidated atomically with the swap, so the paper's
-// motivating change-cost scenario stays correct under cached serving.
+// The generation it publishes caches none of the family's pages, so the
+// paper's motivating change-cost scenario stays correct under cached
+// serving.
 func (app *App) SetAccessStructure(family string, as navigation.AccessStructure) error {
 	_, err := app.SetAccessStructures(map[string]navigation.AccessStructure{family: as})
 	return err
@@ -498,39 +560,26 @@ func (app *App) SetAccessStructure(family string, as navigation.AccessStructure)
 // for the whole batch — what the adaptation loop wants when a derive
 // cycle updates every family at once, where per-family calls would cost
 // a full rebuild each. All families are validated before any is
-// mutated; an empty map is a no-op. It returns how many cached pages
+// swapped; an empty map is a no-op. It returns how many cached pages
 // the batch invalidated — the blast radius the dependency-aware diff
 // decided on, which the control plane reports back to the operator.
 func (app *App) SetAccessStructures(swaps map[string]navigation.AccessStructure) (int, error) {
 	if len(swaps) == 0 {
 		return 0, nil
 	}
-	defs := make(map[string]*navigation.ContextDef, len(swaps))
-	for _, c := range app.model.Contexts() {
-		if _, wanted := swaps[c.Name]; wanted {
-			defs[c.Name] = c
-		}
-	}
 	families := make([]string, 0, len(swaps))
 	for family := range swaps {
-		if defs[family] == nil {
-			return 0, fmt.Errorf("core: %w %q", ErrUnknownFamily, family)
-		}
 		families = append(families, family)
 	}
 	sort.Strings(families)
-	start := time.Now()
-	app.mu.Lock()
-	defer app.mu.Unlock()
-	for family, as := range swaps {
-		defs[family].Access = as
-	}
-	dropped, verdict, err := app.rebuild(xlink.MapRepository{})
-	if err != nil {
-		return dropped, err
-	}
-	app.recordMutation("structure-swap", strings.Join(families, ","), start, dropped, verdict)
-	return dropped, nil
+	return app.mutate("structure-swap", strings.Join(families, ","), func(cur *generation) (*generation, int, string, error) {
+		for _, family := range families {
+			if !slices.ContainsFunc(cur.model.Contexts(), func(c *navigation.ContextDef) bool { return c.Name == family }) {
+				return nil, 0, "", fmt.Errorf("core: %w %q", ErrUnknownFamily, family)
+			}
+		}
+		return app.rebuild(cur, cur.model.WithAccess(swaps), nil)
+	})
 }
 
 // InvalidateDocument re-derives the model after an edit to the data
@@ -540,7 +589,9 @@ func (app *App) SetAccessStructures(swaps map[string]navigation.AccessStructure)
 // node, e.g. "guitar.xml"); a name that is neither links.xml nor the
 // document of a store instance is an error, reported before anything is
 // re-derived. Only the named document is re-exported; invalidating
-// links.xml re-derives navigation alone.
+// links.xml re-derives navigation alone. Pages are woven from the
+// exported documents, so an edit reaches pages once its document is
+// invalidated.
 //
 // The rebuild diff — not the caller — decides the blast radius. A
 // caption-only edit changes just the document's bytes, so only the
@@ -559,19 +610,13 @@ func (app *App) InvalidateDocument(uri string) (int, error) {
 			return 0, fmt.Errorf("core: no document %q", uri)
 		}
 	}
-	start := time.Now()
-	app.mu.Lock()
-	defer app.mu.Unlock()
-	docs := xlink.MapRepository{}
-	if inst != nil {
-		docs[uri] = conceptual.ExportInstance(app.store, inst)
-	}
-	dropped, verdict, err := app.rebuild(docs)
-	if err != nil {
-		return dropped, err
-	}
-	app.recordMutation("document", uri, start, dropped, verdict)
-	return dropped, nil
+	return app.mutate("document", uri, func(cur *generation) (*generation, int, string, error) {
+		docs := xlink.MapRepository{}
+		if inst != nil {
+			docs[uri] = conceptual.ExportInstance(app.store, inst)
+		}
+		return app.rebuild(cur, cur.model, docs)
+	})
 }
 
 // DocBytes returns the serialized form of repository document uri with
@@ -582,8 +627,8 @@ func (app *App) InvalidateDocument(uri string) (int, error) {
 //
 //repro:hotpath
 func (app *App) DocBytes(uri string) (body []byte, etag, contentLength string, err error) {
-	if e, ok := app.docs.get(uri); ok {
-		return e.body, e.etag, e.clen, nil
+	if d := app.gen.Load().docs[uri]; d != nil {
+		return d.body, d.etag, d.clen, nil
 	}
 	//repro:allow(miss path: unknown document, request fails with 404)
 	return nil, "", "", fmt.Errorf("core: no document %q", uri)
@@ -599,15 +644,16 @@ func strongETag(gen uint64, body []byte) string {
 	return fmt.Sprintf(`"g%d-%x"`, gen, h.Sum64())
 }
 
-// CachedPages reports how many woven pages the request-time cache
-// currently holds (diagnostics and tests).
-func (app *App) CachedPages() int { return app.cache.size() }
+// CachedPages reports how many woven pages the current generation's
+// cache holds (diagnostics and tests).
+func (app *App) CachedPages() int { return app.gen.Load().pages.size() }
 
-// CacheGeneration returns the woven-page cache's current generation.
-// Every model mutation (SetAccessStructure, SetStylesheet) advances it,
+// CacheGeneration returns the current generation's number. Every
+// mutation that drops a cached page or changes a document advances it,
 // so it doubles as the HTTP validator: the server folds it into ETags,
-// making every cached response self-invalidate on the next mutation.
-func (app *App) CacheGeneration() uint64 { return app.cache.generation() }
+// making every cached response self-invalidate on the next such
+// mutation.
+func (app *App) CacheGeneration() uint64 { return app.gen.Load().num }
 
 // PagePath returns the site-relative path of a page: the hub page of a
 // context is <context>/index.html, a member page <context>/<node>.html,

@@ -3,30 +3,10 @@ package core
 import (
 	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/museum"
 	"repro/internal/navigation"
 )
-
-// TestResolvedDoesNotWaitForRebuild: Resolved reads the published model
-// without app.mu, so a reader is not held up by a rebuild in progress.
-func TestResolvedDoesNotWaitForRebuild(t *testing.T) {
-	app := paperApp(t, navigation.IndexedGuidedTour{})
-	want := app.Resolved()
-	app.mu.Lock()
-	defer app.mu.Unlock()
-	got := make(chan *navigation.ResolvedModel, 1)
-	go func() { got <- app.Resolved() }()
-	select {
-	case rm := <-got:
-		if rm != want {
-			t.Error("Resolved returned another model than the published one")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Resolved waited for app.mu")
-	}
-}
 
 // TestRebuildsGrowNoTable: once a site's names are in its table, a
 // hundred mixed rebuilds — structure swaps, title and caption edits,

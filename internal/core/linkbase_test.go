@@ -27,7 +27,7 @@ func TestNewAppHoldsLinksXMLOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if own := app.links.text.Bytes(); &body[0] != &own[0] || len(body) != len(own) {
+	if own := app.gen.Load().links.text.Bytes(); &body[0] != &own[0] || len(body) != len(own) {
 		t.Fatal("the doc cache serves another copy of links.xml than the App holds")
 	}
 	if cap(body) != len(body) {
@@ -75,7 +75,7 @@ func TestRelinkSharesNothingMutable(t *testing.T) {
 func TestOtherContextsMatchScan(t *testing.T) {
 	scan := func(app *App, current, nodeID string) []string {
 		var out []string
-		for name, lbc := range app.links.contexts {
+		for name, lbc := range app.gen.Load().links.contexts {
 			if name == current {
 				continue
 			}
@@ -104,7 +104,7 @@ func TestOtherContextsMatchScan(t *testing.T) {
 			listed := 0
 			for _, rc := range app.Resolved().Contexts {
 				for _, m := range rc.Members {
-					got, want := app.otherContexts(rc.Name, m.ID()), scan(app, rc.Name, m.ID())
+					got, want := app.gen.Load().otherContexts(rc.Name, m.ID()), scan(app, rc.Name, m.ID())
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s/%s: also in %v, the scan finds %v", rc.Name, m.ID(), got, want)
 					}

@@ -57,6 +57,6 @@ func (app *App) recordMutation(kind, target string, start time.Time, dropped int
 		Duration:         time.Since(start),
 		PagesInvalidated: dropped,
 		Verdict:          verdict,
-		CacheGeneration:  app.cache.generation(),
+		CacheGeneration:  app.CacheGeneration(),
 	})
 }

@@ -15,17 +15,22 @@ const AspectName = "navigation"
 
 // NavigationAspect builds the aspect that carries the whole navigational
 // concern: around advice on every page render that reads the traversal
-// graph out of the app's linkbase (links.xml) and injects the access-
+// graph out of the linkbase (links.xml) of the generation the page is
+// woven from — the join point's Target — and injects the access-
 // structure markup — the index lists, Index/Next/Previous anchors and
 // context-switch links of the paper's Figures 3–4 — into the woven page.
 //
 // The base program never mentions navigation; delete this aspect and the
 // site still builds, just without links (the paper's "separation"
 // demonstrated by subtraction).
-func NavigationAspect(app *App) *aspect.Aspect {
+func NavigationAspect() *aspect.Aspect {
 	a := aspect.NewAspect(AspectName)
 	pc := aspect.MustCompilePointcut("kind(page.render)")
 	a.AroundAdvice("inject-navigation", pc, 0, func(inv *aspect.Invocation) (any, error) {
+		g, ok := inv.JP.Target.(*generation)
+		if !ok {
+			return nil, fmt.Errorf("core: navigation aspect: page woven from %T, not an App generation", inv.JP.Target)
+		}
 		result, err := inv.Proceed()
 		if err != nil {
 			return nil, err
@@ -36,7 +41,7 @@ func NavigationAspect(app *App) *aspect.Aspect {
 		}
 		ctxName := inv.JP.Attr("context")
 		nodeID := inv.JP.Name
-		if err := app.injectNavigation(doc, ctxName, nodeID); err != nil {
+		if err := g.injectNavigation(doc, ctxName, nodeID); err != nil {
 			return nil, err
 		}
 		return doc, nil
@@ -58,8 +63,8 @@ func findBody(doc *xmldom.Document) *xmldom.Element {
 
 // injectNavigation appends the navigation markup for (context, node) to
 // the page body, driven entirely by the linkbase.
-func (app *App) injectNavigation(doc *xmldom.Document, ctxName, nodeID string) error {
-	lbc := app.links.contexts[ctxName]
+func (g *generation) injectNavigation(doc *xmldom.Document, ctxName, nodeID string) error {
+	lbc := g.links.contexts[ctxName]
 	if lbc == nil {
 		return fmt.Errorf("core: linkbase has no context %q", ctxName)
 	}
@@ -84,7 +89,7 @@ func (app *App) injectNavigation(doc *xmldom.Document, ctxName, nodeID string) e
 			}
 			li := ul.AddElement("li")
 			if e.Show == string(xlink.ShowEmbed) {
-				app.embedMember(li, ctxName, e.To)
+				g.embedMember(li, ctxName, e.To)
 				continue
 			}
 			anchor := li.AddElement("a")
@@ -113,7 +118,7 @@ func (app *App) injectNavigation(doc *xmldom.Document, ctxName, nodeID string) e
 	body.AppendChild(nav)
 
 	if nodeID != navigation.HubID {
-		if others := app.otherContexts(ctxName, nodeID); len(others) > 0 {
+		if others := g.otherContexts(ctxName, nodeID); len(others) > 0 {
 			div := xmldom.NewElement("div")
 			div.SetAttr("class", "contexts")
 			div.AddElement("span").AppendText("Also in:")
@@ -129,7 +134,7 @@ func (app *App) injectNavigation(doc *xmldom.Document, ctxName, nodeID string) e
 
 	// Landmarks: entry points reachable from every page (OOHDM's
 	// landmark primitive — the global navigation bar).
-	if landmarks := app.Resolved().Landmarks; len(landmarks) > 0 {
+	if landmarks := g.resolved.Landmarks; len(landmarks) > 0 {
 		div := xmldom.NewElement("div")
 		div.SetAttr("class", "landmarks")
 		for _, lm := range landmarks {
@@ -174,23 +179,24 @@ func applyShow(anchor *xmldom.Element, show string) {
 
 // embedMember inlines a member node's content where its link would be —
 // the agent-side realization of xlink:show="embed".
-func (app *App) embedMember(parent *xmldom.Element, ctxName, nodeID string) {
+func (g *generation) embedMember(parent *xmldom.Element, ctxName, nodeID string) {
 	div := parent.AddElement("div")
 	div.SetAttr("class", "embed")
 	div.SetAttr("data-node", nodeID)
-	rc := app.Resolved().Context(ctxName)
+	rc := g.resolved.Context(ctxName)
 	if rc == nil {
 		return
 	}
-	node := rc.Member(nodeID)
-	if node == nil {
+	node, doc := rc.Member(nodeID), g.dataDoc(nodeID)
+	if node == nil || doc == nil {
 		return
 	}
-	div.AddElement("h2").AppendText(node.Title())
+	title, names, values := shown(node.Class, doc)
+	div.AddElement("h2").AppendText(title)
 	dl := div.AddElement("dl")
-	for _, attr := range node.AttrNames() {
+	for i, attr := range names {
 		dl.AddElement("dt").AppendText(attr)
-		dl.AddElement("dd").AppendText(node.Attr(attr))
+		dl.AddElement("dd").AppendText(values[i])
 	}
 }
 
@@ -198,9 +204,9 @@ func (app *App) embedMember(parent *xmldom.Element, ctxName, nodeID string) {
 // sorted for deterministic output — the paper's §2 context switch ("the
 // same painting through the pictorial movement"). Membership is a
 // lookup in each context's locator titles, keyed by member.
-func (app *App) otherContexts(current, nodeID string) []string {
+func (g *generation) otherContexts(current, nodeID string) []string {
 	var out []string
-	for name, lbc := range app.links.contexts {
+	for name, lbc := range g.links.contexts {
 		if _, ok := lbc.NodeTitles[nodeID]; ok && name != current {
 			out = append(out, name)
 		}

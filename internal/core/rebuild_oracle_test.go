@@ -183,7 +183,7 @@ func (o *rebuildOracle) check(label string) {
 		o.t.Fatalf("%s: %d documents, fresh app has %d", label, got, want)
 	}
 	uris := []string{linksURI}
-	for uri := range fresh.repo {
+	for uri := range fresh.gen.Load().docs {
 		uris = append(uris, uri)
 	}
 	for _, uri := range uris {
@@ -205,7 +205,7 @@ func (o *rebuildOracle) check(label string) {
 	if want := navigation.GenerateLinkbase(fresh.Resolved()).AppendIndented(nil); !bytes.Equal(lb, want) {
 		o.t.Fatalf("%s: links.xml serves\n%s\nthe whole linkbase serializes as\n%s", label, lb, want)
 	}
-	if !reflect.DeepEqual(o.app.links.contexts, fresh.links.contexts) {
+	if !reflect.DeepEqual(o.app.gen.Load().links.contexts, fresh.gen.Load().links.contexts) {
 		o.t.Fatalf("%s: contexts read back out of links.xml differ from the fresh app's", label)
 	}
 	// What the weaver reads is what the served bytes say.
@@ -221,7 +221,7 @@ func (o *rebuildOracle) check(label string) {
 	for _, c := range parsed {
 		byName[c.Name] = c
 	}
-	if !reflect.DeepEqual(byName, o.app.links.contexts) {
+	if !reflect.DeepEqual(byName, o.app.gen.Load().links.contexts) {
 		o.t.Fatalf("%s: the served links.xml reads back other contexts than the weaver's", label)
 	}
 	o.checkResolved(label, fresh.Resolved())
@@ -298,8 +298,8 @@ func (o *rebuildOracle) checkResolved(label string, fresh *navigation.ResolvedMo
 // cachedPages lists the page cache's entries.
 func cachedPages(app *App) []*Page {
 	var out []*Page
-	for i := range app.cache.shards {
-		sh := &app.cache.shards[i]
+	for i := range app.gen.Load().pages.shards {
+		sh := &app.gen.Load().pages.shards[i]
 		sh.mu.Lock()
 		for _, p := range sh.pages {
 			out = append(out, p)

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/museum"
 	"repro/internal/navigation"
@@ -143,4 +146,63 @@ func BenchmarkRenderPageMember(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRenderDuringSwaps weaves one member page of the synthetic
+// museum with RenderPage from two goroutines while each iteration flips
+// ByAuthor between an index and an indexed guided tour, and reports the
+// readers' latency at p50 and p99: how long a weave waits on the
+// rebuilds beside it.
+func BenchmarkRenderDuringSwaps(b *testing.B) {
+	app := benchMuseum(b)
+	rc := app.Resolved().ContextsOf("ByAuthor")[0]
+	node := rc.Members[0].ID()
+	swaps := []navigation.AccessStructure{navigation.Index{}, navigation.IndexedGuidedTour{}}
+	stop := make(chan struct{})
+	var (
+		wg  sync.WaitGroup
+		mu  sync.Mutex
+		all []time.Duration
+	)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var own []time.Duration
+			defer func() {
+				mu.Lock()
+				all = append(all, own...)
+				mu.Unlock()
+			}()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				start := time.Now()
+				if _, err := app.RenderPage(rc.Name, node); err != nil {
+					b.Error(err)
+					return
+				}
+				own = append(own, time.Since(start))
+			}
+		}()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := app.SetAccessStructure("ByAuthor", swaps[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	close(stop)
+	wg.Wait()
+	if len(all) == 0 {
+		return
+	}
+	slices.Sort(all)
+	at := func(q float64) float64 { return float64(all[int(q*float64(len(all)-1))].Microseconds()) }
+	b.ReportMetric(at(0.50), "read-p50-us")
+	b.ReportMetric(at(0.99), "read-p99-us")
 }

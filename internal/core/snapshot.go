@@ -17,53 +17,44 @@ const SnapshotPrefix = "site/"
 
 // ExportSnapshot writes the application's separated artifacts — every
 // data document plus links.xml, the complete woven site definition — into
-// st under SnapshotPrefix, and stamps the store with the page-cache
-// generation. The bytes are the serialized-document cache's, the same
-// ones the server hands out, and a document the store already holds
-// byte for byte is not written again, so re-exporting an unchanged site
-// costs the generation stamp alone. Stale snapshot keys (documents a
-// model change removed) are deleted, so the snapshot always mirrors the
-// current repository exactly. Two navserve processes pointed at one
-// durable store thereby share one site definition: either can export,
-// the other reloads.
+// st under SnapshotPrefix, and stamps the store with the generation
+// number. The bytes are the ones the server hands out, all of one
+// generation. The export reads the stored snapshot once: it writes only
+// the documents the store does not hold byte for byte, so re-exporting
+// an unchanged site costs one Scan and the generation stamp, and deletes
+// stale snapshot keys (documents a model change removed), so the
+// snapshot always mirrors the current repository exactly. Two navserve
+// processes pointed at one durable store thereby share one site
+// definition: either can export, the other reloads.
 func (app *App) ExportSnapshot(st storage.Store) error {
-	app.mu.RLock()
-	defer app.mu.RUnlock()
-	uris := make([]string, 0, len(app.repo)+1)
-	for uri := range app.repo {
-		uris = append(uris, uri)
-	}
-	uris = append(uris, linksURI)
-	current := make(map[string]bool, len(uris))
-	for _, uri := range uris {
-		e, ok := app.docs.get(uri)
-		if !ok {
-			return fmt.Errorf("core: exporting snapshot: document %q has no serialization", uri)
-		}
-		key := SnapshotPrefix + uri
-		current[key] = true
-		if stored, err := st.Get(key); err == nil && bytes.Equal(stored, e.body) {
-			continue
-		}
-		if err := st.Put(key, e.body); err != nil {
-			return fmt.Errorf("core: exporting snapshot: %w", err)
-		}
-	}
+	g := app.gen.Load()
+	held := make(map[string]bool, len(g.docs))
 	var stale []string
-	if err := st.Scan(SnapshotPrefix, func(k string, _ []byte) error {
-		if !current[k] {
+	if err := st.Scan(SnapshotPrefix, func(k string, v []byte) error {
+		uri := strings.TrimPrefix(k, SnapshotPrefix)
+		if d := g.docs[uri]; d == nil {
 			stale = append(stale, k)
+		} else {
+			held[uri] = bytes.Equal(v, d.body)
 		}
 		return nil
 	}); err != nil {
 		return fmt.Errorf("core: exporting snapshot: %w", err)
+	}
+	for uri, d := range g.docs {
+		if held[uri] {
+			continue
+		}
+		if err := st.Put(SnapshotPrefix+uri, d.body); err != nil {
+			return fmt.Errorf("core: exporting snapshot: %w", err)
+		}
 	}
 	for _, k := range stale {
 		if err := st.Delete(k); err != nil {
 			return fmt.Errorf("core: exporting snapshot: %w", err)
 		}
 	}
-	if err := st.SetGeneration(app.cache.generation()); err != nil {
+	if err := st.SetGeneration(g.num); err != nil {
 		return fmt.Errorf("core: stamping snapshot generation: %w", err)
 	}
 	return nil

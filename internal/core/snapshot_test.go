@@ -171,10 +171,22 @@ func TestSnapshotStaleKeysRemoved(t *testing.T) {
 	}
 }
 
-// recordingStore notes the keys a snapshot export writes and deletes.
+// recordingStore notes the keys a snapshot export writes and deletes,
+// and counts its reads.
 type recordingStore struct {
 	storage.Store
 	puts, deletes []string
+	gets, scans   int
+}
+
+func (r *recordingStore) Get(key string) ([]byte, error) {
+	r.gets++
+	return r.Store.Get(key)
+}
+
+func (r *recordingStore) Scan(prefix string, fn func(key string, value []byte) error) error {
+	r.scans++
+	return r.Store.Scan(prefix, fn)
 }
 
 func (r *recordingStore) Put(key string, value []byte) error {
@@ -198,25 +210,31 @@ func logSize(t *testing.T, dir string) int64 {
 }
 
 // TestSnapshotReexportUnchangedWritesGenerationOnly: exporting a site the
-// file store already holds byte for byte appends the generation stamp
-// and nothing else, so a restart over a populated store does not re-log
-// every document.
+// file store already holds byte for byte reads the stored snapshot with
+// one Scan and appends the generation stamp and nothing else, so a
+// restart over a populated store does not re-log every document.
 func TestSnapshotReexportUnchangedWritesGenerationOnly(t *testing.T) {
 	app := paperApp(t)
 	dir := t.TempDir()
-	st, err := storage.OpenFile(dir)
+	fst, err := storage.OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
+	defer fst.Close()
+	st := &recordingStore{Store: fst}
 	if err := app.ExportSnapshot(st); err != nil {
 		t.Fatal(err)
 	}
 	before := logSize(t, dir)
+	*st = recordingStore{Store: fst}
 	if err := app.ExportSnapshot(st); err != nil {
 		t.Fatal(err)
 	}
 	grown := logSize(t, dir) - before
+	if st.scans != 1 || st.gets != 0 || len(st.puts) != 0 || len(st.deletes) != 0 {
+		t.Errorf("re-export made %d Scans, %d Gets, Puts %v and Deletes %v; want one Scan and nothing else",
+			st.scans, st.gets, st.puts, st.deletes)
+	}
 
 	// The same stamp alone, logged by an empty store.
 	genDir := t.TempDir()

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -119,13 +120,12 @@ func (app *App) WeaveSiteWorkers(workers int) (*Site, error) {
 	if app.weaver.Tracing() {
 		workers = 1
 	}
-	app.mu.RLock()
-	defer app.mu.RUnlock()
+	g := app.gen.Load()
 	site := &Site{pages: map[string]*Page{}}
 	jp := &aspect.JoinPoint{Kind: KindSiteWeave, Name: "site", Target: app}
 	_, err := app.weaver.Execute(jp, func(*aspect.JoinPoint) (any, error) {
 		var tasks []weaveTask
-		for _, rc := range app.Resolved().Contexts {
+		for _, rc := range g.resolved.Contexts {
 			if rc.Def.Access.HasHub() {
 				tasks = append(tasks, weaveTask{rc, navigation.HubID})
 			}
@@ -133,7 +133,7 @@ func (app *App) WeaveSiteWorkers(workers int) (*Site, error) {
 				tasks = append(tasks, weaveTask{rc, m.ID()})
 			}
 		}
-		pages, err := app.renderAll(tasks, workers)
+		pages, err := app.renderAll(g, tasks, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -150,16 +150,16 @@ func (app *App) WeaveSiteWorkers(workers int) (*Site, error) {
 
 // renderAll weaves every task's page, fanning out over a bounded worker
 // pool. Results are assembled by task index and the first error in task
-// order wins, so output and error reporting are deterministic.
-// Callers must hold app.mu for reading.
-func (app *App) renderAll(tasks []weaveTask, workers int) ([]*Page, error) {
+// order wins, so output and error reporting are deterministic. Every
+// page is woven from generation g.
+func (app *App) renderAll(g *generation, tasks []weaveTask, workers int) ([]*Page, error) {
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
 	out := make([]*Page, len(tasks))
 	if workers <= 1 {
 		for i, t := range tasks {
-			page, err := app.renderPageLocked(t.rc.Name, t.nodeID)
+			page, err := app.renderPage(g, t.rc.Name, t.nodeID)
 			if err != nil {
 				return nil, err
 			}
@@ -175,7 +175,7 @@ func (app *App) renderAll(tasks []weaveTask, workers int) ([]*Page, error) {
 		go func() {
 			defer wg.Done()
 			for i := range feed {
-				out[i], errs[i] = app.renderPageLocked(tasks[i].rc.Name, tasks[i].nodeID)
+				out[i], errs[i] = app.renderPage(g, tasks[i].rc.Name, tasks[i].nodeID)
 			}
 		}()
 	}
@@ -195,9 +195,7 @@ func (app *App) renderAll(tasks []weaveTask, workers int) ([]*Page, error) {
 // RenderPage weaves a single page on demand — the request-time flavour
 // used by the XLink-aware server.
 func (app *App) RenderPage(contextName, nodeID string) (*Page, error) {
-	app.mu.RLock()
-	defer app.mu.RUnlock()
-	return app.renderPageLocked(contextName, nodeID)
+	return app.renderPage(app.gen.Load(), contextName, nodeID)
 }
 
 // CacheOutcome classifies how RenderPageCachedStat satisfied a
@@ -216,9 +214,9 @@ const (
 
 // RenderPageCached is RenderPage behind the woven-page cache: a hit
 // returns the previously woven page, a miss weaves and caches it, and
-// concurrent misses for the same page coalesce into one weave. The
-// cache is invalidated by SetAccessStructure and SetStylesheet, so a
-// visitor can never be served a page woven from a superseded model.
+// concurrent misses for the same page coalesce into one weave. Each
+// generation caches its own pages, so a visitor can never be served a
+// page woven from another generation than the one the request read.
 // The returned page is shared and holds no tree (Doc is nil): serve its
 // Body, do not modify it.
 //
@@ -230,55 +228,38 @@ func (app *App) RenderPageCached(contextName, nodeID string) (*Page, error) {
 
 // RenderPageCachedStat is RenderPageCached reporting how the cache
 // satisfied the request (hit, single-flight join, or leading miss).
-// A join that has to retry against a moved generation reports the
-// outcome of its final round.
 //
 //repro:hotpath
 func (app *App) RenderPageCachedStat(contextName, nodeID string) (*Page, CacheOutcome, error) {
 	if nodeID == "" {
 		nodeID = navigation.HubID
 	}
+	g := app.gen.Load()
 	key := pageKey{context: contextName, node: nodeID}
-	for {
-		page, f, leader := app.cache.beginOrJoin(key)
-		if page != nil {
-			cacheHits.Inc()
-			return page, CacheHit, nil
-		}
-		if !leader {
-			cacheJoins.Inc()
-			f.wg.Wait()
-			if f.err != nil {
-				return nil, CacheJoin, f.err
-			}
-			if app.cache.generation() == f.gen {
-				return f.page, CacheJoin, nil
-			}
-			// The model changed while that weave was in flight; its
-			// result would be stale here. Weave again.
-			continue
-		}
-		cacheMisses.Inc()
-		// The generation is read under the same read lock as the
-		// render, so a concurrent rebuild (which holds the write lock
-		// and bumps the generation) makes finish discard the entry
-		// rather than cache a stale page.
-		app.mu.RLock()
-		gen := app.cache.generation()
-		//repro:allow(cold miss: the one weave the cache exists to amortize)
-		p, err := app.renderPageLocked(contextName, nodeID)
-		app.mu.RUnlock()
-		if p != nil {
-			p.Doc = nil // the cache holds the bytes alone
-		}
-		app.cache.finish(key, f, p, err, gen)
-		return p, CacheMiss, err
+	page, f, leader := g.pages.beginOrJoin(key)
+	switch {
+	case page != nil:
+		cacheHits.Inc()
+		return page, CacheHit, nil
+	case !leader:
+		cacheJoins.Inc()
+		f.wg.Wait()
+		return f.page, CacheJoin, f.err
 	}
+	cacheMisses.Inc()
+	//repro:allow(cold miss: the one weave the cache exists to amortize)
+	p, err := app.renderPage(g, contextName, nodeID)
+	if p != nil {
+		p.Doc = nil // the cache holds the bytes alone
+	}
+	g.pages.finish(key, f, p, err)
+	return p, CacheMiss, err
 }
 
-// renderPageLocked weaves one page. Callers must hold app.mu for reading.
-func (app *App) renderPageLocked(contextName, nodeID string) (*Page, error) {
-	rc := app.Resolved().Context(contextName)
+// renderPage weaves one page from generation g. The page join point
+// carries g as its Target, so the navigation advice reads g's linkbase.
+func (app *App) renderPage(g *generation, contextName, nodeID string) (*Page, error) {
+	rc := g.resolved.Context(contextName)
 	if rc == nil {
 		return nil, fmt.Errorf("core: unknown context %q", contextName)
 	}
@@ -305,10 +286,10 @@ func (app *App) renderPageLocked(contextName, nodeID string) (*Page, error) {
 			"access":  rc.Def.Access.Kind(),
 			"class":   class,
 		},
-		Target: app,
+		Target: g,
 	}
 	result, err := app.weaver.Execute(jp, func(jp *aspect.JoinPoint) (any, error) {
-		return app.basePage(rc, nodeID)
+		return g.basePage(rc, nodeID)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: weaving %s/%s: %w", contextName, nodeID, err)
@@ -324,9 +305,9 @@ func (app *App) renderPageLocked(contextName, nodeID string) (*Page, error) {
 		NodeID:        nodeID,
 		Doc:           doc,
 		Body:          body,
-		ETag:          strongETag(app.cache.generation(), body),
+		ETag:          strongETag(g.num, body),
 		ContentLength: strconv.Itoa(len(body)),
-		deps:          app.pageDepsLocked(rc, nodeID),
+		deps:          g.pageDeps(rc, nodeID),
 	}, nil
 }
 
@@ -346,11 +327,10 @@ func appendPageHTML(doc *xmldom.Document) []byte {
 	return body
 }
 
-// pageDepsLocked records what a woven (context, node) page reads: its
+// pageDeps records what a woven (context, node) page reads: its
 // context's structure, the data documents woven into its body, and —
-// for member pages — the presentation stylesheet slot. Callers must
-// hold app.mu for reading.
-func (app *App) pageDepsLocked(rc *navigation.ResolvedContext, nodeID string) pageDeps {
+// for member pages — the presentation stylesheet slot.
+func (g *generation) pageDeps(rc *navigation.ResolvedContext, nodeID string) pageDeps {
 	deps := pageDeps{context: rc.Name}
 	if nodeID != navigation.HubID {
 		deps.stylesheet = true
@@ -360,7 +340,7 @@ func (app *App) pageDepsLocked(rc *navigation.ResolvedContext, nodeID string) pa
 	// A hub page embeds the data of members linked with
 	// xlink:show="embed" (the gallery wall), so it depends on their
 	// documents too.
-	if lbc := app.links.contexts[rc.Name]; lbc != nil {
+	if lbc := g.links.contexts[rc.Name]; lbc != nil {
 		for _, e := range lbc.Edges {
 			if e.Kind == navigation.EdgeMember && e.From == navigation.HubID && e.Show == string(xlink.ShowEmbed) {
 				deps.docs = append(deps.docs, navigation.NodeHref(e.To))
@@ -375,7 +355,7 @@ func (app *App) pageDepsLocked(rc *navigation.ResolvedContext, nodeID string) pa
 // render the node's data document (through the custom stylesheet when one
 // is installed); hub pages render an empty titled shell that the
 // navigation aspect fills.
-func (app *App) basePage(rc *navigation.ResolvedContext, nodeID string) (*xmldom.Document, error) {
+func (g *generation) basePage(rc *navigation.ResolvedContext, nodeID string) (*xmldom.Document, error) {
 	if nodeID == navigation.HubID {
 		title := "Index of " + rc.Name
 		html := xmldom.NewElement("html")
@@ -386,13 +366,12 @@ func (app *App) basePage(rc *navigation.ResolvedContext, nodeID string) (*xmldom
 		return xmldom.NewDocument(html), nil
 	}
 
-	node := rc.Member(nodeID)
-	dataDoc, err := app.repo.Get(navigation.NodeHref(nodeID))
-	if err != nil {
-		return nil, err
+	dataDoc := g.dataDoc(nodeID)
+	if dataDoc == nil {
+		return nil, fmt.Errorf("core: no document %q", navigation.NodeHref(nodeID))
 	}
-	if app.stylesheet != nil {
-		out, err := app.stylesheet.ApplyToDocument(dataDoc)
+	if g.stylesheet != nil {
+		out, err := g.stylesheet.ApplyToDocument(dataDoc)
 		if err != nil {
 			return nil, fmt.Errorf("core: stylesheet on %s: %w", nodeID, err)
 		}
@@ -403,17 +382,61 @@ func (app *App) basePage(rc *navigation.ResolvedContext, nodeID string) (*xmldom
 	}
 
 	// Built-in presentation: title plus attribute table.
+	title, names, values := shown(rc.Member(nodeID).Class, dataDoc)
 	html := xmldom.NewElement("html")
 	head := html.AddElement("head")
-	head.AddElement("title").AppendText(node.Title())
+	head.AddElement("title").AppendText(title)
 	body := html.AddElement("body")
-	body.AddElement("h1").AppendText(node.Title())
+	body.AddElement("h1").AppendText(title)
 	table := body.AddElement("table")
 	table.SetAttr("class", "attributes")
-	for _, attr := range node.AttrNames() {
+	for i, attr := range names {
 		tr := table.AddElement("tr")
 		tr.AddElement("td").AppendText(attr)
-		tr.AddElement("td").AppendText(node.Attr(attr))
+		tr.AddElement("td").AppendText(values[i])
 	}
 	return xmldom.NewDocument(html), nil
+}
+
+// dataDoc returns the data document of a node, or nil.
+func (g *generation) dataDoc(nodeID string) *xmldom.Document {
+	if d := g.docs[navigation.NodeHref(nodeID)]; d != nil {
+		return d.tree
+	}
+	return nil
+}
+
+// shown reads a member out of its data document, as the member's node
+// class shows it: the title, and the attributes in Node.AttrNames order
+// with their values. A page reads its data from its generation's
+// documents, never from the live store, so it is woven from that
+// generation alone.
+func shown(nc *navigation.NodeClass, doc *xmldom.Document) (title string, names, values []string) {
+	root := doc.Root()
+	value := func(name string) string {
+		if e := root.FirstChildElement(name); e != nil {
+			return e.StringValue()
+		}
+		return ""
+	}
+	if len(nc.AttrNames) > 0 {
+		names = slices.Clone(nc.AttrNames)
+		sort.Strings(names)
+	} else {
+		// ExportInstance writes one element per attribute, in name order.
+		for _, e := range root.ChildElements() {
+			names = append(names, e.Name.Local)
+		}
+	}
+	values = make([]string, len(names))
+	for i, name := range names {
+		values[i] = value(name)
+	}
+	if nc.TitleAttr != "" {
+		title = value(nc.TitleAttr)
+	}
+	if title == "" {
+		title = root.AttrValue("id")
+	}
+	return title, names, values
 }

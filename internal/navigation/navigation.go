@@ -22,6 +22,8 @@ package navigation
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -212,6 +214,25 @@ func (m *Model) MustAddContext(c *ContextDef) {
 
 // Contexts returns the context definitions in declaration order.
 func (m *Model) Contexts() []*ContextDef { return m.contexts }
+
+// WithAccess returns a copy of the model in which each context family
+// named in swaps is traversed by its new access structure; a name the
+// model does not declare is ignored. The model itself is left as it
+// was, so one an application serves can be swapped without a lock: the
+// copy shares the node classes, the links and every other context
+// definition with it.
+func (m *Model) WithAccess(swaps map[string]AccessStructure) *Model {
+	next := &Model{nodeClasses: maps.Clone(m.nodeClasses), classOrder: slices.Clip(m.classOrder),
+		links: slices.Clip(m.links), contexts: slices.Clone(m.contexts), landmarks: slices.Clip(m.landmarks)}
+	for i, c := range next.contexts {
+		if as, ok := swaps[c.Name]; ok {
+			def := *c
+			def.Access = as
+			next.contexts[i] = &def
+		}
+	}
+	return next
+}
 
 // AddLandmark marks an ungrouped context as a landmark: an entry point
 // reachable from every page of the application (OOHDM's landmark

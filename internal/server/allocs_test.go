@@ -16,7 +16,7 @@ import (
 // bookkeeping and the session step. The guards keep regressions from
 // sneaking the serialization back onto the request path.
 const (
-	maxPageServeAllocs = 7
+	maxPageServeAllocs = 5
 	maxDocServeAllocs  = 8
 )
 

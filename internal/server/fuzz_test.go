@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"reflect"
 	"strings"
@@ -144,6 +145,41 @@ func FuzzSessionCookie(f *testing.F) {
 		}
 		if got := sessionCookieValue(r); got != want {
 			t.Fatalf("sessionCookieValue(%q) = %q, r.Cookie says %q", r.Header["Cookie"], got, want)
+		}
+	})
+}
+
+// splitPagePathSplit is splitPagePath as strings.Split and strings.Join
+// read a page path: the reference FuzzSplitPagePath holds it to.
+func splitPagePathSplit(path string) (contextName, nodeID string, err error) {
+	segs := strings.Split(strings.TrimSuffix(path, ".html"), "/")
+	if len(segs) < 2 {
+		return "", "", fmt.Errorf("server: page path %q too short", path)
+	}
+	for _, seg := range segs {
+		if seg == "" {
+			return "", "", fmt.Errorf("server: page path %q has an empty segment", path)
+		}
+	}
+	nodeID = segs[len(segs)-1]
+	if nodeID == "index" {
+		nodeID = navigation.HubID
+	}
+	return strings.Join(segs[:len(segs)-1], ":"), nodeID, nil
+}
+
+// FuzzSplitPagePath compares splitPagePath with the split reference over
+// arbitrary paths: both fail, or both return the same context and node.
+func FuzzSplitPagePath(f *testing.F) {
+	for _, c := range splitPagePathCases {
+		f.Add(c.path)
+	}
+	f.Fuzz(func(t *testing.T, path string) {
+		ctx, node, err := splitPagePath(path)
+		wantCtx, wantNode, wantErr := splitPagePathSplit(path)
+		if (err != nil) != (wantErr != nil) || ctx != wantCtx || node != wantNode {
+			t.Fatalf("splitPagePath(%q) = (%q, %q, %v), the split reading says (%q, %q, %v)",
+				path, ctx, node, err, wantCtx, wantNode, wantErr)
 		}
 	})
 }

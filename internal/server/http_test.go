@@ -332,32 +332,35 @@ func TestHealthzReportsBackend(t *testing.T) {
 	}
 }
 
+// splitPagePathCases are the path-grammar edge cases, which
+// FuzzSplitPagePath also starts from.
+var splitPagePathCases = []struct {
+	path        string
+	wantContext string
+	wantNode    string
+	wantErr     bool
+}{
+	{"ByAuthor/picasso/guitar.html", "ByAuthor:picasso", "guitar", false},
+	{"ByAuthor/picasso/index.html", "ByAuthor:picasso", navigation.HubID, false},
+	{"AllPaintings/guitar.html", "AllPaintings", "guitar", false},
+	// Nested group paths: every directory joins the context name.
+	{"Family/group/sub/node.html", "Family:group:sub", "node", false},
+	{"Family/group/sub/index.html", "Family:group:sub", navigation.HubID, false},
+	// Bare index.html has no context directory.
+	{"index.html", "", "", true},
+	// A single-segment page likewise.
+	{"guitar.html", "", "", true},
+	// Empty segments: doubled, leading and trailing slashes.
+	{"ByAuthor//guitar.html", "", "", true},
+	{"/ByAuthor/guitar.html", "", "", true},
+	{"ByAuthor/picasso/.html", "", "", true},
+	{"ByAuthor/guitar.html/", "", "", true},
+	{"", "", "", true},
+}
+
 // TestSplitPagePath covers the path-grammar edge cases.
 func TestSplitPagePath(t *testing.T) {
-	cases := []struct {
-		path        string
-		wantContext string
-		wantNode    string
-		wantErr     bool
-	}{
-		{"ByAuthor/picasso/guitar.html", "ByAuthor:picasso", "guitar", false},
-		{"ByAuthor/picasso/index.html", "ByAuthor:picasso", navigation.HubID, false},
-		{"AllPaintings/guitar.html", "AllPaintings", "guitar", false},
-		// Nested group paths: every directory joins the context name.
-		{"Family/group/sub/node.html", "Family:group:sub", "node", false},
-		{"Family/group/sub/index.html", "Family:group:sub", navigation.HubID, false},
-		// Bare index.html has no context directory.
-		{"index.html", "", "", true},
-		// A single-segment page likewise.
-		{"guitar.html", "", "", true},
-		// Empty segments: doubled, leading and trailing slashes.
-		{"ByAuthor//guitar.html", "", "", true},
-		{"/ByAuthor/guitar.html", "", "", true},
-		{"ByAuthor/picasso/.html", "", "", true},
-		{"ByAuthor/guitar.html/", "", "", true},
-		{"", "", "", true},
-	}
-	for _, c := range cases {
+	for _, c := range splitPagePathCases {
 		ctx, node, err := splitPagePath(c.path)
 		if c.wantErr {
 			if err == nil {

@@ -562,9 +562,9 @@ func (s *Server) serveSiteMap(w http.ResponseWriter) {
 	_, _ = w.Write([]byte(sb.String()))
 }
 
-// serveXML serves a repository document (data file or linkbase) from
-// the application's serialized-document cache: the bytes and validator
-// were produced when the model last changed, not per request.
+// serveXML serves a repository document (data file or linkbase) as
+// the application holds it serialized: the bytes and validator were
+// produced when the model last changed, not per request.
 func (s *Server) serveXML(w http.ResponseWriter, r *http.Request, uri string, rt reqTrace) {
 	body, etag, clen, err := s.app.DocBytes(uri)
 	if err != nil {
@@ -721,23 +721,25 @@ func (s *Server) serveTraversal(w http.ResponseWriter, r *http.Request, action s
 // splitPagePath turns "ByAuthor/picasso/guitar.html" into
 // ("ByAuthor:picasso", "guitar"); the final "index.html" maps to the hub.
 // Empty segments (leading, doubled or trailing slashes) are rejected —
-// "ByAuthor//guitar.html" names no context.
+// "ByAuthor//guitar.html" names no context. The context name is the
+// path's own substring unless the directory has several segments.
 func splitPagePath(path string) (contextName, nodeID string, err error) {
-	segs := strings.Split(strings.TrimSuffix(path, ".html"), "/")
-	if len(segs) < 2 {
+	trimmed := strings.TrimSuffix(path, ".html")
+	slash := strings.LastIndexByte(trimmed, '/')
+	if slash < 0 {
 		return "", "", fmt.Errorf("server: page path %q too short", path)
 	}
-	for _, seg := range segs {
-		if seg == "" {
-			return "", "", fmt.Errorf("server: page path %q has an empty segment", path)
-		}
+	dir, nodeID := trimmed[:slash], trimmed[slash+1:]
+	if nodeID == "" || dir == "" || dir[0] == '/' || dir[len(dir)-1] == '/' || strings.Contains(dir, "//") {
+		return "", "", fmt.Errorf("server: page path %q has an empty segment", path)
 	}
-	nodeID = segs[len(segs)-1]
 	if nodeID == "index" {
 		nodeID = navigation.HubID
 	}
-	contextName = strings.Join(segs[:len(segs)-1], ":")
-	return contextName, nodeID, nil
+	if strings.IndexByte(dir, '/') < 0 {
+		return dir, nodeID, nil
+	}
+	return strings.ReplaceAll(dir, "/", ":"), nodeID, nil
 }
 
 // session returns the requester's navigation session and its id,

@@ -34,7 +34,7 @@ trap 'rm -f "$TMP"' EXIT
 		-benchmem -benchtime "$BENCHTIME" ./internal/obs/
 	${GO:-go} test -run '^$' -bench 'ObserveRequest' \
 		-benchmem -benchtime "$BENCHTIME" ./internal/server/
-	${GO:-go} test -run '^$' -bench 'NewApp|NewLinkbaseText|AppendIndentedLinkbase|RebuildStructureSwap|MutationCaption|MutationTitle|RenderPageMember' \
+	${GO:-go} test -run '^$' -bench 'NewApp|NewLinkbaseText|AppendIndentedLinkbase|RebuildStructureSwap|MutationCaption|MutationTitle|RenderPageMember|RenderDuringSwaps' \
 		-benchmem -benchtime "$BENCHTIME" ./internal/core/
 	${GO:-go} test -run '^$' -bench 'WriteHTML|AppendHTML' \
 		-benchmem -benchtime "$BENCHTIME" ./internal/presentation/
