@@ -17,8 +17,9 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the repository's own invariant analyzers (internal/lint via
-# cmd/navlint): hot-path purity, lock discipline, plane separation and
-# API-handler hygiene. Also usable as `go vet -vettool`.
+# cmd/navlint) over every package: hot-path purity, lock discipline,
+# plane separation, API-handler hygiene and the //repro: annotation
+# grammar.
 lint:
 	$(GO) run ./cmd/navlint ./...
 
@@ -75,10 +76,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzXPointerParse$$' -fuzztime 10s ./internal/xpointer
 
 # lines prints the Go line counts outside benchmark/, non-test and test
-# files apart, as wc -l counts them: the figure each change reports.
+# files apart, as wc -l counts them: the figure each change reports. Go
+# files under a testdata/ directory (the analyzer corpora) count as
+# test code.
 lines:
-	@printf 'non-test: '; find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
-	@printf 'test:     '; find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
+	@printf 'non-test: '; find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './benchmark/*' | xargs cat | wc -l
+	@printf 'test:     '; find . -name '*.go' \( -name '*_test.go' -o -path '*/testdata/*' \) ! -path './benchmark/*' | xargs cat | wc -l
 
 # api-smoke boots a real navserve with -api-token, drives navctl
 # through a structure swap over the control plane, and asserts the

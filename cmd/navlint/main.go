@@ -2,28 +2,21 @@
 // internal/lint): hotpath, locks, planes, apihandler and the directive
 // grammar check.
 //
-// Two modes, one analysis:
+//	navlint ./...           # every package of the module in .
+//	navlint -C dir ./...    # every package of the module in dir
+//	navlint -list           # the analyzers and what they check
 //
-//	navlint ./...                     # standalone multichecker
-//	go vet -vettool=$(which navlint) ./...   # unitchecker under go vet
+// navlint loads the matched packages in dependency order and sweeps the
+// suite across them, passing analyzer facts from package to package in
+// memory.
 //
-// Standalone, navlint loads every matched package in dependency order
-// and sweeps the suite across them, passing analyzer facts from
-// package to package in memory. Under go vet, the go command invokes
-// navlint once per package with a .cfg describing the compilation
-// unit, and facts travel through .vetx files exactly like the
-// golang.org/x/tools unitchecker protocol; both modes therefore reach
-// identical verdicts.
-//
-// Exit status: 0 clean, 1 (standalone) / 2 (vettool) when diagnostics
-// were reported, 3 on loading errors. Diagnostics name the rule:
+// Exit status: 0 clean, 1 when diagnostics were reported, 3 on loading
+// errors. Diagnostics name the rule:
 //
 //	internal/server/server.go:388:9: [hotpath] hotpath function etagMatches calls strings.Split ...
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/token"
@@ -59,51 +52,18 @@ func main() {
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("navlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	version := fs.String("V", "", "print version and exit (go vet tool protocol)")
-	printFlags := fs.Bool("flags", false, "print analyzer flags as JSON (go vet tool protocol)")
 	list := fs.Bool("list", false, "list the analyzers and what they check")
 	dir := fs.String("C", ".", "change to `dir` before loading packages")
 	if err := fs.Parse(args); err != nil {
 		return 3
 	}
-	switch {
-	case *version != "":
-		// The go command fingerprints vet tools via `-V=full`; the
-		// binary's own hash keeps the build cache honest across rebuilds.
-		fmt.Fprintf(stdout, "navlint version devel buildID=%s\n", selfID())
-		return 0
-	case *printFlags:
-		// No user-settable analyzer flags; `go vet` learns that here.
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	case *list:
+	if *list {
 		for _, a := range suite {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
-	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return unitcheck(rest[0], stderr)
-	}
-	return standalone(*dir, fs.Args(), stdout, stderr)
-}
-
-// selfID hashes the running binary (best-effort) for -V=full.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+	return check(*dir, fs.Args(), stdout, stderr)
 }
 
 // diag is one rendered diagnostic.
@@ -153,8 +113,9 @@ func runSuite(fset *token.FileSet, pkgs []*load.Package) ([]diag, error) {
 	return diags, nil
 }
 
-// standalone is the multichecker mode: load, sweep, print.
-func standalone(dir string, patterns []string, stdout, stderr io.Writer) int {
+// check loads the packages patterns match in dir, sweeps the suite
+// across them and prints the findings.
+func check(dir string, patterns []string, stdout, stderr io.Writer) int {
 	fset, pkgs, err := load.Repo(dir, patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "navlint: %v\n", err)
@@ -178,112 +139,6 @@ func standalone(dir string, patterns []string, stdout, stderr io.Writer) int {
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "navlint: %d finding(s)\n", len(diags))
 		return 1
-	}
-	return 0
-}
-
-// vetConfig mirrors the JSON the go command writes for vet tools (the
-// unitchecker Config).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitcheck is the `go vet -vettool` mode: analyze one compilation
-// unit described by cfgPath, reading dependency facts from and writing
-// this package's facts to vetx files.
-func unitcheck(cfgPath string, stderr io.Writer) int {
-	raw, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "navlint: %v\n", err)
-		return 3
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(raw, &cfg); err != nil {
-		fmt.Fprintf(stderr, "navlint: parsing %s: %v\n", cfgPath, err)
-		return 3
-	}
-	facts := analysis.NewFactStore()
-	// Dependency order of the merge does not matter: keys are disjoint
-	// per (analyzer, object) and later packages win ties identically.
-	for _, vetx := range cfg.PackageVetx {
-		data, err := os.ReadFile(vetx)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			fmt.Fprintf(stderr, "navlint: %v\n", err)
-			return 3
-		}
-		if err := facts.Merge(data); err != nil {
-			fmt.Fprintf(stderr, "navlint: merging facts from %s: %v\n", vetx, err)
-			return 3
-		}
-	}
-	fset, pkg, err := load.Unit(cfg.ImportPath, cfg.GoFiles, cfg.ImportMap, cfg.PackageFile)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return writeVetx(&cfg, analysis.NewFactStore(), stderr)
-		}
-		fmt.Fprintf(stderr, "navlint: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 3
-	}
-	var diags []diag
-	for _, a := range suite {
-		a := a
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Facts:     facts,
-			Report: func(d analysis.Diagnostic) {
-				diags = append(diags, diag{fset.Position(d.Pos), a.Name, d.Message})
-			},
-		}
-		if _, err := a.Run(pass); err != nil {
-			fmt.Fprintf(stderr, "navlint: %s on %s: %v\n", a.Name, cfg.ImportPath, err)
-			return 3
-		}
-	}
-	if code := writeVetx(&cfg, facts, stderr); code != 0 {
-		return code
-	}
-	if cfg.VetxOnly || len(diags) == 0 {
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintf(stderr, "%s:%d:%d: [%s] %s\n", d.pos.Filename, d.pos.Line, d.pos.Column, d.analyzer, d.msg)
-	}
-	return 2
-}
-
-func writeVetx(cfg *vetConfig, facts *analysis.FactStore, stderr io.Writer) int {
-	if cfg.VetxOutput == "" {
-		return 0
-	}
-	data, err := facts.Encode()
-	if err != nil {
-		fmt.Fprintf(stderr, "navlint: encoding facts: %v\n", err)
-		return 3
-	}
-	if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
-		fmt.Fprintf(stderr, "navlint: %v\n", err)
-		return 3
 	}
 	return 0
 }

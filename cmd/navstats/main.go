@@ -7,7 +7,7 @@
 // Usage:
 //
 //	navstats -store-dir /var/lib/navserve
-//	navstats -store-dir /var/lib/navserve -k 10 -min-hops 20 -json
+//	navstats -store-dir /var/lib/navserve -k 10 -min-hops 20 -format json
 //
 // Flags:
 //
@@ -17,7 +17,6 @@
 //	-landmark-share  visit share that promotes a node to a landmark
 //	-format          text (default), json (the full report) or dot (the
 //	                 per-context transition graphs as one Graphviz digraph)
-//	-json            deprecated alias for -format json
 //
 // The site definition (which contexts exist, their member order) comes
 // from the snapshot navserve exports into the same store at startup, so
@@ -57,12 +56,8 @@ func run(args []string, out io.Writer) error {
 	landmarkShare := fs.Float64("landmark-share", analytics.DefaultLandmarkShare,
 		"visit share that promotes a node to a landmark (negative = promote everything, >=1 = never; 0 means the default)")
 	format := fs.String("format", "text", "output format: text, json or dot")
-	asJSON := fs.Bool("json", false, "deprecated alias for -format json")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *asJSON {
-		*format = "json"
 	}
 	switch *format {
 	case "text", "json", "dot":

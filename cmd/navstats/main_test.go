@@ -83,7 +83,7 @@ func TestNavstatsJSON(t *testing.T) {
 	seedStore(t, dir)
 
 	var out strings.Builder
-	if err := run([]string{"-store-dir", dir, "-min-hops", "10", "-json"}, &out); err != nil {
+	if err := run([]string{"-store-dir", dir, "-min-hops", "10", "-format", "json"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	var rep report
@@ -99,8 +99,8 @@ func TestNavstatsJSON(t *testing.T) {
 	}
 }
 
-// TestNavstatsFormatJSON: -format json matches the -json alias and
-// carries the full transition graph alongside the top-K lists.
+// TestNavstatsFormatJSON: -format json carries the full transition
+// graph alongside the top-K lists.
 func TestNavstatsFormatJSON(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir)

@@ -7,25 +7,22 @@
 // x/tools so the analyzers can be moved onto the real framework by
 // changing one import line.
 //
-// Two drivers run these analyzers (see cmd/navlint): a standalone
-// multichecker that loads the whole module and runs the suite over every
-// package in dependency order, and a `go vet -vettool` unitchecker that
-// analyzes one package per invocation and exchanges facts through vetx
-// files. Facts make transitive analyses (the hotpath call-graph walk)
-// work identically in both modes: an analyzer summarizes each function
-// it sees and exports the summary as a fact; when analysis crosses a
-// package boundary it imports the callee's fact instead of its body.
+// cmd/navlint and analysistest run these analyzers the same way: they
+// load every package of a module with load.Repo, dependencies first,
+// and run the analyzers over each against one FactStore. Facts make
+// transitive analyses (the hotpath call-graph walk, the locks acquire
+// summaries) cross package boundaries: an analyzer summarizes each
+// function it sees and exports the summary as a fact; when analysis
+// crosses a package boundary it imports the callee's fact instead of
+// its body.
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // Analyzer describes one static check.
@@ -33,11 +30,10 @@ type Analyzer struct {
 	// Name identifies the rule; diagnostics are printed as
 	// "pos: [name] message" so a failure names the rule that fired.
 	Name string
-	// Doc is the one-paragraph description `navlint help` prints.
+	// Doc is the one-paragraph description `navlint -list` prints.
 	Doc string
 	// FactTypes lists the fact value types the analyzer exports and
-	// imports. Every type must be gob-encodable; facts of unlisted
-	// types are rejected.
+	// imports; facts of unlisted types are rejected.
 	FactTypes []Fact
 	// Run executes the analyzer on one package.
 	Run func(*Pass) (any, error)
@@ -84,7 +80,8 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 
 // ImportObjectFact copies the fact associated with obj (by this
 // analyzer, possibly in another package) into *fact and reports whether
-// one was found.
+// one was found. The copy is shallow: importers must not modify what
+// the fact's slices or maps share with the exported value.
 func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return p.Facts.get(p.Analyzer, obj, fact)
 }
@@ -93,8 +90,9 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 // types.Func full name for functions and methods (e.g.
 // "(*repro/internal/core.App).RenderPageCached"), package path + "." +
 // name otherwise. It is identical whether the object was type-checked
-// from source or read back from export data, which is what lets facts
-// written by one driver mode be read by the other.
+// from source or read back from export data, which is what lets a fact
+// exported while analyzing one package be found from the packages that
+// import it.
 func ObjectKey(obj types.Object) string {
 	if f, ok := obj.(*types.Func); ok {
 		if orig := f.Origin(); orig != nil {
@@ -110,97 +108,36 @@ func ObjectKey(obj types.Object) string {
 
 // factKey identifies one stored fact.
 type factKey struct {
-	Analyzer string
-	Object   string
-	Type     string
+	analyzer string
+	object   string
+	typ      reflect.Type
 }
 
-// FactStore holds gob-encoded facts keyed by (analyzer, object, fact
-// type). The standalone driver keeps one store for the whole run; the
-// unitchecker driver fills it from the dependency vetx files and
-// serializes it back out for the packages that import this one.
+// FactStore holds the facts a run's analyzers export, keyed by
+// (analyzer, object, fact type), for the packages analyzed after the
+// exporting one.
 type FactStore struct {
-	m map[factKey][]byte
+	m map[factKey]Fact
 }
 
 // NewFactStore returns an empty store.
-func NewFactStore() *FactStore { return &FactStore{m: map[factKey][]byte{}} }
-
-func factTypeName(fact Fact) string { return reflect.TypeOf(fact).String() }
+func NewFactStore() *FactStore { return &FactStore{m: map[factKey]Fact{}} }
 
 func (s *FactStore) put(a *Analyzer, obj types.Object, fact Fact) error {
-	if err := checkFactType(a, fact); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).EncodeValue(reflect.ValueOf(fact).Elem()); err != nil {
-		return err
-	}
-	s.m[factKey{a.Name, ObjectKey(obj), factTypeName(fact)}] = buf.Bytes()
-	return nil
-}
-
-func (s *FactStore) get(a *Analyzer, obj types.Object, fact Fact) bool {
-	raw, ok := s.m[factKey{a.Name, ObjectKey(obj), factTypeName(fact)}]
-	if !ok {
-		return false
-	}
-	if err := gob.NewDecoder(bytes.NewReader(raw)).DecodeValue(reflect.ValueOf(fact).Elem()); err != nil {
-		return false
-	}
-	return true
-}
-
-func checkFactType(a *Analyzer, fact Fact) error {
-	name := factTypeName(fact)
+	t := reflect.TypeOf(fact)
 	for _, ft := range a.FactTypes {
-		if factTypeName(ft) == name {
+		if reflect.TypeOf(ft) == t {
+			s.m[factKey{a.Name, ObjectKey(obj), t}] = fact
 			return nil
 		}
 	}
-	return fmt.Errorf("fact type %s not declared in %s.FactTypes", name, a.Name)
+	return fmt.Errorf("fact type %s not declared in %s.FactTypes", t, a.Name)
 }
 
-// wireFact is the serialized form of one fact in a vetx file.
-type wireFact struct {
-	Analyzer string
-	Object   string
-	Type     string
-	Data     []byte
-}
-
-// Encode serializes the whole store (a vetx payload).
-func (s *FactStore) Encode() ([]byte, error) {
-	facts := make([]wireFact, 0, len(s.m))
-	for k, v := range s.m {
-		facts = append(facts, wireFact{k.Analyzer, k.Object, k.Type, v})
+func (s *FactStore) get(a *Analyzer, obj types.Object, fact Fact) bool {
+	stored, ok := s.m[factKey{a.Name, ObjectKey(obj), reflect.TypeOf(fact)}]
+	if ok {
+		reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
 	}
-	// Deterministic output keeps vetx files cache-stable.
-	sort.Slice(facts, func(i, j int) bool {
-		a, b := facts[i], facts[j]
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		return a.Type < b.Type
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(facts); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Merge decodes a vetx payload produced by Encode into the store.
-func (s *FactStore) Merge(raw []byte) error {
-	var facts []wireFact
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&facts); err != nil {
-		return err
-	}
-	for _, f := range facts {
-		s.m[factKey{f.Analyzer, f.Object, f.Type}] = f.Data
-	}
-	return nil
+	return ok
 }

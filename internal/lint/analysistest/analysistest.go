@@ -9,10 +9,10 @@
 // and every want must be matched; anything else fails the test with
 // the file:line of the mismatch.
 //
-// Corpus packages live under root as src-style import paths
-// (testdata/src/<name>); corpus-local imports are loaded too and run
-// first, so analyzers that exchange facts across packages are
-// exercised for real.
+// Each corpus is a module of its own (testdata/src/<name>, with a go.mod
+// naming it <name>). Run loads all of its packages the way navlint
+// loads the repository, dependencies first, so analyzers that exchange
+// facts across packages are exercised for real.
 package analysistest
 
 import (
@@ -33,14 +33,14 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads the named corpus packages from root and applies a to each
-// (dependencies first, sharing one fact store), then reconciles
+// Run loads every package of the corpus module in dir and applies a to
+// each (dependencies first, sharing one fact store), then reconciles
 // diagnostics with the corpus's want comments.
-func Run(t *testing.T, root string, a *analysis.Analyzer, names ...string) {
+func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
-	fset, pkgs, err := load.Corpus(root, names...)
+	fset, pkgs, err := load.Repo(dir, "./...")
 	if err != nil {
-		t.Fatalf("loading corpus %v: %v", names, err)
+		t.Fatalf("loading corpus %s: %v", dir, err)
 	}
 	wants := map[string][]*expectation{} // "file:line" → expectations
 	for _, p := range pkgs {

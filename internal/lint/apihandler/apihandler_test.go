@@ -9,6 +9,6 @@ import (
 )
 
 func TestAPIHandler(t *testing.T) {
-	root := filepath.Join("..", "testdata", "src")
-	analysistest.Run(t, root, apihandler.Analyzer, "apitest/a", "apitest/b")
+	dir := filepath.Join("..", "testdata", "src", "apitest")
+	analysistest.Run(t, dir, apihandler.Analyzer)
 }

@@ -9,6 +9,6 @@ import (
 )
 
 func TestDirectives(t *testing.T) {
-	root := filepath.Join("..", "testdata", "src")
-	analysistest.Run(t, root, directives.Analyzer, "directivestest/a")
+	dir := filepath.Join("..", "testdata", "src", "directivestest")
+	analysistest.Run(t, dir, directives.Analyzer)
 }

@@ -1,16 +1,16 @@
 // Package lint is the umbrella for navlint, the repository's own
 // static-analysis suite. The analyzers live in subpackages and are run
-// by cmd/navlint (standalone or as a `go vet -vettool`); each one
-// turns an architectural invariant of the navigational-separation
-// design into a machine-checked rule:
+// by cmd/navlint; each one turns an architectural invariant of the
+// navigational-separation design into a machine-checked rule:
 //
 //	hotpath     //repro:hotpath functions (the paths AllocsPerRun
 //	            guards) must not transitively format, touch
 //	            encoding/json, read time.Now, take RWMutex write locks,
 //	            launch goroutines or call known-escaping helpers.
-//	locks       every Lock/RLock released on all paths, no nested
-//	            acquisition (direct or through a callee), no
-//	            mutation-plane call under a read lock.
+//	locks       every Lock/RLock released on all paths, in function
+//	            literals too; no nested acquisition, direct or
+//	            through a method that acquires the lock itself or
+//	            through the methods it calls on its receiver.
 //	planes      the import lattice between the navigational aspect,
 //	            the core, and the serving/control stack; mutation-plane
 //	            calls confined to //repro:plane(control) code inside
@@ -25,8 +25,9 @@
 //
 // The annotation grammar is documented in internal/lint/annotations;
 // the invariant tables (sin list, layering, mutation plane) in
-// internal/lint/rules. The analysis and load subpackages are a
-// stdlib-only mirror of the golang.org/x/tools/go/analysis driver
-// stack, kept API-compatible so the suite can migrate to x/tools by
-// swapping imports.
+// internal/lint/rules. The analysis subpackage is a stdlib-only mirror
+// of the golang.org/x/tools/go/analysis API the analyzers are written
+// against, kept compatible so the suite can migrate to x/tools by
+// swapping imports; load is the one loader, over `go list` and export
+// data, for the repository and the testdata corpora alike.
 package lint

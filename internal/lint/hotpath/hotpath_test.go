@@ -9,6 +9,6 @@ import (
 )
 
 func TestHotpath(t *testing.T) {
-	root := filepath.Join("..", "testdata", "src")
-	analysistest.Run(t, root, hotpath.Analyzer, "hotpathtest/a", "hotpathtest/b")
+	dir := filepath.Join("..", "testdata", "src", "hotpathtest")
+	analysistest.Run(t, dir, hotpath.Analyzer)
 }

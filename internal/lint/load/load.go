@@ -6,10 +6,9 @@
 // makes the toolchain compile (or reuse from the build cache) export
 // data for every dependency — standard library included — and the gc
 // importer reads types straight out of those files. Only the packages
-// under analysis are parsed and type-checked from source, exactly the
-// way `go vet` feeds its unitchecker tools. The result is that the
-// standalone driver and the -vettool driver see byte-identical type
-// information.
+// under analysis are parsed and type-checked from source. The analyzer
+// corpora under internal/lint/testdata/src are modules of their own and
+// load the same way.
 package load
 
 import (
@@ -24,7 +23,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -32,17 +30,11 @@ import (
 type Package struct {
 	// PkgPath is the import path ("repro/internal/core").
 	PkgPath string
-	// Dir is the directory the files live in.
-	Dir string
 	// Files are the parsed compilation units (no _test.go files).
 	Files []*ast.File
 	// Types and Info are the type-checker's output.
 	Types *types.Package
 	Info  *types.Info
-	// Imports lists the in-scope imports that are themselves being
-	// analyzed (module-local for Repo, corpus-local for Corpus) — the
-	// edges the driver orders analysis by.
-	Imports []string
 }
 
 // listEntry is the slice of `go list -json` output the loader reads.
@@ -53,19 +45,19 @@ type listEntry struct {
 	Standard   bool
 	DepOnly    bool
 	GoFiles    []string
-	Imports    []string
 }
 
 // goList runs `go list -export -deps -json` over patterns in dir and
-// returns the decoded entries. The -export flag makes the toolchain
-// produce (or reuse) export data for every listed package.
+// returns the decoded entries, every package after the packages it
+// imports. The -export flag makes the toolchain produce (or reuse)
+// export data for every listed package.
 func goList(dir string, patterns []string) ([]listEntry, error) {
 	gocmd := os.Getenv("GO")
 	if gocmd == "" {
 		gocmd = "go"
 	}
 	args := append([]string{"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,Imports"}, patterns...)
+		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles"}, patterns...)
 	cmd := exec.Command(gocmd, args...)
 	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
@@ -125,65 +117,20 @@ func parseDir(fset *token.FileSet, dir string, files []string) ([]*ast.File, err
 	return out, nil
 }
 
-// check type-checks one parsed package against imp.
+// check type-checks one parsed package against imp, stopping at the
+// first error.
 func check(fset *token.FileSet, pkgPath string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := newInfo()
-	var firstErr error
-	conf := types.Config{
-		Importer: imp,
-		Error: func(err error) {
-			if firstErr == nil {
-				firstErr = err
-			}
-		},
-	}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, fset, files, info)
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return tpkg, info, nil
-}
-
-// topo orders pkgs so every package appears after the packages it
-// imports (of those present in the set).
-func topo(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.PkgPath] = p
-	}
-	var order []*Package
-	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		if state[p.PkgPath] != 0 {
-			return
-		}
-		state[p.PkgPath] = 1
-		for _, imp := range p.Imports {
-			if dep := byPath[imp]; dep != nil {
-				visit(dep)
-			}
-		}
-		state[p.PkgPath] = 2
-		order = append(order, p)
-	}
-	// Deterministic roots make the run order (and output order) stable.
-	sorted := append([]*Package(nil), pkgs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].PkgPath < sorted[j].PkgPath })
-	for _, p := range sorted {
-		visit(p)
-	}
-	return order
+	return tpkg, info, err
 }
 
 // Repo loads every package matched by patterns (e.g. "./...") in the
 // module rooted at dir, type-checked from source with all imports —
 // module-local ones included — resolved through export data. Packages
-// are returned in dependency order, ready for a fact-passing analysis
-// sweep.
+// are returned in go list's dependency order, ready for a fact-passing
+// analysis sweep.
 func Repo(dir string, patterns ...string) (*token.FileSet, []*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -193,20 +140,16 @@ func Repo(dir string, patterns ...string) (*token.FileSet, []*Package, error) {
 		return nil, nil, err
 	}
 	exports := map[string]string{}
-	targetPaths := map[string]bool{}
 	for _, e := range entries {
 		if e.Export != "" {
 			exports[e.ImportPath] = e.Export
-		}
-		if !e.DepOnly && !e.Standard {
-			targetPaths[e.ImportPath] = true
 		}
 	}
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "gc", exportLookup(exports))
 	var pkgs []*Package
 	for _, e := range entries {
-		if !targetPaths[e.ImportPath] || len(e.GoFiles) == 0 {
+		if e.DepOnly || e.Standard || len(e.GoFiles) == 0 {
 			continue
 		}
 		files, err := parseDir(fset, e.Dir, e.GoFiles)
@@ -217,217 +160,7 @@ func Repo(dir string, patterns ...string) (*token.FileSet, []*Package, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("load: type-checking %s: %v", e.ImportPath, err)
 		}
-		var local []string
-		for _, i := range e.Imports {
-			if targetPaths[i] {
-				local = append(local, i)
-			}
-		}
-		pkgs = append(pkgs, &Package{
-			PkgPath: e.ImportPath,
-			Dir:     e.Dir,
-			Files:   files,
-			Types:   tpkg,
-			Info:    info,
-			Imports: local,
-		})
+		pkgs = append(pkgs, &Package{PkgPath: e.ImportPath, Files: files, Types: tpkg, Info: info})
 	}
-	return fset, topo(pkgs), nil
-}
-
-// Unit loads one package from an explicit file list (the unitchecker
-// driver's entry point, fed by go vet's .cfg): the files are parsed and
-// type-checked with imports resolved through the supplied export-data
-// map, after applying the import-path remapping in importMap.
-func Unit(pkgPath string, files []string, importMap, packageFile map[string]string) (*token.FileSet, *Package, error) {
-	fset := token.NewFileSet()
-	var parsed []*ast.File
-	for _, name := range files {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, nil, err
-		}
-		parsed = append(parsed, f)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := importMap[path]; ok {
-			path = mapped
-		}
-		file, ok := packageFile[path]
-		if !ok || file == "" {
-			return nil, fmt.Errorf("load: no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	imp := importer.ForCompiler(fset, "gc", lookup)
-	tpkg, info, err := check(fset, pkgPath, parsed, imp)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fset, &Package{PkgPath: pkgPath, Files: parsed, Types: tpkg, Info: info}, nil
-}
-
-// corpusImporter resolves imports for testdata corpora: names that
-// match a directory under the corpus root are type-checked from source
-// (recursively), everything else goes to export data.
-type corpusImporter struct {
-	fset    *token.FileSet
-	root    string
-	std     types.Importer
-	pkgs    map[string]*Package
-	loading map[string]bool
-}
-
-func (ci *corpusImporter) Import(path string) (*types.Package, error) {
-	if p, ok := ci.pkgs[path]; ok {
-		return p.Types, nil
-	}
-	if dir := filepath.Join(ci.root, filepath.FromSlash(path)); isDir(dir) {
-		p, err := ci.load(path, dir)
-		if err != nil {
-			return nil, err
-		}
-		return p.Types, nil
-	}
-	return ci.std.Import(path)
-}
-
-func (ci *corpusImporter) load(path, dir string) (*Package, error) {
-	if ci.loading[path] {
-		return nil, fmt.Errorf("load: corpus import cycle through %q", path)
-	}
-	ci.loading[path] = true
-	defer delete(ci.loading, path)
-	names, err := goFilesIn(dir)
-	if err != nil {
-		return nil, err
-	}
-	files, err := parseDir(ci.fset, dir, names)
-	if err != nil {
-		return nil, err
-	}
-	var local []string
-	for _, f := range files {
-		for _, spec := range f.Imports {
-			p := strings.Trim(spec.Path.Value, `"`)
-			if isDir(filepath.Join(ci.root, filepath.FromSlash(p))) {
-				local = append(local, p)
-			}
-		}
-	}
-	tpkg, info, err := check(ci.fset, path, files, ci)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking corpus package %s: %v", path, err)
-	}
-	pkg := &Package{PkgPath: path, Dir: dir, Files: files, Types: tpkg, Info: info, Imports: local}
-	ci.pkgs[path] = pkg
-	return pkg, nil
-}
-
-func isDir(path string) bool {
-	st, err := os.Stat(path)
-	return err == nil && st.IsDir()
-}
-
-func goFilesIn(dir string) ([]string, error) {
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, de := range des {
-		if n := de.Name(); strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("load: no Go files in %s", dir)
-	}
-	return names, nil
-}
-
-// Corpus loads the named corpus packages (directories under root, e.g.
-// "testdata/src/<name>") plus their corpus-local imports, all
-// type-checked from source, with external imports resolved through
-// export data obtained from the host toolchain. The returned slice is
-// in dependency order and includes the local imports, so a driver can
-// run an analyzer over it front to back and have facts flow.
-func Corpus(root string, names ...string) (*token.FileSet, []*Package, error) {
-	// One `go list` call fetches export data for every external import
-	// any corpus file mentions.
-	external := map[string]bool{}
-	var scan func(dir string) error
-	seen := map[string]bool{}
-	scan = func(dir string) error {
-		if seen[dir] {
-			return nil
-		}
-		seen[dir] = true
-		files, err := goFilesIn(dir)
-		if err != nil {
-			return err
-		}
-		fset := token.NewFileSet()
-		for _, name := range files {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
-			if err != nil {
-				return err
-			}
-			for _, spec := range f.Imports {
-				p := strings.Trim(spec.Path.Value, `"`)
-				if local := filepath.Join(root, filepath.FromSlash(p)); isDir(local) {
-					if err := scan(local); err != nil {
-						return err
-					}
-				} else {
-					external[p] = true
-				}
-			}
-		}
-		return nil
-	}
-	for _, name := range names {
-		if err := scan(filepath.Join(root, filepath.FromSlash(name))); err != nil {
-			return nil, nil, err
-		}
-	}
-	exports := map[string]string{}
-	if len(external) > 0 {
-		var pats []string
-		for p := range external {
-			pats = append(pats, p)
-		}
-		sort.Strings(pats)
-		entries, err := goList(root, pats)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, e := range entries {
-			if e.Export != "" {
-				exports[e.ImportPath] = e.Export
-			}
-		}
-	}
-	fset := token.NewFileSet()
-	ci := &corpusImporter{
-		fset:    fset,
-		root:    root,
-		std:     importer.ForCompiler(fset, "gc", exportLookup(exports)),
-		pkgs:    map[string]*Package{},
-		loading: map[string]bool{},
-	}
-	for _, name := range names {
-		if _, ok := ci.pkgs[name]; ok {
-			continue
-		}
-		if _, err := ci.load(name, filepath.Join(root, filepath.FromSlash(name))); err != nil {
-			return nil, nil, err
-		}
-	}
-	var pkgs []*Package
-	for _, p := range ci.pkgs {
-		pkgs = append(pkgs, p)
-	}
-	return fset, topo(pkgs), nil
+	return fset, pkgs, nil
 }

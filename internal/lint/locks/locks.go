@@ -1,5 +1,7 @@
 // Package locks implements the navlint analyzer that checks mutex
-// discipline by abstract interpretation of each function body.
+// discipline by abstract interpretation of each function body. Every
+// function literal is interpreted as a function of its own, entered
+// with nothing held, wherever it appears.
 //
 // It tracks which sync.Mutex / sync.RWMutex values are held along every
 // statement path and reports:
@@ -13,11 +15,10 @@
 //     RLock is tolerated — legal, if inadvisable);
 //   - releasing a read lock with Unlock or a write lock with RUnlock;
 //   - calling a method that takes a lock the caller already holds on
-//     the same receiver (via per-function acquire summaries, exported
-//     as facts so the check crosses package boundaries);
-//   - calling a mutation-plane method (rules.MutationPlane) while a
-//     read lock is held on the same receiver — the mutation takes the
-//     write lock, which self-deadlocks.
+//     the same receiver. A method's acquire summary is the receiver
+//     fields it locks plus what the methods it calls on that receiver
+//     acquire, computed to a fixpoint and exported as a fact so the
+//     check crosses package boundaries.
 //
 // Locks are identified by their source expression ("app.mu", "sh.mu"),
 // so two shards of a striped lock are different locks; interprocedural
@@ -37,36 +38,25 @@ import (
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/annotations"
-	"repro/internal/lint/rules"
 )
 
-// Analyzer is the locks rule with the repository's mutation-plane
-// table.
-var Analyzer = New(rules.MutationPlane)
+// Analyzer is the locks rule.
+var Analyzer = &analysis.Analyzer{
+	Name:      "locks",
+	Doc:       "checks that every Lock/RLock is released on all paths and that held locks are never re-acquired, directly or through a callee",
+	FactTypes: []analysis.Fact{(*AcquiresFact)(nil)},
+	Run:       run,
+}
 
 // AcquiresFact summarizes which receiver-field mutexes a method
-// acquires, as "field:r" / "field:w" entries.
+// acquires, itself or through the methods it calls on its receiver:
+// field name → strongest mode taken ('r' or 'w').
 type AcquiresFact struct {
-	Fields []string
+	Fields map[string]byte
 }
 
 // AFact marks AcquiresFact as an analysis fact.
 func (*AcquiresFact) AFact() {}
-
-// New builds a locks analyzer with the given mutation-plane table
-// (receiver type key → method names).
-func New(mutation map[string][]string) *analysis.Analyzer {
-	a := &analysis.Analyzer{
-		Name:      "locks",
-		Doc:       "checks that every Lock/RLock is released on all paths and that held locks are never re-acquired, directly or through a callee",
-		FactTypes: []analysis.Fact{(*AcquiresFact)(nil)},
-	}
-	a.Run = func(pass *analysis.Pass) (any, error) {
-		run(pass, mutation)
-		return nil, nil
-	}
-	return a
-}
 
 // heldLock is one tracked acquisition.
 type heldLock struct {
@@ -118,91 +108,120 @@ func (e *env) find(key string) int {
 }
 
 type checker struct {
-	pass     *analysis.Pass
-	mutation map[string][]string
-	df       *annotations.File
-	fn       *types.Func
-	// summaries holds the acquire summary of every method declared in
-	// this package: field name → strongest mode taken.
-	summaries map[*types.Func]map[string]byte
+	pass *analysis.Pass
+	df   *annotations.File
 }
 
-func run(pass *analysis.Pass, mutation map[string][]string) {
-	summaries := map[*types.Func]map[string]byte{}
+func run(pass *analysis.Pass) (any, error) {
+	// unit is one body to interpret: a declared function's or a
+	// function literal's.
 	type unit struct {
-		fd *ast.FuncDecl
-		fn *types.Func
-		df *annotations.File
+		body *ast.BlockStmt
+		df   *annotations.File
 	}
 	var units []unit
+	var decls []*ast.FuncDecl
 	for _, file := range pass.Files {
 		df := annotations.Parse(pass.Fset, file)
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			units = append(units, unit{fd, fn, df})
-			if s := summarize(pass.TypesInfo, fd); len(s) > 0 {
-				summaries[fn] = s
-				fact := &AcquiresFact{}
-				for f, m := range s {
-					fact.Fields = append(fact.Fields, f+":"+string(m))
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					units = append(units, unit{n.Body, df})
+					decls = append(decls, n)
 				}
-				sort.Strings(fact.Fields)
-				pass.ExportObjectFact(fn, fact)
+			case *ast.FuncLit:
+				units = append(units, unit{n.Body, df})
 			}
-		}
+			return true
+		})
+	}
+	for fn, s := range summarize(pass.TypesInfo, decls) {
+		pass.ExportObjectFact(fn, &AcquiresFact{Fields: s})
 	}
 	for _, u := range units {
-		c := &checker{pass: pass, mutation: mutation, df: u.df, fn: u.fn, summaries: summaries}
+		c := &checker{pass: pass, df: u.df}
 		e := newEnv()
-		term := c.interp(u.fd.Body.List, e)
-		if !term {
-			c.checkLeaks(e, u.fd.Body.End())
+		if !c.interp(u.body.List, e) {
+			c.checkLeaks(e, u.body.End())
 		}
 	}
+	return nil, nil
 }
 
-// summarize records which receiver-field mutexes fd acquires anywhere
-// in its body ('w' dominates 'r').
-func summarize(info *types.Info, fd *ast.FuncDecl) map[string]byte {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return nil
+// summarize computes the acquire summary of every method in decls: the
+// receiver-field mutexes it locks anywhere in its body, joined with the
+// summaries of the methods it calls on that same receiver, to a
+// fixpoint ('w' dominates 'r').
+func summarize(info *types.Info, decls []*ast.FuncDecl) map[*types.Func]map[string]byte {
+	out := map[*types.Func]map[string]byte{}
+	calls := map[*types.Func][]*types.Func{}
+	for _, fd := range decls {
+		if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
+			continue
+		}
+		fn := info.Defs[fd.Name].(*types.Func)
+		recv := fd.Recv.List[0].Names[0].Name
+		own := map[string]byte{}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if op, target, ok := mutexOp(info, call); ok {
+				field, ok := target.(*ast.SelectorExpr)
+				if ok && isIdent(field.X, recv) && (op == "Lock" || op == "RLock") {
+					join(own, field.Sel.Name, mode(op))
+				}
+				return true
+			}
+			// A method of the receiver's own type, not one promoted
+			// from an embedded field.
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.MethodVal && len(s.Index()) == 1 && isIdent(sel.X, recv) {
+				calls[fn] = append(calls[fn], s.Obj().(*types.Func).Origin())
+			}
+			return true
+		})
+		out[fn] = own
 	}
-	recv := fd.Recv.List[0].Names[0].Name
-	out := map[string]byte{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+	for changed := true; changed; {
+		changed = false
+		for fn, callees := range calls {
+			for _, callee := range callees {
+				for f, m := range out[callee] {
+					changed = join(out[fn], f, m) || changed
+				}
+			}
 		}
-		op, target, ok := mutexOp(info, call)
-		if !ok || (op != "Lock" && op != "RLock") {
-			return true
-		}
-		sel, ok := target.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		base, ok := sel.X.(*ast.Ident)
-		if !ok || base.Name != recv {
-			return true
-		}
-		mode := byte('w')
-		if op == "RLock" {
-			mode = 'r'
-		}
-		if out[sel.Sel.Name] != 'w' {
-			out[sel.Sel.Name] = mode
-		}
-		return true
-	})
+	}
 	return out
+}
+
+// join records that field f is taken in mode m ('w' dominates 'r') and
+// reports whether s changed.
+func join(s map[string]byte, f string, m byte) bool {
+	if s[f] == 'w' || s[f] == m {
+		return false
+	}
+	s[f] = m
+	return true
+}
+
+func isIdent(x ast.Expr, name string) bool {
+	id, ok := x.(*ast.Ident)
+	return ok && id.Name == name
+}
+
+// mode is the lock mode an acquire or release operation names.
+func mode(op string) byte {
+	if op == "RLock" || op == "RUnlock" {
+		return 'r'
+	}
+	return 'w'
 }
 
 // mutexOp classifies call as a sync mutex operation, returning the
@@ -249,7 +268,7 @@ func (c *checker) describe(target ast.Expr) (key, root, typeKey string) {
 }
 
 // typeKeyOf renders a (possibly pointer-to) named type as
-// "pkgpath.Name", the key format of rules.MutationPlane.
+// "pkgpath.Name".
 func typeKeyOf(t types.Type) string {
 	if t == nil {
 		return ""
@@ -489,11 +508,7 @@ func (c *checker) applyDefer(s *ast.DeferStmt, e *env) {
 			return
 		}
 		key, _, _ := c.describe(target)
-		mode := byte('w')
-		if op == "RUnlock" {
-			mode = 'r'
-		}
-		e.deferred[key] = mode
+		e.deferred[key] = mode(op)
 	}
 	if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
@@ -532,30 +547,23 @@ func (c *checker) applyMutexOp(op string, target ast.Expr, pos token.Pos, e *env
 	_, allowed := c.df.AllowedAt(pos)
 	switch op {
 	case "Lock", "RLock":
-		mode := byte('w')
-		if op == "RLock" {
-			mode = 'r'
-		}
+		m := mode(op)
 		if i := e.find(key); i >= 0 {
 			prev := e.held[i]
 			// Recursive RLock is legal; everything else deadlocks.
-			if (mode == 'w' || prev.mode == 'w') && !allowed && !prev.allowed {
+			if (m == 'w' || prev.mode == 'w') && !allowed && !prev.allowed {
 				c.pass.Reportf(pos, "%s is acquired here while already held since line %d (deadlock)",
 					key, c.pass.Fset.Position(prev.pos).Line)
 			}
 			return
 		}
-		e.held = append(e.held, heldLock{key, root, typeKey, mode, pos, allowed})
+		e.held = append(e.held, heldLock{key, root, typeKey, m, pos, allowed})
 	case "Unlock", "RUnlock":
 		i := e.find(key)
 		if i < 0 {
 			return // released by a caller or helper; out of scope
 		}
-		want := byte('w')
-		if op == "RUnlock" {
-			want = 'r'
-		}
-		if e.held[i].mode != want && !allowed && !e.held[i].allowed {
+		if e.held[i].mode != mode(op) && !allowed && !e.held[i].allowed {
 			c.pass.Reportf(pos, "%s was %s-locked at line %d but released with %s",
 				key, modeName(e.held[i].mode), c.pass.Fset.Position(e.held[i].pos).Line, op)
 		}
@@ -570,10 +578,9 @@ func modeName(m byte) string {
 	return "write"
 }
 
-// checkCall applies the interprocedural checks to a non-mutex call:
-// calling a method whose summary acquires a lock the caller holds on
-// the same receiver, and calling a mutation-plane method under a read
-// lock.
+// checkCall applies the interprocedural check to a non-mutex call:
+// calling a method whose acquire summary takes a lock the caller holds
+// on the same receiver.
 func (c *checker) checkCall(call *ast.CallExpr, e *env) {
 	if len(e.held) == 0 {
 		return
@@ -598,7 +605,6 @@ func (c *checker) checkCall(call *ast.CallExpr, e *env) {
 	if recvType == "" {
 		return
 	}
-	// Acquire-summary check: the callee takes a lock we already hold.
 	for field, am := range c.calleeAcquires(fn) {
 		tk := recvType + "." + field
 		for _, h := range e.held {
@@ -612,38 +618,14 @@ func (c *checker) checkCall(call *ast.CallExpr, e *env) {
 			}
 		}
 	}
-	// Mutation-plane check: mutating the model under a read lock.
-	for _, m := range c.mutation[recvType] {
-		if m != fn.Name() {
-			continue
-		}
-		for _, h := range e.held {
-			if h.mode == 'r' && h.root == recvStr && !h.allowed {
-				c.pass.Reportf(call.Pos(), "mutation-plane method %s called while read lock %s (line %d) is held; the mutation takes the write lock and deadlocks",
-					fn.Name(), h.key, c.pass.Fset.Position(h.pos).Line)
-				return
-			}
-		}
-	}
 }
 
-// calleeAcquires returns fn's acquire summary, from this package's
-// sweep or from an imported fact.
+// calleeAcquires returns fn's acquire summary: the fact this package's
+// sweep or an imported package exported for it.
 func (c *checker) calleeAcquires(fn *types.Func) map[string]byte {
-	if s, ok := c.summaries[fn]; ok {
-		return s
-	}
 	var fact AcquiresFact
-	if !c.pass.ImportObjectFact(fn, &fact) {
-		return nil
-	}
-	out := map[string]byte{}
-	for _, f := range fact.Fields {
-		if i := strings.LastIndexByte(f, ':'); i > 0 {
-			out[f[:i]] = f[i+1]
-		}
-	}
-	return out
+	c.pass.ImportObjectFact(fn, &fact)
+	return fact.Fields
 }
 
 func isPanic(info *types.Info, x ast.Expr) bool {

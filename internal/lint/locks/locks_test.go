@@ -9,9 +9,6 @@ import (
 )
 
 func TestLocks(t *testing.T) {
-	root := filepath.Join("..", "testdata", "src")
-	a := locks.New(map[string][]string{
-		"lockstest/a.App": {"Mutate", "Mutate2"},
-	})
-	analysistest.Run(t, root, a, "lockstest/a", "lockstest/b")
+	dir := filepath.Join("..", "testdata", "src", "lockstest")
+	analysistest.Run(t, dir, locks.Analyzer)
 }

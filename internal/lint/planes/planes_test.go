@@ -10,11 +10,11 @@ import (
 )
 
 func TestPlanes(t *testing.T) {
-	root := filepath.Join("..", "testdata", "src")
+	dir := filepath.Join("..", "testdata", "src", "planestest")
 	a := planes.New(
 		[]rules.ImportRule{{Pkg: "planestest/nav", Forbid: []string{"planestest/srv"}}},
 		map[string][]string{"planestest/core.App": {"Set"}},
 		"planestest/srv",
 	)
-	analysistest.Run(t, root, a, "planestest/nav", "planestest/srv")
+	analysistest.Run(t, dir, a)
 }

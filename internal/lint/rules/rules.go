@@ -125,9 +125,7 @@ var StdlibSins = map[string]Sin{
 // MutationPlane lists, per receiver type (keyed by package path +
 // "." + type name), the methods that mutate the woven model or the
 // conceptual store. The planes analyzer confines calls to them inside
-// ServePlanePkg to //repro:plane(control) files/functions; the locks
-// analyzer reports calling one while a read lock on the same receiver
-// type is held (the mutation takes the write lock — self-deadlock).
+// ServePlanePkg to //repro:plane(control) files/functions.
 var MutationPlane = map[string][]string{
 	"repro/internal/core.App": {
 		"SetAccessStructure",

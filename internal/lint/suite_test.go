@@ -16,7 +16,7 @@ import (
 // TestNegativeCorpus runs every analyzer over the clean corpus, which
 // uses all the annotations correctly and must produce zero findings.
 func TestNegativeCorpus(t *testing.T) {
-	root := filepath.Join("testdata", "src")
+	dir := filepath.Join("testdata", "src", "clean")
 	for _, a := range []*analysis.Analyzer{
 		directives.Analyzer,
 		hotpath.Analyzer,
@@ -26,7 +26,7 @@ func TestNegativeCorpus(t *testing.T) {
 	} {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
-			analysistest.Run(t, root, a, "clean/a")
+			analysistest.Run(t, dir, a)
 		})
 	}
 }

@@ -1,7 +1,8 @@
-// Package a is the locks analyzer's positive corpus: leaks, divergent
-// branches, loop imbalance, nested acquisition, wrong-mode release,
-// read-locked mutation calls, and the clean idioms that must stay
-// silent.
+// Package a is the locks analyzer's positive corpus: leaks (in
+// functions and in function literals), divergent branches, loop
+// imbalance, nested acquisition, wrong-mode release, calls that acquire
+// a held lock directly or through the receiver's other methods, and
+// the clean idioms that must stay silent.
 package a
 
 import "sync"
@@ -19,8 +20,8 @@ func (a *App) Mutate() {
 	a.n++
 }
 
-// Mutate2 delegates, so it has no acquire summary of its own — the
-// mutation-plane table catches it instead.
+// Mutate2 delegates: its acquire summary is lockedSet's, reached
+// through the call on its own receiver.
 func (a *App) Mutate2() { a.lockedSet() }
 
 func (a *App) lockedSet() {
@@ -39,7 +40,7 @@ func (a *App) ReadThenMutate() int {
 func (a *App) ReadThenMutate2() {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	a.Mutate2() // want `mutation-plane method Mutate2 called while read lock a\.mu \(line \d+\) is held`
+	a.Mutate2() // want `calling Mutate2 acquires a\.mu while it is already read-locked at line \d+ \(deadlock\)`
 }
 
 func (a *App) Leak(cond bool) {
@@ -48,6 +49,14 @@ func (a *App) Leak(cond bool) {
 		return
 	}
 	a.mu.Unlock()
+}
+
+// ClosureLeak's function literal is checked as a function of its own.
+func (a *App) ClosureLeak() func() int {
+	return func() int {
+		a.mu.Lock() // want `a\.mu is locked here but not unlocked on the path leaving the function at line \d+`
+		return a.n
+	}
 }
 
 func (a *App) Divergent(cond bool) {

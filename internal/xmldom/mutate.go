@@ -59,13 +59,6 @@ func (e *Element) AddElement(local string) *Element {
 	return c
 }
 
-// AddElementNS creates and appends a namespaced child element, returning it.
-func (e *Element) AddElementNS(space, local string) *Element {
-	c := NewElementNS(space, local)
-	e.AppendChild(c)
-	return c
-}
-
 // InsertChildAt inserts n at index i among e's children (clamped to the
 // valid range) and returns e.
 func (e *Element) InsertChildAt(i int, n Node) *Element {
@@ -198,9 +191,6 @@ func elementID(e *Element) string {
 	}
 	return ""
 }
-
-// ElementID returns the element's xml:id or id attribute value, or "".
-func ElementID(e *Element) string { return elementID(e) }
 
 // docOrderPath returns the child-index path from the document (or detached
 // root) down to n. Attribute nodes sort just after their owner element and

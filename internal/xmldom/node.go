@@ -406,9 +406,6 @@ func (a *Attr) ParentNode() Node {
 	return a.owner
 }
 
-// Owner returns the element the attribute belongs to, or nil if detached.
-func (a *Attr) Owner() *Element { return a.owner }
-
 // Document implements Node.
 func (a *Attr) Document() *Document {
 	if a.owner == nil {
