@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-
-	"repro/internal/core"
 )
 
 //repro:hotpth
@@ -35,12 +33,6 @@ func (g *G) Leak(cond bool) int {
 	g.n++
 	g.mu.Unlock()
 	return g.n
-}
-
-// Serve violates the planes rule: a serve-plane function calling a
-// mutation-plane method.
-func Serve(app *core.App) {
-	app.SetStylesheet("plain")
 }
 
 // S is the dispatcher the apihandler analyzer inspects.

@@ -22,7 +22,7 @@
 // Each response is woven or served from one immutable generation of
 // the App, so it comes from exactly one triple of data, linkbase and
 // presentation by construction; mutations publish the next generation
-// (see App).
+// (see Reader and App).
 //
 // The App holds links.xml only as its served bytes, with no tree: the
 // weaver reads the contexts as that markup reads back. One pass writes
@@ -73,21 +73,15 @@ const (
 	KindPageRender = "page.render"
 )
 
-// App is a woven web application: one conceptual store, one navigational
-// model, optional custom presentation, and an aspect weaver.
-//
-// An App is safe for concurrent use: any number of goroutines may render
-// and serve (RenderPage, RenderPageCached, WeaveSite, DocBytes) while
-// others mutate (SetAccessStructure, SetStylesheet, InvalidateDocument).
-// Everything a response is woven or served from is one immutable
-// generation behind one atomic pointer, which a reader loads once and
-// uses to the end, so no reader waits for a mutation. Mutations
-// serialize on writeMu, build the next generation beside the current
-// one, sharing every part they did not change, and publish it with one
-// store. A page reads its data from its generation's documents, never
+// Reader is the read plane of an App. It holds neither the conceptual
+// store nor a way to publish, so code handed a Reader (the serving
+// routes) cannot mutate the application, and the compiler checks it. It
+// is safe for concurrent use: everything a response is woven or served
+// from is one immutable generation behind one atomic pointer, which a
+// reader loads once and uses to the end, so no reader waits for a
+// mutation. A page reads its data from its generation's documents, never
 // from the live store.
-type App struct {
-	store  *conceptual.Store
+type Reader struct {
 	weaver *aspect.Weaver
 	// lineage holds the resolved models: every rebuild resolves into it,
 	// and each generation's model is published there with it.
@@ -95,9 +89,20 @@ type App struct {
 	// events traces recent mutations: duration, diff verdict and
 	// invalidation blast radius per model change (see Events).
 	events *obs.EventRing
+	gen    atomic.Pointer[generation]
+}
 
+// App is a woven web application: one conceptual store, one navigational
+// model, optional custom presentation, and an aspect weaver. It is its
+// Reader plus the mutations (SetAccessStructure, SetStylesheet,
+// InvalidateDocument), which any number of goroutines may run while
+// others render and serve. Mutations serialize on writeMu, build the
+// next generation beside the current one, sharing every part they did
+// not change, and publish it with one store.
+type App struct {
+	*Reader
+	store   *conceptual.Store
 	writeMu sync.Mutex
-	gen     atomic.Pointer[generation]
 }
 
 // generation is everything a response is woven or served from, never
@@ -157,10 +162,12 @@ const linksURI = "links.xml"
 // publishes a copy.
 func NewApp(store *conceptual.Store, model *navigation.Model) (*App, error) {
 	app := &App{
-		store:   store,
-		weaver:  aspect.NewWeaver(),
-		lineage: navigation.NewLineage(),
-		events:  obs.NewEventRing(eventRingCapacity),
+		Reader: &Reader{
+			weaver:  aspect.NewWeaver(),
+			lineage: navigation.NewLineage(),
+			events:  obs.NewEventRing(eventRingCapacity),
+		},
+		store: store,
 	}
 	empty := &generation{docs: map[string]*document{}, pages: newPageCache()}
 	g, _, _, err := app.rebuild(empty, model, conceptual.ExportAll(store))
@@ -422,12 +429,12 @@ func (app *App) Store() *conceptual.Store { return app.store }
 
 // Model returns the navigational model the App serves. A model the App
 // has published is never changed: a structure swap publishes a copy.
-func (app *App) Model() *navigation.Model { return app.gen.Load().model }
+func (r *Reader) Model() *navigation.Model { return r.gen.Load().model }
 
 // Resolved returns the resolved navigation model: the newest one a
 // mutation has published. It never waits for a mutation in progress; it
 // returns the model that mutation replaces until the mutation publishes.
-func (app *App) Resolved() *navigation.ResolvedModel { return app.lineage.Newest() }
+func (r *Reader) Resolved() *navigation.ResolvedModel { return r.lineage.Newest() }
 
 // Weaver returns the aspect weaver, so callers can register further
 // aspects (logging, access control) beside navigation.
@@ -436,16 +443,16 @@ func (app *App) Weaver() *aspect.Weaver { return app.weaver }
 // Linkbase returns the generated links.xml document. The App holds
 // links.xml as bytes, not as a tree, so each call builds a fresh tree
 // from the contexts it holds: the caller may change it freely.
-func (app *App) Linkbase() *xmldom.Document {
-	return navigation.BuildLinkbase(app.gen.Load().links.ordered)
+func (r *Reader) Linkbase() *xmldom.Document {
+	return navigation.BuildLinkbase(r.gen.Load().links.ordered)
 }
 
 // Repository returns a deep copy of the data-document repository (node
 // XML files plus links.xml, built afresh as Linkbase builds it), the
 // input an XLink-aware agent works from: a snapshot no later mutation
 // reaches. DocumentCount counts the repository without copying it.
-func (app *App) Repository() xlink.MapRepository {
-	g := app.gen.Load()
+func (r *Reader) Repository() xlink.MapRepository {
+	g := r.gen.Load()
 	repo := make(xlink.MapRepository, len(g.docs))
 	for uri, d := range g.docs {
 		if d.tree != nil {
@@ -458,7 +465,7 @@ func (app *App) Repository() xlink.MapRepository {
 
 // DocumentCount returns how many documents the repository holds: the
 // data documents and links.xml.
-func (app *App) DocumentCount() int { return len(app.gen.Load().docs) }
+func (r *Reader) DocumentCount() int { return len(r.gen.Load().docs) }
 
 // SetStylesheet installs a custom presentation stylesheet for node pages.
 // It must transform a node data document (e.g. Figure 7's painter XML)
@@ -503,14 +510,14 @@ func (app *App) installStylesheet(ss *presentation.Stylesheet, src string) {
 // through SetStylesheetXML, and whether one is in effect. The built-in
 // presentation and programmatically installed stylesheets have no XML
 // source, so they report false.
-func (app *App) StylesheetXML() (string, bool) {
-	src := app.gen.Load().stylesheetSrc
+func (r *Reader) StylesheetXML() (string, bool) {
+	src := r.gen.Load().stylesheetSrc
 	return src, src != ""
 }
 
 // SpecText renders the current navigational model as its declaration
 // artifact (navigation.SpecText).
-func (app *App) SpecText() string { return navigation.SpecText(app.Model()) }
+func (r *Reader) SpecText() string { return navigation.SpecText(r.Model()) }
 
 // ModelView is one consistent read of everything the control plane's
 // model endpoint serves: the declaration artifact, each family's access
@@ -525,8 +532,8 @@ type ModelView struct {
 }
 
 // View snapshots a ModelView.
-func (app *App) View() ModelView {
-	g := app.gen.Load()
+func (r *Reader) View() ModelView {
+	g := r.gen.Load()
 	access := make(map[string]navigation.AccessStructure, len(g.model.Contexts()))
 	for _, c := range g.model.Contexts() {
 		access[c.Name] = c.Access
@@ -626,8 +633,8 @@ func (app *App) InvalidateDocument(uri string) (int, error) {
 // formats. The returned slice is shared: callers must not modify it.
 //
 //repro:hotpath
-func (app *App) DocBytes(uri string) (body []byte, etag, contentLength string, err error) {
-	if d := app.gen.Load().docs[uri]; d != nil {
+func (r *Reader) DocBytes(uri string) (body []byte, etag, contentLength string, err error) {
+	if d := r.gen.Load().docs[uri]; d != nil {
 		return d.body, d.etag, d.clen, nil
 	}
 	//repro:allow(miss path: unknown document, request fails with 404)
@@ -646,14 +653,14 @@ func strongETag(gen uint64, body []byte) string {
 
 // CachedPages reports how many woven pages the current generation's
 // cache holds (diagnostics and tests).
-func (app *App) CachedPages() int { return app.gen.Load().pages.size() }
+func (r *Reader) CachedPages() int { return r.gen.Load().pages.size() }
 
 // CacheGeneration returns the current generation's number. Every
 // mutation that drops a cached page or changes a document advances it,
 // so it doubles as the HTTP validator: the server folds it into ETags,
 // making every cached response self-invalidate on the next such
 // mutation.
-func (app *App) CacheGeneration() uint64 { return app.gen.Load().num }
+func (r *Reader) CacheGeneration() uint64 { return r.gen.Load().num }
 
 // PagePath returns the site-relative path of a page: the hub page of a
 // context is <context>/index.html, a member page <context>/<node>.html,

@@ -42,7 +42,7 @@ const eventRingCapacity = 256
 // Events returns the app's mutation-trace ring: one record per model
 // mutation with its duration, diff verdict and invalidation blast
 // radius. The server's /api/v1/events reads it.
-func (app *App) Events() *obs.EventRing { return app.events }
+func (r *Reader) Events() *obs.EventRing { return r.events }
 
 // recordMutation appends one mutation event to the trace ring and rolls
 // its blast radius into the invalidation counter. Called on the

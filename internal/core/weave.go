@@ -194,8 +194,8 @@ func (app *App) renderAll(g *generation, tasks []weaveTask, workers int) ([]*Pag
 
 // RenderPage weaves a single page on demand — the request-time flavour
 // used by the XLink-aware server.
-func (app *App) RenderPage(contextName, nodeID string) (*Page, error) {
-	return app.renderPage(app.gen.Load(), contextName, nodeID)
+func (r *Reader) RenderPage(contextName, nodeID string) (*Page, error) {
+	return r.renderPage(r.gen.Load(), contextName, nodeID)
 }
 
 // CacheOutcome classifies how RenderPageCachedStat satisfied a
@@ -221,8 +221,8 @@ const (
 // Body, do not modify it.
 //
 //repro:hotpath
-func (app *App) RenderPageCached(contextName, nodeID string) (*Page, error) {
-	page, _, err := app.RenderPageCachedStat(contextName, nodeID)
+func (r *Reader) RenderPageCached(contextName, nodeID string) (*Page, error) {
+	page, _, err := r.RenderPageCachedStat(contextName, nodeID)
 	return page, err
 }
 
@@ -230,11 +230,11 @@ func (app *App) RenderPageCached(contextName, nodeID string) (*Page, error) {
 // satisfied the request (hit, single-flight join, or leading miss).
 //
 //repro:hotpath
-func (app *App) RenderPageCachedStat(contextName, nodeID string) (*Page, CacheOutcome, error) {
+func (r *Reader) RenderPageCachedStat(contextName, nodeID string) (*Page, CacheOutcome, error) {
 	if nodeID == "" {
 		nodeID = navigation.HubID
 	}
-	g := app.gen.Load()
+	g := r.gen.Load()
 	key := pageKey{context: contextName, node: nodeID}
 	page, f, leader := g.pages.beginOrJoin(key)
 	switch {
@@ -248,7 +248,7 @@ func (app *App) RenderPageCachedStat(contextName, nodeID string) (*Page, CacheOu
 	}
 	cacheMisses.Inc()
 	//repro:allow(cold miss: the one weave the cache exists to amortize)
-	p, err := app.renderPage(g, contextName, nodeID)
+	p, err := r.renderPage(g, contextName, nodeID)
 	if p != nil {
 		p.Doc = nil // the cache holds the bytes alone
 	}
@@ -258,7 +258,7 @@ func (app *App) RenderPageCachedStat(contextName, nodeID string) (*Page, CacheOu
 
 // renderPage weaves one page from generation g. The page join point
 // carries g as its Target, so the navigation advice reads g's linkbase.
-func (app *App) renderPage(g *generation, contextName, nodeID string) (*Page, error) {
+func (r *Reader) renderPage(g *generation, contextName, nodeID string) (*Page, error) {
 	rc := g.resolved.Context(contextName)
 	if rc == nil {
 		return nil, fmt.Errorf("core: unknown context %q", contextName)
@@ -288,7 +288,7 @@ func (app *App) renderPage(g *generation, contextName, nodeID string) (*Page, er
 		},
 		Target: g,
 	}
-	result, err := app.weaver.Execute(jp, func(jp *aspect.JoinPoint) (any, error) {
+	result, err := r.weaver.Execute(jp, func(jp *aspect.JoinPoint) (any, error) {
 		return g.basePage(rc, nodeID)
 	})
 	if err != nil {

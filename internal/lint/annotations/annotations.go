@@ -14,14 +14,6 @@
 //	    call also stops the hotpath walk from descending into the callee
 //	    (the escape hatch for cold branches like cache-miss weaves).
 //
-//	//repro:plane(control) — also: serve, main
-//	    On a file (anywhere at top level) or on a function declaration:
-//	    assigns the file or function to a plane. In internal/server,
-//	    files default to the serve plane, which must not call
-//	    mutation-plane methods of core.App or conceptual.Store; the
-//	    control plane (the /api/v1 handlers, the adapt loop) may.
-//	    A function-level directive overrides the file's.
-//
 //	//repro:apimux
 //	    On the function that dispatches /api/v1 requests: the apihandler
 //	    analyzer checks it sets Cache-Control: no-store before any
@@ -34,7 +26,9 @@
 //
 // Directives are comments, so they cost nothing at runtime; navlint's
 // directives analyzer rejects malformed ones (unknown verb, missing
-// allow reason, unknown plane) so a typo cannot silently disable a rule.
+// allow reason) so a typo cannot silently disable a rule. There is no
+// plane verb (it is reported as unknown): the serving routes hold a
+// core.Reader, so the compiler keeps them from mutating the model.
 package annotations
 
 import (
@@ -52,23 +46,15 @@ type Kind string
 const (
 	KindHotpath Kind = "hotpath"
 	KindAllow   Kind = "allow"
-	KindPlane   Kind = "plane"
 	KindAPIMux  Kind = "apimux"
 	KindNoStore Kind = "nostore"
-)
-
-// Plane names accepted by //repro:plane(...).
-const (
-	PlaneServe   = "serve"
-	PlaneControl = "control"
-	PlaneMain    = "main"
 )
 
 // Directive is one parsed //repro: comment.
 type Directive struct {
 	Kind Kind
-	// Arg is the parenthesized argument (the allow reason, the plane
-	// name); empty for argument-less verbs.
+	// Arg is the parenthesized argument (the allow reason); empty for
+	// argument-less verbs.
 	Arg string
 	Pos token.Pos
 	// Line is the line the comment ends on.
@@ -136,12 +122,6 @@ func parseDirective(text string) Directive {
 		if arg == "" {
 			d.Malformed = "allow requires a reason: //repro:allow(reason)"
 		}
-	case KindPlane:
-		switch arg {
-		case PlaneServe, PlaneControl, PlaneMain:
-		default:
-			d.Malformed = "plane must be one of serve, control, main"
-		}
 	default:
 		d.Malformed = "unknown directive verb"
 	}
@@ -194,31 +174,4 @@ func (df *File) FuncDirective(decl *ast.FuncDecl, kind Kind) *Directive {
 		return d
 	}
 	return nil
-}
-
-// FilePlane returns the file-level plane: the first well-formed plane
-// directive not attached to a function declaration. ok is false when
-// the file declares none.
-func (df *File) FilePlane(f *ast.File) (plane string, ok bool) {
-	funcLines := map[int]bool{}
-	for _, decl := range f.Decls {
-		fd, isFunc := decl.(*ast.FuncDecl)
-		if !isFunc {
-			continue
-		}
-		if fd.Doc != nil {
-			start := df.fset.Position(fd.Doc.Pos()).Line
-			end := df.fset.Position(fd.Doc.End()).Line
-			for line := start; line <= end; line++ {
-				funcLines[line] = true
-			}
-		}
-		funcLines[df.fset.Position(fd.Pos()).Line] = true
-	}
-	for _, d := range df.All {
-		if d.Kind == KindPlane && d.Malformed == "" && !funcLines[d.Line] {
-			return d.Arg, true
-		}
-	}
-	return "", false
 }

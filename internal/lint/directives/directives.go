@@ -1,10 +1,9 @@
 // Package directives implements the navlint analyzer that validates
 // the //repro: annotation grammar itself, so a typo cannot silently
-// disable a rule: a misspelled verb, an allow without a reason, an
-// unknown plane name, a hotpath/apimux/nostore directive floating on a
-// line no function declaration claims, or two file-level plane
-// directives fighting over the same file are all reported here rather
-// than quietly ignored by the analyzers that consume them.
+// disable a rule: a misspelled or unknown verb, an allow without a
+// reason, or a hotpath/apimux/nostore directive floating on a line no
+// function declaration claims is reported here rather than quietly
+// ignored by the analyzers that consume it.
 package directives
 
 import (
@@ -45,24 +44,13 @@ func run(pass *analysis.Pass) (any, error) {
 			claimed[line] = true
 			claimed[line-1] = true
 		}
-		filePlanes := 0
 		for _, d := range df.All {
-			if d.Malformed != "" {
+			switch {
+			case d.Malformed != "":
 				pass.Reportf(d.Pos, "malformed //repro: directive: %s", d.Malformed)
-				continue
-			}
-			switch d.Kind {
-			case annotations.KindHotpath, annotations.KindAPIMux, annotations.KindNoStore:
-				if !claimed[d.Line] {
-					pass.Reportf(d.Pos, "//repro:%s is not attached to a function declaration and has no effect", d.Kind)
-				}
-			case annotations.KindPlane:
-				if !claimed[d.Line] {
-					filePlanes++
-					if filePlanes > 1 {
-						pass.Reportf(d.Pos, "multiple file-level //repro:plane directives in one file; only the first takes effect")
-					}
-				}
+			case d.Kind != annotations.KindAllow && !claimed[d.Line]:
+				// Every verb but allow annotates a function.
+				pass.Reportf(d.Pos, "//repro:%s is not attached to a function declaration and has no effect", d.Kind)
 			}
 		}
 	}

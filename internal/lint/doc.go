@@ -12,9 +12,7 @@
 //	            through a method that acquires the lock itself or
 //	            through the methods it calls on its receiver.
 //	planes      the import lattice between the navigational aspect,
-//	            the core, and the serving/control stack; mutation-plane
-//	            calls confined to //repro:plane(control) code inside
-//	            internal/server.
+//	            the core, and the serving/control stack.
 //	apihandler  /api/v1 dispatch hygiene: Cache-Control: no-store
 //	            before dispatch, 405+Allow method guards on every
 //	            mounted handler, strict JSON decoding, //repro:nostore
@@ -23,9 +21,14 @@
 //	            annotation fails the build instead of silently
 //	            disabling a rule.
 //
+// Which server code may mutate the model is not a lint rule: the
+// serving routes hold a core.Reader, which has no mutation to call, so
+// the compiler checks the serve/control split (and internal/server's
+// TestServePlaneHoldsNoMutator that no serving field reaches a
+// core.App or conceptual.Store).
+//
 // The annotation grammar is documented in internal/lint/annotations;
-// the invariant tables (sin list, layering, mutation plane) in
-// internal/lint/rules. The analysis subpackage is a stdlib-only mirror
+// the invariant tables (sin list, layering) in internal/lint/rules. The analysis subpackage is a stdlib-only mirror
 // of the golang.org/x/tools/go/analysis API the analyzers are written
 // against, kept compatible so the suite can migrate to x/tools by
 // swapping imports; load is the one loader, over `go list` and export

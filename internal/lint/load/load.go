@@ -12,7 +12,9 @@
 package load
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -60,9 +62,14 @@ func goList(dir string, patterns []string) ([]listEntry, error) {
 		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles"}, patterns...)
 	cmd := exec.Command(gocmd, args...)
 	cmd.Dir = dir
-	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
+		// go list says why it failed (a compile error, a bad pattern) on
+		// its stderr, which Output keeps in the error.
+		var exit *exec.ExitError
+		if errors.As(err, &exit) && len(exit.Stderr) > 0 {
+			err = fmt.Errorf("%w\n%s", err, bytes.TrimSpace(exit.Stderr))
+		}
 		return nil, fmt.Errorf("load: go list %s: %w", strings.Join(patterns, " "), err)
 	}
 	var entries []listEntry

@@ -1,51 +1,35 @@
 // Package planes implements the navlint analyzer that keeps the
 // navigational aspect separated — the paper's core claim — by machine
-// rather than by convention.
+// rather than by convention: the import layering. rules.Layering
+// forbids the foundation layers (navigation, conceptual, presentation,
+// storage, the XML stack) from importing the application core, the
+// serving stack or the control plane; analytics from importing core or
+// server; core from importing server; and so on. A violation is
+// reported at the offending import spec.
 //
-// Two checks:
-//
-//  1. Import layering. rules.Layering forbids the foundation layers
-//     (navigation, conceptual, presentation, storage, the XML stack)
-//     from importing the application core, the serving stack or the
-//     control plane; analytics from importing core or server; core
-//     from importing server; and so on. A violation is reported at the
-//     offending import spec.
-//
-//  2. Mutation confinement. Inside the serve-plane package
-//     (rules.ServePlanePkg), files default to the serve plane and may
-//     only use the read plane of core.App and conceptual.Store. A call
-//     to a mutation-plane method (rules.MutationPlane) is reported
-//     unless the file carries //repro:plane(control) — the /api/v1
-//     control surface — or the enclosing function does (the adapt
-//     loop, which shares a file with serve handlers). A function-level
-//     directive overrides the file's.
+// The split between the serve and control planes inside the server
+// needs no rule here: the serving routes hold a core.Reader, which has
+// no mutation to call, and the compiler checks that.
 package planes
 
 import (
-	"go/ast"
-	"go/types"
 	"strings"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/annotations"
 	"repro/internal/lint/rules"
 )
 
-// Analyzer is the planes rule with the repository's layering and
-// mutation tables.
-var Analyzer = New(rules.Layering, rules.MutationPlane, rules.ServePlanePkg)
+// Analyzer is the planes rule with the repository's layering table.
+var Analyzer = New(rules.Layering)
 
-// New builds a planes analyzer over explicit tables (tests supply small
-// ones).
-func New(layering []rules.ImportRule, mutation map[string][]string, servePkg string) *analysis.Analyzer {
+// New builds a planes analyzer over an explicit layering table (tests
+// supply a small one).
+func New(layering []rules.ImportRule) *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name: "planes",
-		Doc:  "enforces the import layering between planes and confines mutation-plane calls to control-plane code",
+		Doc:  "enforces the import layering between planes",
 		Run: func(pass *analysis.Pass) (any, error) {
 			checkImports(pass, layering)
-			if matchPattern(servePkg, pass.Pkg.Path()) {
-				checkMutationConfinement(pass, mutation)
-			}
 			return nil, nil
 		},
 	}
@@ -77,75 +61,4 @@ func checkImports(pass *analysis.Pass, layering []rules.ImportRule) {
 			}
 		}
 	}
-}
-
-func checkMutationConfinement(pass *analysis.Pass, mutation map[string][]string) {
-	for _, file := range pass.Files {
-		df := annotations.Parse(pass.Fset, file)
-		filePlane, ok := df.FilePlane(file)
-		if !ok {
-			filePlane = annotations.PlaneServe
-		}
-		for _, decl := range file.Decls {
-			fd, isFunc := decl.(*ast.FuncDecl)
-			if !isFunc || fd.Body == nil {
-				continue
-			}
-			plane := filePlane
-			if d := df.FuncDirective(fd, annotations.KindPlane); d != nil {
-				plane = d.Arg
-			}
-			if plane != annotations.PlaneServe {
-				continue // control and main planes may mutate
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				typeKey, method, ok := mutationCall(pass.TypesInfo, call, mutation)
-				if !ok {
-					return true
-				}
-				if _, allowed := df.AllowedAt(call.Pos()); allowed {
-					return true
-				}
-				pass.Reportf(call.Pos(), "serve-plane function %s calls mutation-plane method (%s).%s; move it to control-plane code or mark it //repro:plane(control)",
-					fd.Name.Name, typeKey, method)
-				return true
-			})
-		}
-	}
-}
-
-// mutationCall reports whether call statically targets a method listed
-// in the mutation-plane table.
-func mutationCall(info *types.Info, call *ast.CallExpr, mutation map[string][]string) (typeKey, method string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	fn, isFn := info.Uses[sel.Sel].(*types.Func)
-	if !isFn {
-		return "", "", false
-	}
-	sig, isSig := fn.Type().(*types.Signature)
-	if !isSig || sig.Recv() == nil {
-		return "", "", false
-	}
-	t := sig.Recv().Type()
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed || named.Obj().Pkg() == nil {
-		return "", "", false
-	}
-	key := named.Obj().Pkg().Path() + "." + named.Obj().Name()
-	for _, m := range mutation[key] {
-		if m == fn.Name() {
-			return key, m, true
-		}
-	}
-	return "", "", false
 }

@@ -11,10 +11,6 @@ import (
 
 func TestPlanes(t *testing.T) {
 	dir := filepath.Join("..", "testdata", "src", "planestest")
-	a := planes.New(
-		[]rules.ImportRule{{Pkg: "planestest/nav", Forbid: []string{"planestest/srv"}}},
-		map[string][]string{"planestest/core.App": {"Set"}},
-		"planestest/srv",
-	)
+	a := planes.New([]rules.ImportRule{{Pkg: "planestest/nav", Forbid: []string{"planestest/srv"}}})
 	analysistest.Run(t, dir, a)
 }

@@ -1,9 +1,10 @@
 // Package rules is the single place the repository's architectural
 // invariants are written down as data: which standard-library calls are
-// hot-path sins, which core methods form the mutation plane, and which
-// packages may import which. The analyzers in internal/lint interpret
-// these tables; changing an invariant is an edit here, not in analyzer
-// logic.
+// hot-path sins, and which packages may import which. The analyzers in
+// internal/lint interpret these tables; changing an invariant is an
+// edit here, not in analyzer logic. Which code may mutate the woven
+// model is no table: the serving routes hold a core.Reader, and the
+// compiler checks it.
 package rules
 
 // Sin classifies why a call is forbidden on a //repro:hotpath function.
@@ -121,32 +122,6 @@ var StdlibSins = map[string]Sin{
 	"sort.Strings":          SinAlloc,
 	"sort.Slice":            SinAlloc,
 }
-
-// MutationPlane lists, per receiver type (keyed by package path +
-// "." + type name), the methods that mutate the woven model or the
-// conceptual store. The planes analyzer confines calls to them inside
-// ServePlanePkg to //repro:plane(control) files/functions.
-var MutationPlane = map[string][]string{
-	"repro/internal/core.App": {
-		"SetAccessStructure",
-		"SetAccessStructures",
-		"SetStylesheet",
-		"SetStylesheetXML",
-		"InvalidateDocument",
-		// Replication-plane entry points ride the same confinement: the
-		// serve path has no business exporting snapshots either.
-		"ExportSnapshot",
-	},
-	"repro/internal/conceptual.Store": {
-		"SetAttr",
-		"SetAttrs",
-	},
-}
-
-// ServePlanePkg is the package whose files default to the serve plane:
-// calls to MutationPlane methods there are confined to files or
-// functions marked //repro:plane(control).
-const ServePlanePkg = "repro/internal/server"
 
 // ImportRule forbids a package (and its subtree, with a trailing
 // "/...") from importing any of the listed packages/subtrees.

@@ -75,10 +75,7 @@ func (s *S) ServeAPI(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// apiWrite is a control-plane handler; the plane directive marks the
-// function, not the file.
-//
-//repro:plane(control)
+// apiWrite is a control-plane handler.
 func (s *S) apiWrite(w http.ResponseWriter, r *http.Request) {
 	s.app.Write(1)
 	w.WriteHeader(http.StatusOK)

@@ -8,7 +8,7 @@ var x = 1
 //repro:allow // want `malformed //repro: directive: allow requires a reason: //repro:allow\(reason\)`
 var y = 2
 
-//repro:plane(bogus) // want `malformed //repro: directive: plane must be one of serve, control, main`
+//repro:plane(control) // want `malformed //repro: directive: unknown directive verb`
 var z = 3
 
 //repro:allow(unclosed // want `malformed //repro: directive: unclosed '\(' in directive`
@@ -17,13 +17,7 @@ var w = 4
 //repro:hotpath // want `//repro:hotpath is not attached to a function declaration and has no effect`
 var v = 5
 
-//repro:plane(serve)
-var fileLevel = 6
-
-//repro:plane(control) // want `multiple file-level //repro:plane directives in one file; only the first takes effect`
-var conflicting = 7
-
 // ok attaches its directive properly: no finding.
 //
 //repro:hotpath
-func ok() int { return x + y + z + w + v + fileLevel + conflicting }
+func ok() int { return x + y + z + w + v }

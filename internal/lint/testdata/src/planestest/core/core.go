@@ -1,5 +1,4 @@
-// Package core is the planes corpus's stand-in application core: Get
-// is the read plane, Set the mutation plane.
+// Package core is the planes corpus's stand-in application core.
 package core
 
 type App struct {
@@ -7,5 +6,3 @@ type App struct {
 }
 
 func (a *App) Get() int { return a.v }
-
-func (a *App) Set(v int) { a.v = v }

@@ -1,25 +1,9 @@
-// Package srv plays the serving stack: files default to the serve
-// plane, which may read but not mutate.
+// Package srv plays the serving stack, which the navigation layer must
+// not import.
 package srv
 
 import "planestest/core"
 
 func Serve(a *core.App) int {
 	return a.Get()
-}
-
-func BadMutate(a *core.App) {
-	a.Set(1) // want `serve-plane function BadMutate calls mutation-plane method \(planestest/core\.App\)\.Set`
-}
-
-// Control is a control-plane entry point sharing a serve-plane file.
-//
-//repro:plane(control)
-func Control(a *core.App) {
-	a.Set(2)
-}
-
-func AllowedMutate(a *core.App) {
-	//repro:allow(startup-only seeding, runs before the listener opens)
-	a.Set(3)
 }

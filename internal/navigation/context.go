@@ -284,8 +284,6 @@ func (rc *ResolvedContext) String() string {
 type ResolvedModel struct {
 	// Model is the generating navigational model.
 	Model *Model
-	// Store is the conceptual instance store.
-	Store *conceptual.Store
 	// Contexts are the resolved contexts in definition order (and group
 	// insertion order within a family).
 	Contexts []*ResolvedContext
@@ -385,7 +383,7 @@ func (m *Model) Resolve(store *conceptual.Store) (*ResolvedModel, error) {
 // resolveInto resolves the model into lineage l. Context names are the
 // table's strings: every model of a lineage shares them.
 func (m *Model) resolveInto(l *Lineage, store *conceptual.Store) (*ResolvedModel, error) {
-	rm := &ResolvedModel{Model: m, Store: store, lin: l}
+	rm := &ResolvedModel{Model: m, lin: l}
 	for _, live := range m.contexts {
 		def := new(ContextDef)
 		*def = *live

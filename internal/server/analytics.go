@@ -49,8 +49,6 @@ type adaptState struct {
 // the contexts whose edges moved, rotating their ETags and no others.
 // It returns how many per-context structures are currently derived.
 // Cycles are serialized; concurrent callers queue behind the lock.
-//
-//repro:plane(control)
 func (s *Server) Adapt() (int, error) {
 	if s.rec == nil {
 		return 0, errors.New("server: analytics recorder not configured")
@@ -111,7 +109,7 @@ func familyAccess(rm *navigation.ResolvedModel, family string) navigation.Access
 // AdaptStats reports the adaptation loop's progress: how many cycles
 // have completed and how many per-context structures the last cycle
 // derived.
-func (s *Server) AdaptStats() (generation, derived uint64) {
+func (s *serving) AdaptStats() (generation, derived uint64) {
 	return s.adapt.generation.Load(), s.adapt.derived.Load()
 }
 
@@ -151,7 +149,7 @@ func (s *Server) StartAdaptation(interval time.Duration, minHops uint64) (stop f
 // context — are not traversals and are not counted.
 //
 //repro:hotpath
-func (s *Server) recordHop(prev navigation.Visit, ctx, node string) {
+func (s *serving) recordHop(prev navigation.Visit, ctx, node string) {
 	if prev.Context == ctx {
 		if prev.NodeID == node {
 			return
@@ -176,7 +174,7 @@ type statsContext struct {
 // of what the adaptation layer is learning.
 //
 //repro:nostore
-func (s *Server) serveStats(w http.ResponseWriter) {
+func (s *serving) serveStats(w http.ResponseWriter) {
 	// Live counters: an intermediary caching them would freeze the
 	// operator's view of what the adaptation layer is learning.
 	w.Header().Set("Cache-Control", "no-store")

@@ -1,7 +1,6 @@
 // This file is the /api/v1 control plane: every handler here mutates or
 // inspects the model under operator authority, off the request hot path.
-//
-//repro:plane(control)
+// The handlers are methods of Server, the one type holding the App.
 
 package server
 

@@ -19,7 +19,7 @@ import (
 func faultServer(t *testing.T, opts ...Option) (*Server, *faultstore.Store) {
 	t.Helper()
 	fs := faultstore.New(storage.NewMem(), 1)
-	srv := writeBehindServer(t, fs, append([]Option{WithBreakerThreshold(1)}, opts...)...)
+	srv := writeBehindServer(t, fs, append([]Option{withBreakerThreshold(1)}, opts...)...)
 	return srv, fs
 }
 
@@ -192,7 +192,7 @@ func TestFlakyStoreLosesNoSessions(t *testing.T) {
 // fills, the oldest entry is dropped and counted — memory stays bounded
 // under unbounded failure.
 func TestRetryQueueBounded(t *testing.T) {
-	srv, fs := faultServer(t, WithRetryLimit(2))
+	srv, fs := faultServer(t, withRetryLimit(2))
 	if err := fs.Configure("put:rate=1"); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestEvictionTombstoneRetries(t *testing.T) {
 	clock := time.Now()
 	now := func() time.Time { return clock }
 	srv := writeBehindServer(t, fs,
-		WithBreakerThreshold(1), WithSessionTTL(time.Minute), withClock(now))
+		withBreakerThreshold(1), WithSessionTTL(time.Minute), withClock(now))
 
 	cookie := step(t, srv, "/ByAuthor/picasso/avignon.html", "")
 	srv.FlushSessions() // record lands while healthy

@@ -75,14 +75,14 @@ func (b *breaker) state() (degraded bool, cause string) {
 // Degraded reports whether the server is in degraded mode — the
 // persistence path is failing and session durability is queued, while
 // cached reads keep serving — and the cause that opened the breaker.
-func (s *Server) Degraded() (degraded bool, cause string) {
+func (s *serving) Degraded() (degraded bool, cause string) {
 	return s.health.state()
 }
 
 // RetryStats reports the failed-write retry queue: how many sessions
 // await a re-attempt and how many entries were dropped because the
 // queue was full. Zeroes when persistence is off.
-func (s *Server) RetryStats() (queued int, dropped uint64) {
+func (s *serving) RetryStats() (queued int, dropped uint64) {
 	if s.flush == nil {
 		return 0, 0
 	}
@@ -98,7 +98,7 @@ func (s *Server) RetryStats() (queued int, dropped uint64) {
 // store recovers.
 //
 //repro:nostore
-func (s *Server) serveReady(w http.ResponseWriter) {
+func (s *serving) serveReady(w http.ResponseWriter) {
 	// Readiness must never be served stale by an intermediary.
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("Content-Type", "application/json")

@@ -9,8 +9,8 @@ import (
 	"repro/internal/storage"
 )
 
-// Write-behind persistence defaults; override with WithFlushInterval,
-// WithFlushBatch and WithRetryLimit.
+// Write-behind persistence defaults; override the first two with
+// WithFlushInterval and WithFlushBatch.
 const (
 	// DefaultFlushInterval is how often the background flusher drains
 	// the dirty-session queue when no batch fills up first. It bounds

@@ -191,7 +191,7 @@ var statusWriterPool = sync.Pool{New: func() any { return &statusWriter{} }}
 // serve yesterday's vitals.
 //
 //repro:nostore
-func (s *Server) serveMetrics(w http.ResponseWriter) {
+func (s *serving) serveMetrics(w http.ResponseWriter) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
@@ -203,7 +203,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter) {
 // writeInstanceGauges renders the per-instance vitals as scrapeable
 // gauges. These live on the Server (several can coexist in one
 // process), so they render inline rather than register globally.
-func (s *Server) writeInstanceGauges(b *strings.Builder) {
+func (s *serving) writeInstanceGauges(b *strings.Builder) {
 	for _, v := range s.vitals() {
 		obs.WriteGauge(b, v.gauge, v.help, v.value)
 	}
@@ -222,7 +222,7 @@ type vital struct {
 // vitals lists the instance vitals once, for /healthz and /metrics to
 // render alike. Analytics and tracing vitals read zero when no recorder
 // or tracer is configured.
-func (s *Server) vitals() []vital {
+func (s *serving) vitals() []vital {
 	queued, written := s.PersistStats()
 	retryQueued, retryDropped := s.RetryStats()
 	degraded := 0.0
@@ -242,8 +242,8 @@ func (s *Server) vitals() []vital {
 	runtime.ReadMemStats(&mem)
 	return []vital{
 		{"sessions", "navserve_sessions", "Live visitor sessions.", float64(s.sessions.len())},
-		{"cached_pages", "navserve_cached_pages", "Woven pages currently cached.", float64(s.app.CachedPages())},
-		{"cache_generation", "navserve_cache_generation", "Woven-page cache generation; advances with every model mutation.", float64(s.app.CacheGeneration())},
+		{"cached_pages", "navserve_cached_pages", "Woven pages currently cached.", float64(s.read.CachedPages())},
+		{"cache_generation", "navserve_cache_generation", "Woven-page cache generation; advances with every model mutation.", float64(s.read.CacheGeneration())},
 		{"persist_queue", "navserve_flush_queue_depth", "Dirty sessions awaiting their write-behind flush.", float64(queued)},
 		{"persist_flushed", "navserve_persist_writes", "Session records written to the persistence backend since start.", float64(written)},
 		{"persist_retry_queue", "navserve_persist_retry_queue_depth", "Failed session writes awaiting their backoff retry.", float64(retryQueued)},
@@ -254,7 +254,7 @@ func (s *Server) vitals() []vital {
 		{"analytics_dropped", "navserve_analytics_dropped", "Hops dropped because the recorder's tables were full.", float64(rec.Dropped)},
 		{"adapt_generation", "navserve_adapt_generation", "Completed adaptation cycles on this instance.", float64(adaptGen)},
 		{"derived_structures", "navserve_derived_structures", "Per-context structures the last adaptation cycle derived.", float64(derived)},
-		{"mutation_events", "navserve_mutation_events", "Model mutations traced since start (GET /api/v1/events for the ring).", float64(s.app.Events().Total())},
+		{"mutation_events", "navserve_mutation_events", "Model mutations traced since start (GET /api/v1/events for the ring).", float64(s.read.Events().Total())},
 		{"traces_kept", "navserve_traces_kept", "Request traces kept (sampled or slow) since start (GET /api/v1/traces for the ring).", float64(traces)},
 		{"uptime_seconds", "navserve_uptime_seconds", "Seconds since this server was constructed.", time.Since(s.start).Seconds()},
 		{"goroutines", "navserve_goroutines", "Live goroutines in the process.", float64(runtime.NumGoroutine())},

@@ -8,9 +8,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strconv"
 	"testing"
 
+	"repro/internal/analytics"
 	"repro/internal/core"
 	"repro/internal/museum"
 	"repro/internal/navigation"
@@ -46,17 +49,19 @@ type httpOracle struct {
 	families []string
 	kept     map[string]*resource // by request path
 	seen     map[int]int          // responses by status code
+	swaps    int                  // adapt cycles that swapped a structure
 }
 
 // TestHTTPRebuildMatchesFreshApp is the rebuild oracle at the HTTP
-// layer. Caption, title and year PATCHes, structure PUTs, and
-// stylesheet PUTs and DELETEs go through /api/v1, while a client keeps
-// the last ETag and body of every page and document it fetched. After
-// each mutation it revalidates all of them with conditional GETs and
-// fetches a few new pages. A 304 is allowed only when the kept body is
-// what a fresh App serves, every 200 body must equal the fresh App's,
-// and a server without a page cache over the same App serves the same
-// bodies.
+// layer. Caption, title and year PATCHes, structure PUTs, stylesheet
+// PUTs and DELETEs, and adapt cycles fed by a visitor's walk go through
+// /api/v1, while a client keeps the last ETag and body of every page
+// and document it fetched. After each mutation it revalidates all of
+// them with conditional GETs and fetches a few new pages. A 304 is
+// allowed only when the kept body is what a fresh App serves, every 200
+// body must equal the fresh App's, and a server without a page cache
+// over the same App serves the same bodies. At least one adapt cycle
+// must swap a structure.
 func TestHTTPRebuildMatchesFreshApp(t *testing.T) {
 	steps := 60
 	if testing.Short() {
@@ -77,7 +82,9 @@ func TestHTTPRebuildMatchesFreshApp(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := &httpOracle{t: t, rng: rand.New(rand.NewSource(4)), app: app,
-		cached:   httptest.NewServer(New(app, WithAPIToken(testToken))),
+		cached: httptest.NewServer(New(app, WithAPIToken(testToken),
+			WithAnalytics(analytics.NewRecorder(analytics.RecorderConfig{})),
+			WithDeriveConfig(analytics.Config{MinHops: 1}))),
 		plain:    httptest.NewServer(New(app, WithoutPageCache())),
 		families: []string{"ByAuthor", "ByMovement", "Recent", "AllPaintings"},
 		kept:     map[string]*resource{}, seen: map[int]int{}}
@@ -97,7 +104,10 @@ func TestHTTPRebuildMatchesFreshApp(t *testing.T) {
 			t.Errorf("the run saw no %d response: %v", code, o.seen)
 		}
 	}
-	t.Logf("%d pages and documents kept; responses by status: %v", len(o.kept), o.seen)
+	if o.swaps == 0 {
+		t.Error("no adapt cycle of the run swapped a structure")
+	}
+	t.Logf("%d pages and documents kept; responses by status: %v; %d adapt swaps", len(o.kept), o.seen, o.swaps)
 }
 
 // mutate applies one random mutation through the control plane and
@@ -110,7 +120,7 @@ func (o *httpOracle) mutate() string {
 		o.api(http.MethodPatch, "/api/v1/documents/"+id, string(body))
 		return fmt.Sprintf("%s %s=%q", id, attr, value)
 	}
-	switch k := o.rng.Intn(10); {
+	switch k := o.rng.Intn(12); {
 	case k < 2:
 		return patch("technique", "Medium "+strconv.Itoa(o.rng.Intn(4)))
 	case k < 4:
@@ -122,6 +132,8 @@ func (o *httpOracle) mutate() string {
 		kind := []string{"index", "guided-tour", "circular-guided-tour", "indexed-guided-tour", "menu"}[o.rng.Intn(5)]
 		o.api(http.MethodPut, "/api/v1/contexts/"+family+"/structure", `{"kind":"`+kind+`"}`)
 		return family + " -> " + kind
+	case k < 11:
+		return o.walkAndAdapt()
 	}
 	if _, ok := o.app.StylesheetXML(); ok {
 		o.api(http.MethodDelete, "/api/v1/stylesheet", "")
@@ -129,6 +141,40 @@ func (o *httpOracle) mutate() string {
 	}
 	o.api(http.MethodPut, "/api/v1/stylesheet", oracleStylesheet)
 	return "stylesheet put"
+}
+
+// walkAndAdapt sends one visitor with a cookie jar through a context —
+// page GETs, then /go/next, /go/prev and /go/select — and then forces an
+// adapt cycle, which derives tours from every hop recorded so far and
+// swaps each family whose tour changed.
+func (o *httpOracle) walkAndAdapt() string {
+	o.t.Helper()
+	client := noRedirectClient()
+	step := func(path string, want ...int) {
+		o.t.Helper()
+		if resp := getRaw(o.t, client, o.cached.URL+path); !slices.Contains(want, resp.StatusCode) {
+			o.t.Fatalf("walk: GET %s = %d, want one of %v", path, resp.StatusCode, want)
+		}
+	}
+	contexts := o.app.Resolved().Contexts
+	rc := contexts[o.rng.Intn(len(contexts))]
+	for i := 0; i < 3; i++ {
+		step("/"+core.PagePath(rc.Name, rc.Members[o.rng.Intn(len(rc.Members))].ID()), http.StatusOK)
+	}
+	step("/go/next", http.StatusSeeOther, http.StatusConflict)
+	step("/go/prev", http.StatusSeeOther, http.StatusConflict)
+	if rc.Def.Access.HasHub() {
+		step("/"+core.PagePath(rc.Name, navigation.HubID), http.StatusOK)
+	}
+	node := rc.Members[o.rng.Intn(len(rc.Members))].ID()
+	step("/go/select?node="+url.QueryEscape(node), http.StatusSeeOther, http.StatusConflict)
+	before := o.app.Events().Total()
+	o.api(http.MethodPost, "/api/v1/adapt", "")
+	swapped := o.app.Events().Total() > before
+	if swapped {
+		o.swaps++
+	}
+	return fmt.Sprintf("walk in %s, adapt (swapped: %v)", rc.Name, swapped)
 }
 
 // api makes one control-plane request, which must succeed.

@@ -24,7 +24,11 @@
 // (GET model/contexts/structure, PUT structure and stylesheet, PATCH
 // documents, POST snapshot and adapt), bearer-token guarded, with
 // structured JSON errors and validate-then-mutate semantics. See api.go
-// and the README's "Control plane" section.
+// and the README's "Control plane" section. Only the control plane
+// (/api/v1 and Adapt, methods of Server) holds the core.App. Every
+// GET/HEAD route, the sessions and their persistence are methods of the
+// embedded serving, which holds the App's core.Reader and no mutator:
+// the compiler keeps the serve plane from changing the woven model.
 //
 // Page, linkbase and data responses carry a strong validator,
 // ETag: "g<generation>-<hash>", precomputed when the content was woven
@@ -94,7 +98,20 @@ const (
 // cache and visitor sessions live in a sharded, TTL-evicting store,
 // optionally written through a durable storage backend.
 type Server struct {
-	app      *core.App
+	serving
+	app *core.App
+
+	// apiToken guards the /api/v1 control plane (WithAPIToken); empty
+	// means the control plane is disabled.
+	apiToken string
+	// deriveCfg tunes the derivation Adapt runs (WithDeriveConfig).
+	deriveCfg analytics.Config
+}
+
+// serving is the serving plane: it reads the application through a
+// core.Reader and holds nothing that can change the woven model.
+type serving struct {
+	read     *core.Reader
 	sessions *sessionStore
 	useCache bool
 	persist  storage.Store
@@ -115,13 +132,8 @@ type Server struct {
 
 	// rec, when set, counts every navigation hop for the adaptation
 	// pipeline; adapt tracks what the pipeline has derived so far.
-	rec       *analytics.Recorder
-	deriveCfg analytics.Config
-	adapt     adaptState
-
-	// apiToken guards the /api/v1 control plane (WithAPIToken); empty
-	// means the control plane is disabled.
-	apiToken string
+	rec   *analytics.Recorder
+	adapt adaptState
 
 	// tracer, when set, records request-lifecycle traces (WithTracing);
 	// profileLabels labels CPU profile samples by route class
@@ -210,18 +222,17 @@ func WithTrailLimit(n int) Option {
 	return func(s *Server) { s.trailLimit = n }
 }
 
-// WithRetryLimit bounds the failed-write retry queue (default
-// DefaultRetryLimit): while the store is down, up to n sessions keep
-// their pending states queued for re-attempt with capped exponential
-// backoff; past n the oldest entry is dropped and counted.
-func WithRetryLimit(n int) Option {
+// withRetryLimit bounds the failed-write retry queue (default
+// DefaultRetryLimit) for tests: past n sessions the oldest entry is
+// dropped and counted.
+func withRetryLimit(n int) Option {
 	return func(s *Server) { s.retryLimit = n }
 }
 
-// WithBreakerThreshold sets how many consecutive persistence failures
-// flip the server into degraded mode (default
-// DefaultBreakerThreshold).
-func WithBreakerThreshold(n int) Option {
+// withBreakerThreshold sets how many consecutive persistence failures
+// flip the server into degraded mode (default DefaultBreakerThreshold)
+// for tests.
+func withBreakerThreshold(n int) Option {
 	return func(s *Server) { s.breakerThreshold = n }
 }
 
@@ -235,15 +246,18 @@ func withClock(now func() time.Time) Option {
 // serving so pending session states reach the store.
 func New(app *core.App, opts ...Option) *Server {
 	s := &Server{
-		app:           app,
-		useCache:      true,
-		ttl:           DefaultSessionTTL,
-		shards:        DefaultSessionShards,
-		flushInterval: DefaultFlushInterval,
-		flushBatch:    DefaultFlushBatch,
-		trailLimit:    DefaultTrailLimit,
-		retryLimit:    DefaultRetryLimit,
-		start:         time.Now(),
+		app: app,
+		serving: serving{
+			read:          app.Reader,
+			useCache:      true,
+			ttl:           DefaultSessionTTL,
+			shards:        DefaultSessionShards,
+			flushInterval: DefaultFlushInterval,
+			flushBatch:    DefaultFlushBatch,
+			trailLimit:    DefaultTrailLimit,
+			retryLimit:    DefaultRetryLimit,
+			start:         time.Now(),
+		},
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -265,7 +279,7 @@ func New(app *core.App, opts ...Option) *Server {
 // background goroutine. It does not close the storage backend — the
 // caller owns that — and a server without persistence needs no Close.
 // Safe to call more than once.
-func (s *Server) Close() error {
+func (s *serving) Close() error {
 	if s.flush != nil {
 		s.flush.close()
 	}
@@ -276,7 +290,7 @@ func (s *Server) Close() error {
 // pending retry, so a caller (an operator endpoint, a test) can force
 // durability without shutting down. Under synchronous persistence only
 // failed writes await a retry.
-func (s *Server) FlushSessions() {
+func (s *serving) FlushSessions() {
 	if s.flush != nil {
 		s.flush.flushNow()
 	}
@@ -285,7 +299,7 @@ func (s *Server) FlushSessions() {
 // PersistStats reports the write-behind queue depth and how many
 // records have been written to (or deleted from) the persistence
 // backend so far. Zeroes when persistence is off.
-func (s *Server) PersistStats() (queued int, written uint64) {
+func (s *serving) PersistStats() (queued int, written uint64) {
 	if s.flush == nil {
 		return 0, 0
 	}
@@ -297,13 +311,13 @@ func (s *Server) PersistStats() (queued int, written uint64) {
 // lazily on access; a long-running server calls this periodically
 // (StartJanitor does so on a ticker) so abandoned sessions cannot
 // accumulate between visits.
-func (s *Server) EvictExpiredSessions() int { return s.sessions.evictExpired() }
+func (s *serving) EvictExpiredSessions() int { return s.sessions.evictExpired() }
 
 // StartJanitor begins sweeping expired sessions every interval in a
 // background goroutine and returns a stop function (idempotent). Wire
 // the stop into the HTTP server's shutdown (cmd/navserve registers it
 // with RegisterOnShutdown) so the sweeper does not outlive the server.
-func (s *Server) StartJanitor(interval time.Duration) (stop func()) {
+func (s *serving) StartJanitor(interval time.Duration) (stop func()) {
 	done := make(chan struct{})
 	ticker := time.NewTicker(interval)
 	go func() {
@@ -406,7 +420,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, rc routeClass,
 // The operational endpoints follow the /api/v1 contract — structured
 // JSON error, no-store — so a prober speaking the API convention gets
 // the same shape everywhere; plain routes keep the plain-text 405.
-func (s *Server) methodNotAllowed(w http.ResponseWriter, r *http.Request) {
+func (s *serving) methodNotAllowed(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Allow", "GET, HEAD")
 	switch r.URL.Path {
 	case "/healthz", "/readyz", "/stats", "/metrics":
@@ -419,7 +433,7 @@ func (s *Server) methodNotAllowed(w http.ResponseWriter, r *http.Request) {
 }
 
 // route dispatches one GET/HEAD request.
-func (s *Server) route(w http.ResponseWriter, r *http.Request, rt reqTrace) {
+func (s *serving) route(w http.ResponseWriter, r *http.Request, rt reqTrace) {
 	path := strings.TrimPrefix(r.URL.Path, "/")
 	switch {
 	case path == "":
@@ -540,13 +554,13 @@ func writeValidated(w http.ResponseWriter, r *http.Request, contentType string, 
 }
 
 // serveSiteMap lists every resolved context with a link to its entry.
-func (s *Server) serveSiteMap(w http.ResponseWriter) {
+func (s *serving) serveSiteMap(w http.ResponseWriter) {
 	var sb strings.Builder
 	sb.WriteString("<!DOCTYPE html>\n<html><head><title>Site map</title></head><body>\n")
 	sb.WriteString("<h1>Navigational contexts</h1>\n<ul>\n")
 	// One model for the whole page: a rebuild between two reads could
 	// drop a listed context or mix two structures on one page.
-	rm := s.app.Resolved()
+	rm := s.read.Resolved()
 	var names []string
 	for _, rc := range rm.Contexts {
 		names = append(names, rc.Name)
@@ -565,8 +579,8 @@ func (s *Server) serveSiteMap(w http.ResponseWriter) {
 // serveXML serves a repository document (data file or linkbase) as
 // the application holds it serialized: the bytes and validator were
 // produced when the model last changed, not per request.
-func (s *Server) serveXML(w http.ResponseWriter, r *http.Request, uri string, rt reqTrace) {
-	body, etag, clen, err := s.app.DocBytes(uri)
+func (s *serving) serveXML(w http.ResponseWriter, r *http.Request, uri string, rt reqTrace) {
+	body, etag, clen, err := s.read.DocBytes(uri)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
@@ -583,7 +597,7 @@ func (s *Server) serveXML(w http.ResponseWriter, r *http.Request, uri string, rt
 // session persistence backend ("none" when sessions are memory-only).
 //
 //repro:nostore
-func (s *Server) serveHealth(w http.ResponseWriter) {
+func (s *serving) serveHealth(w http.ResponseWriter) {
 	backend := "none"
 	if s.persist != nil {
 		backend = s.persist.Name()
@@ -604,7 +618,7 @@ func (s *Server) serveHealth(w http.ResponseWriter) {
 
 // servePage resolves /{family}/{group...}/{node}.html to a woven page and
 // moves the visitor's session there.
-func (s *Server) servePage(w http.ResponseWriter, r *http.Request, path string, rt reqTrace) {
+func (s *serving) servePage(w http.ResponseWriter, r *http.Request, path string, rt reqTrace) {
 	contextName, nodeID, err := splitPagePath(path)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
@@ -616,12 +630,12 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, path string, 
 		// The stat variant reports how the page was obtained, so the trace
 		// distinguishes a cache hit from a single-flight join from a weave.
 		var outcome core.CacheOutcome
-		page, outcome, err = s.app.RenderPageCachedStat(contextName, nodeID)
+		page, outcome, err = s.read.RenderPageCachedStat(contextName, nodeID)
 		if err == nil {
 			rt.span(cachePhase[outcome], renderFrom)
 		}
 	} else {
-		page, err = s.app.RenderPage(contextName, nodeID)
+		page, err = s.read.RenderPage(contextName, nodeID)
 		if err == nil {
 			rt.span(obs.PhaseWeave, renderFrom)
 		}
@@ -660,9 +674,15 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, path string, 
 // serveTraversal performs a session-relative navigation action and
 // redirects to the resulting page — Next answered per the visitor's
 // current context, the §2 semantics over HTTP.
-func (s *Server) serveTraversal(w http.ResponseWriter, r *http.Request, action string, rt reqTrace) {
-	id, sess := s.session(w, r, rt)
-	prev := sess.Current()
+// A traversal never starts a session: without a live one that has a
+// position it answers 409, sets no cookie and stores nothing.
+func (s *serving) serveTraversal(w http.ResponseWriter, r *http.Request, action string, rt reqTrace) {
+	id := sessionCookieValue(r)
+	sess := s.live(id, rt)
+	var prev navigation.Visit
+	if sess != nil {
+		prev = sess.Current()
+	}
 	if prev.Context == "" {
 		http.Error(w, "no current context; visit a page first", http.StatusConflict)
 		return
@@ -743,25 +763,17 @@ func splitPagePath(path string) (contextName, nodeID string, err error) {
 }
 
 // session returns the requester's navigation session and its id,
-// creating the session (and setting the cookie) on first contact. When a
+// creating the session (and setting the cookie) on first contact or when
+// the one the cookie names cannot go on (see live). When a
 // persistence backend is configured, a session missing from memory is
 // first looked for there — the lazy rehydration that lets a restarted
 // server resume every visitor mid-trail. The cookie is HttpOnly and
 // SameSite=Lax: the session id is never readable from page scripts and
 // is not sent on cross-site subrequests.
-func (s *Server) session(w http.ResponseWriter, r *http.Request, rt reqTrace) (string, *navigation.Session) {
+func (s *serving) session(w http.ResponseWriter, r *http.Request, rt reqTrace) (string, *navigation.Session) {
 	id := sessionCookieValue(r)
-	if sess := s.lookup(id, rt); sess != nil {
-		// A session resolves against the newest model, so its
-		// traversals follow the same edges the woven pages show; Rebase
-		// checks that the model still has its position, a few lookups
-		// under the session's own lock. A position the model no longer
-		// has (an adaptation cycle, an operator swap) means the trail
-		// cannot continue — fall through to a fresh session (the stale
-		// one ages out via its TTL).
-		if sess.Rebase(s.app.Resolved()) == nil {
-			return id, sess
-		}
+	if sess := s.live(id, rt); sess != nil {
+		return id, sess
 	}
 	id = newSessionID()
 	http.SetCookie(w, &http.Cookie{
@@ -771,10 +783,22 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request, rt reqTrace) (s
 		HttpOnly: true,
 		SameSite: http.SameSiteLaxMode,
 	})
-	sess := navigation.NewSession(s.app.Resolved())
+	sess := navigation.NewSession(s.read.Resolved())
 	sess.SetTrailLimit(s.trailLimit)
 	s.sessions.put(id, sess)
 	return id, sess
+}
+
+// live returns the session id names (see lookup) if the newest model
+// still has its position: sessions resolve against the newest model, so
+// traversals follow the edges the woven pages show. A session whose
+// position an adaptation cycle or an operator swap removed cannot go on,
+// and ages out via its TTL.
+func (s *serving) live(id string, rt reqTrace) *navigation.Session {
+	if sess := s.lookup(id, rt); sess != nil && sess.Rebase(s.read.Resolved()) == nil {
+		return sess
+	}
+	return nil
 }
 
 // sessionCookieValue returns the value r.Cookie(sessionCookie) returns —
@@ -814,7 +838,7 @@ func validCookieValue(v string) bool {
 
 // lookup finds a live session by id: in memory first, then (when
 // persistence is on) rehydrated from the durable store.
-func (s *Server) lookup(id string, rt reqTrace) *navigation.Session {
+func (s *serving) lookup(id string, rt reqTrace) *navigation.Session {
 	if id == "" {
 		return nil
 	}
@@ -843,7 +867,7 @@ func (s *Server) lookup(id string, rt reqTrace) *navigation.Session {
 // write as the storage-op phase: it is the span a slow-request trace
 // points at when the backend stalls. Either way a failed write is
 // retried, and costs the request nothing.
-func (s *Server) saveSession(id string, sess *navigation.Session, rt reqTrace) {
+func (s *serving) saveSession(id string, sess *navigation.Session, rt reqTrace) {
 	if s.flush == nil {
 		return
 	}
@@ -859,7 +883,7 @@ func (s *Server) saveSession(id string, sess *navigation.Session, rt reqTrace) {
 // rehydrate restores a session from its durable record, tracking it in
 // memory on success. Expired, corrupt or model-orphaned records are
 // discarded through the flusher and treated as a miss.
-func (s *Server) rehydrate(id string) *navigation.Session {
+func (s *serving) rehydrate(id string) *navigation.Session {
 	raw, err := s.persist.Get(sessionKeyPrefix + id)
 	if err != nil {
 		// A miss is normal (an unknown or expired cookie); a store read
@@ -880,7 +904,7 @@ func (s *Server) rehydrate(id string) *navigation.Session {
 		s.flush.enqueueDelete(id)
 		return nil
 	}
-	sess, err := navigation.RestoreSession(s.app.Resolved(), rec.State)
+	sess, err := navigation.RestoreSession(s.read.Resolved(), rec.State)
 	if err != nil {
 		// The model moved on under the stored trail; a fresh session is
 		// more honest than a position that no longer exists.
@@ -901,7 +925,7 @@ func (s *Server) rehydrate(id string) *navigation.Session {
 // history that makes navigation context-dependent.
 //
 //repro:nostore
-func (s *Server) serveSession(w http.ResponseWriter, r *http.Request, rt reqTrace) {
+func (s *serving) serveSession(w http.ResponseWriter, r *http.Request, rt reqTrace) {
 	visits := []navigation.Visit{}
 	if sess := s.lookup(sessionCookieValue(r), rt); sess != nil {
 		visits = sess.History()
@@ -932,7 +956,7 @@ type historyJSON struct {
 // cookie, so it must never be cached by an intermediary.
 //
 //repro:nostore
-func (s *Server) serveHistory(w http.ResponseWriter, r *http.Request, rt reqTrace) {
+func (s *serving) serveHistory(w http.ResponseWriter, r *http.Request, rt reqTrace) {
 	h := historyJSON{Entries: []navigation.Visit{}}
 	if sess := s.lookup(sessionCookieValue(r), rt); sess != nil {
 		entries, cur := sess.NavHistory()
@@ -962,13 +986,13 @@ type arcJSON struct {
 // context, the outbound arcs as JSON.
 //
 //repro:nostore
-func (s *Server) serveArcs(w http.ResponseWriter, r *http.Request) {
+func (s *serving) serveArcs(w http.ResponseWriter, r *http.Request) {
 	nodeID := r.URL.Query().Get("node")
 	if nodeID == "" {
 		http.Error(w, "arcs requires ?node=", http.StatusBadRequest)
 		return
 	}
-	containing := s.app.Resolved().ContextsContaining(nodeID)
+	containing := s.read.Resolved().ContextsContaining(nodeID)
 	if len(containing) == 0 {
 		http.Error(w, fmt.Sprintf("no context contains node %q", nodeID), http.StatusNotFound)
 		return
@@ -994,7 +1018,7 @@ func (s *Server) serveArcs(w http.ResponseWriter, r *http.Request) {
 
 // SessionCount reports the number of live tracked sessions (for tests
 // and diagnostics).
-func (s *Server) SessionCount() int { return s.sessions.len() }
+func (s *serving) SessionCount() int { return s.sessions.len() }
 
 func newSessionID() string {
 	var b [16]byte

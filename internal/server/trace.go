@@ -91,7 +91,7 @@ func (rt reqTrace) traceparent() string {
 // beginTrace starts a request's trace: a pooled slot, the sampling
 // decision, and — when the caller sent W3C trace context — adoption of
 // the upstream trace id.
-func (s *Server) beginTrace(r *http.Request, start time.Time) reqTrace {
+func (s *serving) beginTrace(r *http.Request, start time.Time) reqTrace {
 	if s.tracer == nil {
 		return reqTrace{}
 	}
@@ -105,7 +105,7 @@ func (s *Server) beginTrace(r *http.Request, start time.Time) reqTrace {
 // finishTrace ends the request's trace with its route, status and
 // total duration; the tracer keeps it (sampled or slow) or recycles
 // the slot.
-func (s *Server) finishTrace(rt reqTrace, rc routeClass, path string, status int, total time.Duration) {
+func (s *serving) finishTrace(rt reqTrace, rc routeClass, path string, status int, total time.Duration) {
 	if rt.t == nil {
 		return
 	}

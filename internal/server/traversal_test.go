@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -113,6 +114,26 @@ func TestTraversalErrors(t *testing.T) {
 	// Switching to a context that does not contain the node conflicts.
 	if resp := getRaw(t, client, ts.URL+"/go/switch?context=ByMovement:cubism"); resp.StatusCode != http.StatusConflict {
 		t.Errorf("invalid switch = %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestTraversalWithoutSessionStartsNone: a cookie-less traversal, GET
+// or HEAD, is refused with 409, sets no cookie and leaves no session in
+// the table.
+func TestTraversalWithoutSessionStartsNone(t *testing.T) {
+	srv, _ := testServer(t)
+	for _, method := range []string{http.MethodGet, http.MethodHead} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, "/go/next", nil))
+		if rec.Code != http.StatusConflict {
+			t.Errorf("%s /go/next without a session = %d, want 409", method, rec.Code)
+		}
+		if c := rec.Header().Values("Set-Cookie"); len(c) > 0 {
+			t.Errorf("%s /go/next without a session set cookies %q", method, c)
+		}
+	}
+	if n := srv.SessionCount(); n != 0 {
+		t.Errorf("SessionCount = %d after cookie-less traversals, want 0", n)
 	}
 }
 
