@@ -75,13 +75,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzXPathCompile$$' -fuzztime 10s ./internal/xpath
 	$(GO) test -run '^$$' -fuzz '^FuzzXPointerParse$$' -fuzztime 10s ./internal/xpointer
 
-# lines prints the Go line counts outside benchmark/, non-test and test
-# files apart, as wc -l counts them: the figure each change reports. Go
-# files under a testdata/ directory (the analyzer corpora) count as
-# test code.
+# lines prints the Go line counts outside benchmark/ and the benchmark
+# build's .bench_build/, non-test and test files apart, as wc -l counts
+# them: the figure each change reports. Go files under a testdata/
+# directory (the analyzer corpora) count as test code.
 lines:
-	@printf 'non-test: '; find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './benchmark/*' | xargs cat | wc -l
-	@printf 'test:     '; find . -name '*.go' \( -name '*_test.go' -o -path '*/testdata/*' \) ! -path './benchmark/*' | xargs cat | wc -l
+	@printf 'non-test: '; find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
+	@printf 'test:     '; find . -name '*.go' \( -name '*_test.go' -o -path '*/testdata/*' \) ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # api-smoke boots a real navserve with -api-token, drives navctl
 # through a structure swap over the control plane, and asserts the

@@ -13,7 +13,6 @@ package conceptual
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // AttrType is the value type of a class attribute.
@@ -207,52 +206,36 @@ func (s *Schema) Relationships() []*Relationship {
 	return out
 }
 
-// Instance is one object of a conceptual class. Attribute reads and
-// Store.SetAttr may race (a live content edit against an in-flight
-// page weave), so attrs is guarded.
+// Instance is one object of a conceptual class. It is immutable once
+// its store holds it: Store.SetAttrs puts a new instance in its place
+// rather than writing this one, so its attributes read without a lock
+// from any goroutine.
 type Instance struct {
 	// ID uniquely identifies the instance within a Store.
 	ID string
 	// Class names the instance's class.
 	Class string
 
-	mu    sync.RWMutex
 	attrs map[string]string
 }
 
 // Attr returns the named attribute value ("" when unset).
-func (i *Instance) Attr(name string) string {
-	i.mu.RLock()
-	defer i.mu.RUnlock()
-	return i.attrs[name]
-}
+func (i *Instance) Attr(name string) string { return i.attrs[name] }
 
 // AttrOK returns the named attribute value and whether it is set.
 func (i *Instance) AttrOK(name string) (string, bool) {
-	i.mu.RLock()
-	defer i.mu.RUnlock()
 	v, ok := i.attrs[name]
 	return v, ok
 }
 
 // AttrNames returns the set attribute names, sorted.
 func (i *Instance) AttrNames() []string {
-	i.mu.RLock()
-	defer i.mu.RUnlock()
 	out := make([]string, 0, len(i.attrs))
 	for k := range i.attrs {
 		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// setAttr stores one attribute under the write lock (Store.SetAttr's
-// already-validated half).
-func (i *Instance) setAttr(name, value string) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.attrs[name] = value
 }
 
 // String renders the instance for diagnostics.

@@ -254,7 +254,7 @@ func TestCardinalityEnforcement(t *testing.T) {
 
 func TestExportImportRoundTrip(t *testing.T) {
 	st := museumStore(t)
-	doc := ExportInstance(st, st.Get("picasso"))
+	doc := ExportInstance(st.Get("picasso"))
 	out := doc.String()
 	// Shape of the paper's Figure 7: class root, id attr, attr children.
 	if !strings.Contains(out, `<Painter id="picasso">`) {

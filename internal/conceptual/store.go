@@ -2,6 +2,7 @@ package conceptual
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 )
 
@@ -95,26 +96,16 @@ func (s *Store) Add(class, id string, attrs map[string]string) (*Instance, error
 	return inst, nil
 }
 
-// SetAttr updates one attribute of an existing instance, validated
-// against the class declaration — the minimal content edit (a curator
-// fixing one caption) that core.InvalidateDocument turns into a narrow
-// cache invalidation. Required attributes cannot be cleared to "".
-func (s *Store) SetAttr(id, name, value string) error {
-	inst := s.instances[id]
-	if inst == nil {
-		return fmt.Errorf("conceptual: unknown instance %q", id)
-	}
-	if err := s.validateAttr(inst, name, value); err != nil {
-		return err
-	}
-	inst.setAttr(name, value)
-	return nil
-}
-
-// SetAttrs updates several attributes of one instance, validating the
+// SetAttrs edits several attributes of one instance, validating the
 // whole batch against the class declaration before applying any of it —
 // the control plane's validate-then-mutate contract: one bad attribute
-// in a PATCH leaves the instance exactly as it was.
+// in a PATCH leaves the instance exactly as it was. Required attributes
+// cannot be cleared to "". The edit never writes the instance the store
+// holds: it puts a copy with the batch applied in its place, so an
+// instance handed out earlier reads as it did. Like every Store method
+// it is not safe beside another: a store a core.App holds is edited by
+// App.EditDocument inside one mutation, which is how the server edits,
+// and by other callers only while no mutation runs.
 func (s *Store) SetAttrs(id string, set map[string]string) error {
 	if len(set) == 0 {
 		return fmt.Errorf("conceptual: no attributes to set on %q", id)
@@ -128,9 +119,9 @@ func (s *Store) SetAttrs(id string, set map[string]string) error {
 			return err
 		}
 	}
-	for name, value := range set {
-		inst.setAttr(name, value)
-	}
+	edited := &Instance{ID: inst.ID, Class: inst.Class, attrs: maps.Clone(inst.attrs)}
+	maps.Copy(edited.attrs, set)
+	s.instances[id] = edited
 	return nil
 }
 

@@ -11,7 +11,7 @@ import (
 // name as root element, the id as an attribute, and each attribute as a
 // child element — and, crucially, no links. Link structure lives in the
 // linkbase, which is the whole point of the separation.
-func ExportInstance(s *Store, inst *Instance) *xmldom.Document {
+func ExportInstance(inst *Instance) *xmldom.Document {
 	root := xmldom.NewElement(inst.Class)
 	root.SetAttr("id", inst.ID)
 	for _, name := range inst.AttrNames() {
@@ -23,11 +23,13 @@ func ExportInstance(s *Store, inst *Instance) *xmldom.Document {
 }
 
 // ExportAll exports every instance to its own document, returning a map
-// from suggested file name ("<id>.xml") to document.
+// from suggested file name ("<id>.xml") to document. Exporting the store
+// a core.App holds is safe only while no mutation runs; the server never
+// does it, since the App holds every document it serves.
 func ExportAll(s *Store) map[string]*xmldom.Document {
 	out := make(map[string]*xmldom.Document, s.Len())
 	for _, inst := range s.Instances() {
-		out[inst.ID+".xml"] = ExportInstance(s, inst)
+		out[inst.ID+".xml"] = ExportInstance(inst)
 	}
 	return out
 }

@@ -275,10 +275,7 @@ func TestLinkbaseSnapshotsSurviveMutations(t *testing.T) {
 		if err := app.SetAccessStructure("ByAuthor", as); err != nil {
 			t.Fatal(err)
 		}
-		if err := app.Store().SetAttr("guitar", "title", "Guitar "+strings.Repeat("I", i+1)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := app.InvalidateDocument("guitar.xml"); err != nil {
+		if _, err := app.EditDocument("guitar", map[string]string{"title": "Guitar " + strings.Repeat("I", i+1)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -95,10 +95,12 @@ type Reader struct {
 // App is a woven web application: one conceptual store, one navigational
 // model, optional custom presentation, and an aspect weaver. It is its
 // Reader plus the mutations (SetAccessStructure, SetStylesheet,
-// InvalidateDocument), which any number of goroutines may run while
-// others render and serve. Mutations serialize on writeMu, build the
-// next generation beside the current one, sharing every part they did
-// not change, and publish it with one store.
+// EditDocument, InvalidateDocument), which any number of goroutines may
+// run while others render and serve. Mutations serialize on writeMu,
+// build the next generation beside the current one, sharing every part
+// they did not change, and publish it with one store. Only a mutation
+// reads or writes the conceptual store: a generation holds the store's
+// instances, which are never changed, and no store.
 type App struct {
 	*Reader
 	store   *conceptual.Store
@@ -207,13 +209,13 @@ func (app *App) mutate(kind, target string, build func(cur *generation) (*genera
 
 // rebuild builds the generation that follows cur once model replaces
 // cur's and docs, the data documents a mutation re-exported, replace
-// cur's — every one from NewApp, the edited one from InvalidateDocument,
-// none from a structure swap. It re-resolves the model, compares every
-// freshly derived context with the one cur's linkbase holds, carries
-// each unchanged one over as cur's resolved object, makes the next
-// links.xml by splicing in the changed contexts' bytes, and shares with
-// cur every document and cached page the mutation did not change. cur
-// stays as it was.
+// cur's — every one from NewApp, the edited one from EditDocument or
+// InvalidateDocument, none from a structure swap. It re-resolves the
+// model, compares every freshly derived context with the one cur's
+// linkbase holds, carries each unchanged one over as cur's resolved
+// object, makes the next links.xml by splicing in the changed contexts'
+// bytes, and shares with cur every document and cached page the
+// mutation did not change. cur stays as it was.
 // It returns the next generation, how many of cur's cached pages it
 // dropped and the diff's verdict (verdictFull, verdictLocal or
 // verdictNone) — the blast-radius classification the mutation trace
@@ -259,7 +261,7 @@ func (app *App) rebuild(cur *generation, model *navigation.Model, docs xlink.Map
 				// model's object, with the OutEdges index and position
 				// map it built: a superseded model costs only what
 				// changed.
-				rm.Adopt(i, cur.resolved.Contexts[i], c.Edges)
+				rm.Adopt(i, cur.resolved.Contexts[i])
 			}
 		}
 	}
@@ -424,7 +426,11 @@ func (lb *linkbase) relink(contexts []*navigation.LinkbaseContext, changed []int
 	return next, nil
 }
 
-// Store returns the conceptual store.
+// Store returns the conceptual store: the writers' store, which only
+// mutations read or write. The server never calls it. A caller may read
+// or edit it only while no mutation runs, and an edit made there
+// reaches pages once InvalidateDocument re-exports its document;
+// EditDocument edits without either condition.
 func (app *App) Store() *conceptual.Store { return app.store }
 
 // Model returns the navigational model the App serves. A model the App
@@ -589,16 +595,25 @@ func (app *App) SetAccessStructures(swaps map[string]navigation.AccessStructure)
 	})
 }
 
-// InvalidateDocument re-derives the model after an edit to the data
-// behind the named document (conceptual.Store.SetAttr) and drops
-// exactly the cached pages the edit touched, returning how many. The
-// uri is the document's repository name (navigation.NodeHref of the
-// node, e.g. "guitar.xml"); a name that is neither links.xml nor the
-// document of a store instance is an error, reported before anything is
-// re-derived. Only the named document is re-exported; invalidating
-// links.xml re-derives navigation alone. Pages are woven from the
-// exported documents, so an edit reaches pages once its document is
-// invalidated.
+// ErrUnknownInstance and ErrInvalidEdit report an EditDocument naming
+// no instance of the store, and a batch the instance's class rejects;
+// callers (the control plane) test for them with errors.Is to answer
+// 404 and 400 rather than 500.
+var (
+	ErrUnknownInstance = errors.New("unknown instance")
+	ErrInvalidEdit     = errors.New("invalid edit")
+)
+
+// EditDocument sets attributes of the store instance id and re-derives
+// the model, as one mutation, and drops exactly the cached pages the
+// edit touched, returning how many. The batch is validated whole
+// against the instance's class before anything changes (see
+// conceptual.Store.SetAttrs), and the edit, the re-export of the
+// instance's document (navigation.NodeHref of id) and the rebuild all
+// run under the writers' lock: concurrent edits of one document apply
+// in some serial order, and each generation serves the attributes of
+// one of them. A rebuild that fails publishes nothing, though the store
+// keeps the edit.
 //
 // The rebuild diff — not the caller — decides the blast radius. A
 // caption-only edit changes just the document's bytes, so only the
@@ -609,20 +624,40 @@ func (app *App) SetAccessStructures(swaps map[string]navigation.AccessStructure)
 // derived from the model and invalidates as widely as it must. Getting
 // that radius right costs a re-derivation at mutation time; the request
 // path stays untouched either way.
-func (app *App) InvalidateDocument(uri string) (int, error) {
-	var inst *conceptual.Instance
-	if uri != linksURI {
-		id, ok := strings.CutSuffix(uri, ".xml")
-		if inst = app.store.Get(id); !ok || inst == nil {
-			return 0, fmt.Errorf("core: no document %q", uri)
-		}
-	}
+func (app *App) EditDocument(id string, set map[string]string) (int, error) {
+	uri := navigation.NodeHref(id)
 	return app.mutate("document", uri, func(cur *generation) (*generation, int, string, error) {
-		docs := xlink.MapRepository{}
-		if inst != nil {
-			docs[uri] = conceptual.ExportInstance(app.store, inst)
+		if app.store.Get(id) == nil {
+			return nil, 0, "", fmt.Errorf("core: %w %q", ErrUnknownInstance, id)
 		}
-		return app.rebuild(cur, cur.model, docs)
+		if err := app.store.SetAttrs(id, set); err != nil {
+			return nil, 0, "", fmt.Errorf("core: %w: %w", ErrInvalidEdit, err)
+		}
+		return app.rebuild(cur, cur.model, xlink.MapRepository{uri: conceptual.ExportInstance(app.store.Get(id))})
+	})
+}
+
+// InvalidateDocument re-derives the model after an edit made to the
+// store directly (Store().SetAttrs, while no mutation ran) and drops
+// exactly the cached pages the edit touched, returning how many. The
+// server edits through EditDocument and no longer calls it. The uri is
+// the document's repository name (navigation.NodeHref of the node, e.g.
+// "guitar.xml"); a name that is neither links.xml nor the document of a
+// store instance is an error, reported before anything is re-derived.
+// Only the named document is re-exported; invalidating links.xml
+// re-derives navigation alone. Pages are woven from the exported
+// documents, so an edit reaches pages once its document is invalidated.
+func (app *App) InvalidateDocument(uri string) (int, error) {
+	return app.mutate("document", uri, func(cur *generation) (*generation, int, string, error) {
+		if uri == linksURI {
+			return app.rebuild(cur, cur.model, nil)
+		}
+		id, ok := strings.CutSuffix(uri, ".xml")
+		inst := app.store.Get(id)
+		if !ok || inst == nil {
+			return nil, 0, "", fmt.Errorf("core: no document %q", uri)
+		}
+		return app.rebuild(cur, cur.model, xlink.MapRepository{uri: conceptual.ExportInstance(inst)})
 	})
 }
 

@@ -186,11 +186,8 @@ func TestInvalidateDocumentDropsOnlyDependents(t *testing.T) {
 	warm("ByMovement:cubism", "guitar")
 	memory := warm("ByMovement:surrealism", "memory")
 
-	if err := app.Store().SetAttr("guitar", "technique", "Sheet metal and wire"); err != nil {
-		t.Fatal(err)
-	}
-	if dropped, err := app.InvalidateDocument("guitar.xml"); err != nil || dropped != 2 {
-		t.Errorf("InvalidateDocument = (%d, %v), want (2, nil) — guitar's page in each containing context", dropped, err)
+	if dropped, err := app.EditDocument("guitar", map[string]string{"technique": "Sheet metal and wire"}); err != nil || dropped != 2 {
+		t.Errorf("EditDocument = (%d, %v), want (2, nil) — guitar's page in each containing context", dropped, err)
 	}
 	if app.CachedPages() != 1 {
 		t.Errorf("cached pages = %d, want 1 (memory untouched)", app.CachedPages())
@@ -232,10 +229,7 @@ func TestInvalidateDocumentTitleEditReachesNavigation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := app.Store().SetAttr("guitar", "title", "Guitar (1913)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := app.InvalidateDocument("guitar.xml"); err != nil {
+	if _, err := app.EditDocument("guitar", map[string]string{"title": "Guitar (1913)"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -258,10 +252,10 @@ func TestInvalidateDocumentTitleEditReachesNavigation(t *testing.T) {
 	}
 }
 
-// TestSetAttrDuringRenderRace: a live content edit (Store.SetAttr) may
+// TestSetAttrDuringRenderRace: a live content edit (EditDocument) may
 // land while a weave is reading the same instance's attributes; the
-// instance guards its map so neither side corrupts the other. Run with
-// -race.
+// edit replaces the instance rather than writing it, so neither side
+// corrupts the other. Run with -race.
 func TestSetAttrDuringRenderRace(t *testing.T) {
 	app := paperApp(t, navigation.IndexedGuidedTour{})
 	var wg sync.WaitGroup
@@ -284,13 +278,10 @@ func TestSetAttrDuringRenderRace(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		if err := app.Store().SetAttr("guitar", "technique", "edit"); err != nil {
+		if _, err := app.EditDocument("guitar", map[string]string{"technique": "edit"}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := app.InvalidateDocument("guitar.xml"); err != nil {
-			t.Fatal(err)
-		}
-		if err := app.Store().SetAttr("guitar", "technique", "Construction"); err != nil {
+		if _, err := app.EditDocument("guitar", map[string]string{"technique": "Construction"}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -81,20 +82,24 @@ func TestPublishedModelNeverWritten(t *testing.T) {
 	}
 }
 
-// woven is one page a reader wove, with the generation it read.
+// woven is one page a reader wove, with the generation it read and the
+// edges leaving the page's node in that generation.
 type woven struct {
-	g    *generation
-	page *Page
+	g     *generation
+	page  *Page
+	edges []navigation.Edge
 }
 
 // TestReadersWeaveOneGeneration races readers against a writer applying
 // the rebuild oracle's mix of mutations: structure swaps, caption, title
 // and year edits, and stylesheet installs. Each reader loads a
 // generation and weaves through it, directly and through its page
-// cache. Every page, and every page any generation cached, must equal
-// what a fresh NewApp over that generation's store, model and
-// stylesheet renders, and carry an ETag naming that generation or an
-// earlier one. Run with -race.
+// cache, and traverses the woven node's edges. Every page, and every
+// page any generation cached, must equal what a fresh NewApp over that
+// generation's store, model and stylesheet renders, and carry an ETag
+// naming that generation or an earlier one; every traversal must yield
+// the edges the fresh App derived when the generation was published.
+// Run with -race.
 func TestReadersWeaveOneGeneration(t *testing.T) {
 	steps := 120
 	if testing.Short() {
@@ -117,8 +122,10 @@ func TestReadersWeaveOneGeneration(t *testing.T) {
 	// fresh holds, for every generation the writer published, a fresh
 	// App built from it. A page reads only its generation's documents,
 	// so the fresh App renders that generation however the store moves
-	// on afterwards.
+	// on afterwards. outEdges holds the edges that App derived for every
+	// node of every context, read as the generation is published.
 	fresh := map[*generation]*App{}
+	outEdges := map[*generation]map[pageKey][]navigation.Edge{}
 	record := func() {
 		g := app.gen.Load()
 		f, err := NewApp(app.Store(), g.model)
@@ -131,6 +138,14 @@ func TestReadersWeaveOneGeneration(t *testing.T) {
 			}
 		}
 		fresh[g] = f
+		edges := map[pageKey][]navigation.Edge{}
+		for _, rc := range f.Resolved().Contexts {
+			edges[pageKey{rc.Name, navigation.HubID}] = rc.OutEdges(navigation.HubID)
+			for _, m := range rc.Members {
+				edges[pageKey{rc.Name, m.ID()}] = rc.OutEdges(m.ID())
+			}
+		}
+		outEdges[g] = edges
 	}
 	record()
 
@@ -159,7 +174,7 @@ func TestReadersWeaveOneGeneration(t *testing.T) {
 					t.Errorf("weaving %s/%s: %v", rc.Name, node, err)
 					return
 				}
-				results[r] = append(results[r], woven{g, page})
+				results[r] = append(results[r], woven{g, page, rc.OutEdges(node)})
 				// The cached path loads the newest generation itself;
 				// what it caches is checked below, generation by
 				// generation.
@@ -210,6 +225,9 @@ func TestReadersWeaveOneGeneration(t *testing.T) {
 				t.Fatalf("page %s/%s woven from generation %d carries ETag %s", w.page.Context, w.page.NodeID, w.g.num, w.page.ETag)
 			}
 			check(w.g, w.page, "woven")
+			if want := outEdges[w.g][pageKey{w.page.Context, w.page.NodeID}]; !slices.Equal(w.edges, want) {
+				t.Fatalf("edges from %s/%s in generation %d:\n got %v\nwant %v", w.page.Context, w.page.NodeID, w.g.num, w.edges, want)
+			}
 		}
 		total += len(rs)
 	}

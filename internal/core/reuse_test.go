@@ -24,7 +24,8 @@ func patchDoc(t testing.TB, app *App, id, attr, value string) {
 
 // TestRebuildAdoptsUnchangedContexts: a rebuild carries every context
 // its comparison found unchanged over as the previous model's object,
-// and resolves afresh exactly the contexts a mutation changed.
+// and resolves afresh exactly the contexts a mutation changed or that
+// hold the instance an edit replaced.
 func TestRebuildAdoptsUnchangedContexts(t *testing.T) {
 	app := benchMuseum(t)
 	// adopted reports, per context name, whether the rebuild behind
@@ -46,10 +47,17 @@ func TestRebuildAdoptsUnchangedContexts(t *testing.T) {
 		return out
 	}
 	painting := app.Store().InstancesOf("Painting")[7].ID
+	holding := map[string]bool{}
+	for _, rc := range app.Resolved().ContextsContaining(painting) {
+		holding[rc.Name] = true
+	}
+	if len(holding) != 2 {
+		t.Fatalf("%s is in %d contexts, want 2", painting, len(holding))
+	}
 
 	for name, kept := range adopted(func() { patchDoc(t, app, painting, "technique", "Sheet metal") }) {
-		if !kept {
-			t.Errorf("technique edit: %s was resolved afresh", name)
+		if kept == holding[name] {
+			t.Errorf("technique edit: %s adopted = %v, holds the node = %v", name, kept, holding[name])
 		}
 	}
 
@@ -64,13 +72,6 @@ func TestRebuildAdoptsUnchangedContexts(t *testing.T) {
 		}
 	}
 
-	holding := map[string]bool{}
-	for _, rc := range app.Resolved().ContextsContaining(painting) {
-		holding[rc.Name] = true
-	}
-	if len(holding) != 2 {
-		t.Fatalf("%s is in %d contexts, want 2", painting, len(holding))
-	}
 	for name, kept := range adopted(func() { patchDoc(t, app, painting, "title", "Retitled") }) {
 		if kept == holding[name] {
 			t.Errorf("title edit: %s adopted = %v, holds the node = %v", name, kept, holding[name])

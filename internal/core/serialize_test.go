@@ -124,10 +124,7 @@ func benchmarkMutation(b *testing.B, attr string, value func(int) string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := app.Store().SetAttr(id, attr, value(i)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := app.InvalidateDocument(navigation.NodeHref(id)); err != nil {
+		if _, err := app.EditDocument(id, map[string]string{attr: value(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -263,10 +263,7 @@ func TestSnapshotReexportPutsPatchedDocument(t *testing.T) {
 	if len(st.puts) != len(app.Repository()) {
 		t.Fatalf("first export put %d documents, want %d", len(st.puts), len(app.Repository()))
 	}
-	if err := app.Store().SetAttr("guitar", "technique", "Sheet metal and wire"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := app.InvalidateDocument("guitar.xml"); err != nil {
+	if _, err := app.EditDocument("guitar", map[string]string{"technique": "Sheet metal and wire"}); err != nil {
 		t.Fatal(err)
 	}
 	st.puts = nil

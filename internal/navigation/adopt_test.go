@@ -60,8 +60,9 @@ func TestVisitsHoldModelStrings(t *testing.T) {
 
 // TestAdoptKeepsLookupsConsistent: an adopted context answers through
 // every lookup of the adopting model — Contexts, Context by name and
-// Landmarks — and a context whose declaration or built OutEdges index
-// differs from the fresh derivation is refused.
+// Landmarks — and a context whose declaration differs from the fresh
+// derivation, or that holds an instance the store has since replaced,
+// is refused.
 func TestAdoptKeepsLookupsConsistent(t *testing.T) {
 	store := museum.PaperStore()
 	m := museum.Model(navigation.IndexedGuidedTour{})
@@ -76,7 +77,7 @@ func TestAdoptKeepsLookupsConsistent(t *testing.T) {
 	}
 	prev, cur := resolve(), resolve()
 	for i, rc := range cur.Contexts {
-		if !cur.Adopt(i, prev.Contexts[i], rc.Edges()) {
+		if !cur.Adopt(i, prev.Contexts[i]) {
 			t.Fatalf("context %s of an identical resolution was not adopted", rc.Name)
 		}
 	}
@@ -89,17 +90,18 @@ func TestAdoptKeepsLookupsConsistent(t *testing.T) {
 		t.Errorf("landmarks %v do not hold the adopted context", cur.Landmarks)
 	}
 
-	// A built index whose labels differ from the fresh derivation.
-	prev, cur = resolve(), resolve()
-	i := indexOf(t, cur, "ByAuthor:picasso")
-	prev.Contexts[i].OutEdges(navigation.HubID)
-	edges := cur.Contexts[i].Edges()
-	edges[0].Label += " (retitled)"
-	if cur.Adopt(i, prev.Contexts[i], edges) {
-		t.Error("adopted a context whose OutEdges index disagrees with the derived edges")
+	// An instance the store replaced between the two resolutions.
+	prev = resolve()
+	if err := store.SetAttrs("guitar", map[string]string{"technique": "Collage"}); err != nil {
+		t.Fatal(err)
 	}
-	if !cur.Adopt(i, prev.Contexts[i], cur.Contexts[i].Edges()) {
-		t.Error("refused a context whose OutEdges index matches the derived edges")
+	cur = resolve()
+	i := indexOf(t, cur, "ByAuthor:picasso")
+	if cur.Adopt(i, prev.Contexts[i]) {
+		t.Error("adopted a context holding an instance the store replaced")
+	}
+	if i := indexOf(t, cur, "ByAuthor:dali"); !cur.Adopt(i, prev.Contexts[i]) {
+		t.Error("refused a context whose instances the store kept")
 	}
 
 	// Another declaration that gives this context the same edges: an
@@ -116,7 +118,7 @@ func TestAdoptKeepsLookupsConsistent(t *testing.T) {
 	setAccess(navigation.AdaptiveTour{Plans: map[string]navigation.TourPlan{"ByAuthor:dali": {Order: []string{"memory"}, Landmarks: []string{"memory"}}}})
 	cur = resolve()
 	i = indexOf(t, cur, "ByAuthor:picasso")
-	if cur.Adopt(i, prev.Contexts[i], cur.Contexts[i].Edges()) {
+	if cur.Adopt(i, prev.Contexts[i]) {
 		t.Error("adopted a context resolved under another declaration")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/conceptual"
 )
@@ -73,10 +72,10 @@ type ResolvedContext struct {
 	sym  uint32
 	syms []uint32
 
-	// out is the OutEdges index, built on first use under outMu; it is
-	// read lock-free once built.
-	outMu     sync.Mutex
-	out       atomic.Pointer[edgeIndex]
+	// out is the OutEdges index and index the position map, each built
+	// once, on first use.
+	outOnce   sync.Once
+	out       *edgeIndex
 	indexOnce sync.Once
 	index     map[string]int
 }
@@ -158,47 +157,8 @@ func (rc *ResolvedContext) group(from string) int {
 
 // outIndex returns the OutEdges index, building it on first use.
 func (rc *ResolvedContext) outIndex() *edgeIndex {
-	if ix := rc.out.Load(); ix != nil {
-		return ix
-	}
-	rc.outMu.Lock()
-	defer rc.outMu.Unlock()
-	if ix := rc.out.Load(); ix != nil {
-		return ix
-	}
-	ix := rc.indexEdges(rc.Edges())
-	rc.out.Store(ix)
-	return ix
-}
-
-// indexHolds reports whether the OutEdges index, if built, groups
-// exactly edges. The index keeps the edge labels — member titles — of
-// the moment it was built, which can fall between a content edit and
-// the rebuild that re-derives the context. A build in progress is
-// waited for.
-func (rc *ResolvedContext) indexHolds(edges []Edge) bool {
-	rc.outMu.Lock()
-	defer rc.outMu.Unlock()
-	ix := rc.out.Load()
-	if ix == nil {
-		return true
-	}
-	// Each edge must be the next one of its source's group; then every
-	// group must be used up.
-	next := append([]int32(nil), ix.start...)
-	n := 0
-	for _, e := range edges {
-		g := rc.group(e.From)
-		if g < 0 {
-			continue
-		}
-		if next[g] == ix.start[g+1] || ix.out[next[g]] != e {
-			return false
-		}
-		next[g]++
-		n++
-	}
-	return n == len(ix.out)
+	rc.outOnce.Do(func() { rc.out = rc.indexEdges(rc.Edges()) })
+	return rc.out
 }
 
 // Position returns the 0-based position of the node in the context, or -1.
@@ -323,18 +283,18 @@ func (rm *ResolvedModel) ContextsContaining(nodeID string) []*ResolvedContext {
 	return out
 }
 
-// Adopt puts prev, a context of an earlier resolution of the same model
-// over the same store, in place of the context at position i, together
-// with the OutEdges index and position map prev has built, and reports
-// whether it did. edges are the context's edges as just derived
-// (LinkbaseContext.Edges). prev is adopted only when it is
-// interchangeable with the context it replaces: the same name,
-// declaration, members in the same order and symbols, and an OutEdges
-// index that is unbuilt or groups exactly edges. The caller vouches
-// that the members' titles are unchanged since prev's resolution. A
+// Adopt puts prev, a context of an earlier resolution of the same model,
+// in place of the context at position i, together with the OutEdges
+// index and position map prev has built, and reports whether it did.
+// prev is adopted only when it is interchangeable with the context it
+// replaces: the same name, declaration, symbols and members, the same
+// instances in the same order. An instance is never changed once its
+// store holds it (an edit replaces it), so the same instances have the
+// same titles and an index prev built holds for the context it
+// replaces; a context holding an edited instance is resolved afresh. A
 // superseded model and its successor then share every unchanged
 // context, so each model costs only the contexts that changed.
-func (rm *ResolvedModel) Adopt(i int, prev *ResolvedContext, edges []Edge) bool {
+func (rm *ResolvedModel) Adopt(i int, prev *ResolvedContext) bool {
 	cur := rm.Contexts[i]
 	// The declarations compare in full, access structure parameters
 	// included: an adaptive tour whose plan changed for a sibling
@@ -342,8 +302,7 @@ func (rm *ResolvedModel) Adopt(i int, prev *ResolvedContext, edges []Edge) bool 
 	// are the same.
 	if prev.Name != cur.Name || prev.Group != cur.Group ||
 		prev.sym != cur.sym || !slices.Equal(prev.syms, cur.syms) ||
-		!reflect.DeepEqual(prev.Def, cur.Def) || !sameMembers(prev.Members, cur.Members) ||
-		!prev.indexHolds(edges) {
+		!reflect.DeepEqual(prev.Def, cur.Def) || !sameMembers(prev.Members, cur.Members) {
 		return false
 	}
 	rm.Contexts[i] = prev
@@ -370,7 +329,10 @@ func sameMembers(a, b []*Node) bool {
 // live one: a later mutation of the model (SetAccessStructure swapping
 // def.Access) must not reach into contexts that were resolved before it
 // — sessions, renderers and the analytics deriver read their resolved
-// model lock-free on the strength of that immutability.
+// model lock-free on the strength of that immutability. A core.App
+// resolves through its own lineage inside a mutation and never calls
+// Resolve; a caller resolving against an App's store does so only while
+// no mutation runs.
 func (m *Model) Resolve(store *conceptual.Store) (*ResolvedModel, error) {
 	rm, err := m.resolveInto(NewLineage(), store)
 	if err != nil {

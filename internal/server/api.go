@@ -404,10 +404,11 @@ type documentPatch struct {
 }
 
 // apiDocumentPatch edits the conceptual instance behind one data
-// document and routes the change through the dependency-aware rebuild:
-// a caption edit costs only that document's pages, a title edit
-// invalidates as widely as it must — the rebuild diff, not the caller,
-// decides the blast radius.
+// document and routes the change through the dependency-aware rebuild,
+// both in one mutation, so concurrent PATCHes of one document apply in
+// some serial order: a caption edit costs only that document's pages, a
+// title edit invalidates as widely as it must — the rebuild diff, not
+// the caller, decides the blast radius.
 func (s *Server) apiDocumentPatch(w http.ResponseWriter, r *http.Request, id string, rt reqTrace) {
 	body, ok := readBody(w, r)
 	if !ok {
@@ -422,24 +423,23 @@ func (s *Server) apiDocumentPatch(w http.ResponseWriter, r *http.Request, id str
 		apiError(w, http.StatusBadRequest, `document patch sets nothing (want {"set": {"attr": "value"}})`)
 		return
 	}
-	if s.app.Store().Get(id) == nil {
-		apiError(w, http.StatusNotFound, "unknown instance %q", id)
-		return
-	}
 	// The mutation phase spans the edit plus the dependency-aware
 	// rebuild — the cost an operator's trace should attribute to a patch.
 	mutFrom := rt.now()
-	if err := s.app.Store().SetAttrs(id, patch.Set); err != nil {
+	dropped, err := s.app.EditDocument(id, patch.Set)
+	rt.span(obs.PhaseMutation, mutFrom)
+	switch {
+	case errors.Is(err, core.ErrUnknownInstance):
+		apiError(w, http.StatusNotFound, "unknown instance %q", id)
+		return
+	case errors.Is(err, core.ErrInvalidEdit):
 		apiError(w, http.StatusBadRequest, "invalid document patch: %v", err)
 		return
-	}
-	uri := navigation.NodeHref(id)
-	dropped, err := s.app.InvalidateDocument(uri)
-	rt.span(obs.PhaseMutation, mutFrom)
-	if err != nil {
+	case err != nil:
 		apiError(w, http.StatusInternalServerError, "re-deriving after edit: %v", err)
 		return
 	}
+	uri := navigation.NodeHref(id)
 	var contexts []string
 	for _, rc := range s.app.Resolved().ContextsContaining(id) {
 		contexts = append(contexts, rc.Name)

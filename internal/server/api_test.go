@@ -2,10 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analytics"
@@ -251,6 +254,65 @@ func TestAPIDocumentPatch(t *testing.T) {
 	}
 	if resp := condGet(t, ts.URL+"/data/memory.xml", otherTag); resp.StatusCode != http.StatusNotModified {
 		t.Errorf("unrelated document after edit = %d, want 304", resp.StatusCode)
+	}
+}
+
+// TestConcurrentPatchesSerialize: two PATCHes of one document sent at
+// once apply in some serial order. After each round the store and the
+// served document hold all three values of one PATCH, never a mix of
+// both.
+func TestConcurrentPatchesSerialize(t *testing.T) {
+	app, err := core.NewApp(museum.PaperStore(), museum.Model(navigation.IndexedGuidedTour{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(app, WithAPIToken(testToken))
+	patches := [][3]string{{"T-a", "1901", "K-a"}, {"T-b", "1902", "K-b"}}
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		req.Header.Set("Authorization", "Bearer "+testToken)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec
+	}
+	rounds := 5000
+	if testing.Short() {
+		rounds = 1000
+	}
+	torn := 0
+	for round := 0; round < rounds; round++ {
+		start := make(chan struct{})
+		codes := make([]int, len(patches))
+		var wg sync.WaitGroup
+		for i, p := range patches {
+			wg.Add(1)
+			go func(i int, p [3]string) {
+				defer wg.Done()
+				body := fmt.Sprintf(`{"set":{"title":%q,"year":%q,"technique":%q}}`, p[0], p[1], p[2])
+				<-start
+				codes[i] = serve(http.MethodPatch, api.BasePath+"/documents/guitar", body).Code
+			}(i, p)
+		}
+		close(start)
+		wg.Wait()
+		for i, code := range codes {
+			if code != http.StatusOK {
+				t.Fatalf("round %d: PATCH %v = %d, want 200", round, patches[i], code)
+			}
+		}
+		guitar := srv.app.Store().Get("guitar")
+		stored := [3]string{guitar.Attr("title"), guitar.Attr("year"), guitar.Attr("technique")}
+		whole := slices.Contains(patches, stored)
+		doc := serve(http.MethodGet, "/data/guitar.xml", "").Body.String()
+		for i, name := range []string{"title", "year", "technique"} {
+			whole = whole && strings.Contains(doc, "<"+name+">"+stored[i]+"</"+name+">")
+		}
+		if !whole {
+			torn++
+		}
+	}
+	if torn > 0 {
+		t.Errorf("%d of %d rounds left guitar torn between two PATCHes", torn, rounds)
 	}
 }
 
