@@ -29,8 +29,9 @@ test:
 test-full:
 	$(GO) test -race ./...
 
-# bench runs the serve/persist benchmarks and records the summary in
-# BENCH_serve.json (ns/op, B/op, allocs/op per benchmark).
+# bench runs the serve/persist benchmarks five times each and records
+# the summary in BENCH_serve.json (per benchmark the median ns/op with
+# its min and max, and the median B/op and allocs/op).
 bench:
 	GO="$(GO)" scripts/bench.sh
 

@@ -11,10 +11,6 @@
 //
 // Serving knobs:
 //
-//	-no-cache          weave every page per request instead of serving
-//	                   from the woven-page cache (the cache is
-//	                   invalidated automatically when the model
-//	                   changes, so it is safe to leave on)
 //	-session-ttl       idle visitor-session lifetime before eviction
 //	                   (default 30m; 0 keeps sessions forever)
 //	-session-shards    lock-shard count of the session store
@@ -263,7 +259,6 @@ func build(args []string) (*http.Server, *buildConfig, int, error) {
 	var flags cli.DatasetFlags
 	flags.Register(fs)
 	addr := fs.String("addr", ":8080", "listen address")
-	noCache := fs.Bool("no-cache", false, "weave every page per request (disable the woven-page cache)")
 	sessionTTL := fs.Duration("session-ttl", server.DefaultSessionTTL,
 		"idle session lifetime before eviction (0 = never expire)")
 	sessionShards := fs.Int("session-shards", server.DefaultSessionShards,
@@ -394,9 +389,6 @@ func build(args []string) (*http.Server, *buildConfig, int, error) {
 	}
 	if *apiToken != "" {
 		opts = append(opts, server.WithAPIToken(*apiToken))
-	}
-	if *noCache {
-		opts = append(opts, server.WithoutPageCache())
 	}
 	if *analyticsOn {
 		// The hop tables are sized from the site, so a large museum's

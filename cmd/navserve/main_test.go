@@ -52,7 +52,7 @@ func TestBuildAssemblesServer(t *testing.T) {
 
 func TestBuildServingKnobs(t *testing.T) {
 	srv, cfg, _, err := build([]string{
-		"-addr", ":0", "-no-cache",
+		"-addr", ":0",
 		"-session-ttl", "5m", "-session-shards", "4", "-evict-interval", "0",
 		"-shutdown-timeout", "3s",
 	})

@@ -24,8 +24,10 @@ func ExportInstance(inst *Instance) *xmldom.Document {
 
 // ExportAll exports every instance to its own document, returning a map
 // from suggested file name ("<id>.xml") to document. Exporting the store
-// a core.App holds is safe only while no mutation runs; the server never
-// does it, since the App holds every document it serves.
+// a core.App holds is safe only while no mutation runs. core.App does
+// not call it (it exports instance by instance and keeps only the
+// bytes); it is kept for the benchmark module's replay, its only caller
+// outside tests.
 func ExportAll(s *Store) map[string]*xmldom.Document {
 	out := make(map[string]*xmldom.Document, s.Len())
 	for _, inst := range s.Instances() {

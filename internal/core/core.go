@@ -21,8 +21,10 @@
 //
 // Each response is woven or served from one immutable generation of
 // the App, so it comes from exactly one triple of data, linkbase and
-// presentation by construction; mutations publish the next generation
-// (see Reader and App).
+// presentation by construction; mutations publish the next generation,
+// the only state an App publishes (see Reader and App). A generation's
+// data is its resolved model's instances, and it holds each data
+// document as its served bytes alone.
 //
 // The App holds links.xml only as its served bytes, with no tree: the
 // weaver reads the contexts as that markup reads back. One pass writes
@@ -79,12 +81,13 @@ const (
 // is safe for concurrent use: everything a response is woven or served
 // from is one immutable generation behind one atomic pointer, which a
 // reader loads once and uses to the end, so no reader waits for a
-// mutation. A page reads its data from its generation's documents, never
+// mutation; sessions resolve against its resolved model through the
+// lineage. A page reads its data from its generation's instances, never
 // from the live store.
 type Reader struct {
 	weaver *aspect.Weaver
-	// lineage holds the resolved models: every rebuild resolves into it,
-	// and each generation's model is published there with it.
+	// lineage numbers the names of the resolved models: every rebuild
+	// resolves into it, and its function is Resolved.
 	lineage *navigation.Lineage
 	// events traces recent mutations: duration, diff verdict and
 	// invalidation blast radius per model change (see Events).
@@ -98,8 +101,9 @@ type Reader struct {
 // EditDocument, InvalidateDocument), which any number of goroutines may
 // run while others render and serve. Mutations serialize on writeMu,
 // build the next generation beside the current one, sharing every part
-// they did not change, and publish it with one store. Only a mutation
-// reads or writes the conceptual store: a generation holds the store's
+// they did not change, and publish it with one store of the generation
+// pointer, the App's only published state. Only a mutation reads or
+// writes the conceptual store: a generation holds the store's
 // instances, which are never changed, and no store.
 type App struct {
 	*Reader
@@ -108,12 +112,12 @@ type App struct {
 }
 
 // generation is everything a response is woven or served from, never
-// changed once published but for its page cache filling.
+// changed once published but for its page cache filling. Pages read
+// their data from its resolved model's member instances.
 type generation struct {
 	// num is the generation ETags carry. It advances with every
 	// mutation that drops a cached page or changes a document.
 	num      uint64
-	model    *navigation.Model
 	resolved *navigation.ResolvedModel
 	links    *linkbase
 	// docs holds every repository document by name: the data documents
@@ -126,12 +130,11 @@ type generation struct {
 	pages         *pageCache
 }
 
-// document is one repository document as it is served: its tree (nil
-// for links.xml, which is held as bytes alone), and its serialized body
-// with the body's strong validator and Content-Length, precomputed so
-// the serve path neither serializes, hashes nor formats.
+// document is one repository document as it is served, held as bytes
+// alone: its serialized body with the body's strong validator and
+// Content-Length, precomputed so the serve path neither serializes,
+// hashes nor formats. Repository parses the body when asked for a tree.
 type document struct {
-	tree *xmldom.Document
 	body []byte
 	etag string
 	clen string
@@ -163,37 +166,24 @@ const linksURI = "links.xml"
 // navigation aspect. The App never changes model; a structure swap
 // publishes a copy.
 func NewApp(store *conceptual.Store, model *navigation.Model) (*App, error) {
-	app := &App{
-		Reader: &Reader{
-			weaver:  aspect.NewWeaver(),
-			lineage: navigation.NewLineage(),
-			events:  obs.NewEventRing(eventRingCapacity),
-		},
-		store: store,
-	}
+	r := &Reader{weaver: aspect.NewWeaver(), events: obs.NewEventRing(eventRingCapacity)}
+	r.lineage = navigation.NewLineage(r.Resolved)
+	app := &App{Reader: r, store: store}
 	empty := &generation{docs: map[string]*document{}, pages: newPageCache()}
-	g, _, _, err := app.rebuild(empty, model, conceptual.ExportAll(store))
+	g, _, _, err := app.rebuild(empty, model, store.Instances())
 	if err != nil {
 		return nil, err
 	}
-	app.publish(g)
+	app.gen.Store(g)
 	app.weaver.Use(NavigationAspect())
 	return app, nil
 }
 
-// publish makes g the generation every reader loads from now on, and
-// its resolved model the newest of the lineage, which sessions resolve
-// against.
-func (app *App) publish(g *generation) {
-	app.gen.Store(g)
-	g.resolved.Publish()
-}
-
 // mutate runs one mutation: holding writeMu, it builds the generation
 // that follows the current one with build, publishes it and records the
-// mutation. A build that fails publishes nothing, and the App stays on
-// the current generation. It returns how many cached pages the mutation
-// dropped.
+// mutation, so no generation is published after a newer one. A build
+// that fails publishes nothing, and the App stays on the current
+// generation. It returns how many cached pages the mutation dropped.
 func (app *App) mutate(kind, target string, build func(cur *generation) (*generation, int, string, error)) (int, error) {
 	start := time.Now()
 	app.writeMu.Lock()
@@ -202,20 +192,21 @@ func (app *App) mutate(kind, target string, build func(cur *generation) (*genera
 	if err != nil {
 		return 0, err
 	}
-	app.publish(next)
+	app.gen.Store(next)
 	app.recordMutation(kind, target, start, dropped, verdict)
 	return dropped, nil
 }
 
 // rebuild builds the generation that follows cur once model replaces
-// cur's and docs, the data documents a mutation re-exported, replace
-// cur's — every one from NewApp, the edited one from EditDocument or
-// InvalidateDocument, none from a structure swap. It re-resolves the
-// model, compares every freshly derived context with the one cur's
-// linkbase holds, carries each unchanged one over as cur's resolved
-// object, makes the next links.xml by splicing in the changed contexts'
-// bytes, and shares with cur every document and cached page the
-// mutation did not change. cur stays as it was.
+// cur's and the documents of insts, the instances whose data documents
+// a mutation re-exports, replace cur's — every one from NewApp, the
+// edited one from EditDocument or InvalidateDocument, none from a
+// structure swap. It re-resolves the model, compares every freshly
+// derived context with the one cur's linkbase holds, carries each
+// unchanged one over as cur's resolved object, makes the next links.xml
+// by splicing in the changed contexts' bytes, and shares with cur every
+// document and cached page the mutation did not change. cur stays as it
+// was.
 // It returns the next generation, how many of cur's cached pages it
 // dropped and the diff's verdict (verdictFull, verdictLocal or
 // verdictNone) — the blast-radius classification the mutation trace
@@ -230,7 +221,7 @@ func (app *App) mutate(kind, target string, build func(cur *generation) (*genera
 // contexts' pages (their "Also in" links and embeds name it), and a
 // moved landmark entry into every page's landmark bar, so those start
 // the next generation with an empty cache.
-func (app *App) rebuild(cur *generation, model *navigation.Model, docs xlink.MapRepository) (*generation, int, string, error) {
+func (app *App) rebuild(cur *generation, model *navigation.Model, insts []*conceptual.Instance) (*generation, int, string, error) {
 	start := time.Now()
 	rm, err := app.lineage.Resolve(model, app.store)
 	if err != nil {
@@ -277,26 +268,27 @@ func (app *App) rebuild(cur *generation, model *navigation.Model, docs xlink.Map
 	if err != nil {
 		return nil, 0, "", fmt.Errorf("core: reading generated linkbase: %w", err)
 	}
-	next := &generation{num: cur.num, model: model, resolved: rm, links: prev, docs: maps.Clone(cur.docs),
+	next := &generation{num: cur.num, resolved: rm, links: prev, docs: maps.Clone(cur.docs),
 		stylesheet: cur.stylesheet, stylesheetSrc: cur.stylesheetSrc}
 
-	// Serialize each handed document once, at mutation time: the bytes
-	// are what the server hands out and the snapshot export writes (no
-	// per-request serialization), and comparing them with cur's bodies
-	// reveals which changed. Each is appended into one scratch buffer,
-	// sized from the largest body among them and reused. links.xml
+	// Export and serialize each handed instance's document once, at
+	// mutation time, and keep only the bytes: they are what the server
+	// hands out and the snapshot export writes, and comparing them with
+	// cur's bodies reveals which changed. Each is appended into one
+	// scratch buffer, sized from the largest body among them. links.xml
 	// comes serialized already.
 	largest := 0
-	for uri := range docs {
-		if d := cur.docs[uri]; d != nil {
+	for _, inst := range insts {
+		if d := cur.docs[navigation.NodeHref(inst.ID)]; d != nil {
 			largest = max(largest, len(d.body))
 		}
 	}
 	scratch := make([]byte, 0, largest)
 	changedDocs := map[string]bool{}
-	for uri, tree := range docs {
-		scratch = tree.AppendIndented(scratch[:0])
-		d := &document{tree: tree}
+	for _, inst := range insts {
+		uri := navigation.NodeHref(inst.ID)
+		scratch = conceptual.ExportInstance(inst).AppendIndented(scratch[:0])
+		d := &document{}
 		if old := cur.docs[uri]; old != nil && bytes.Equal(old.body, scratch) {
 			// The same bytes keep their body, and with it their ETag.
 			d.body, d.etag, d.clen = old.body, old.etag, old.clen
@@ -435,12 +427,13 @@ func (app *App) Store() *conceptual.Store { return app.store }
 
 // Model returns the navigational model the App serves. A model the App
 // has published is never changed: a structure swap publishes a copy.
-func (r *Reader) Model() *navigation.Model { return r.gen.Load().model }
+func (r *Reader) Model() *navigation.Model { return r.gen.Load().resolved.Model }
 
-// Resolved returns the resolved navigation model: the newest one a
-// mutation has published. It never waits for a mutation in progress; it
-// returns the model that mutation replaces until the mutation publishes.
-func (r *Reader) Resolved() *navigation.ResolvedModel { return r.lineage.Newest() }
+// Resolved returns the current generation's resolved model, which the
+// App's sessions resolve against. It never waits for a mutation in
+// progress; until that mutation publishes, it returns the model it
+// replaces.
+func (r *Reader) Resolved() *navigation.ResolvedModel { return r.gen.Load().resolved }
 
 // Weaver returns the aspect weaver, so callers can register further
 // aspects (logging, access control) beside navigation.
@@ -453,19 +446,20 @@ func (r *Reader) Linkbase() *xmldom.Document {
 	return navigation.BuildLinkbase(r.gen.Load().links.ordered)
 }
 
-// Repository returns a deep copy of the data-document repository (node
-// XML files plus links.xml, built afresh as Linkbase builds it), the
-// input an XLink-aware agent works from: a snapshot no later mutation
-// reaches. DocumentCount counts the repository without copying it.
+// Repository returns the document repository (node XML files plus
+// links.xml), the input an XLink-aware agent works from: each served
+// body parsed afresh, as LoadSnapshotRepository parses a snapshot, into
+// a copy no later mutation reaches. DocumentCount counts it unparsed.
 func (r *Reader) Repository() xlink.MapRepository {
 	g := r.gen.Load()
 	repo := make(xlink.MapRepository, len(g.docs))
 	for uri, d := range g.docs {
-		if d.tree != nil {
-			repo[uri] = d.tree.Clone()
+		doc, err := parseDocument(uri, d.body)
+		if err != nil { // the body is xmldom's own output
+			panic(fmt.Sprintf("core: served document %q does not parse: %v", uri, err))
 		}
+		repo[uri] = doc
 	}
-	repo[linksURI] = navigation.BuildLinkbase(g.links.ordered)
 	return repo
 }
 
@@ -540,12 +534,13 @@ type ModelView struct {
 // View snapshots a ModelView.
 func (r *Reader) View() ModelView {
 	g := r.gen.Load()
-	access := make(map[string]navigation.AccessStructure, len(g.model.Contexts()))
-	for _, c := range g.model.Contexts() {
+	model := g.resolved.Model
+	access := make(map[string]navigation.AccessStructure, len(model.Contexts()))
+	for _, c := range model.Contexts() {
 		access[c.Name] = c.Access
 	}
 	return ModelView{
-		SpecText:   navigation.SpecText(g.model),
+		SpecText:   navigation.SpecText(model),
 		Access:     access,
 		Resolved:   g.resolved,
 		Generation: g.num,
@@ -587,11 +582,11 @@ func (app *App) SetAccessStructures(swaps map[string]navigation.AccessStructure)
 	sort.Strings(families)
 	return app.mutate("structure-swap", strings.Join(families, ","), func(cur *generation) (*generation, int, string, error) {
 		for _, family := range families {
-			if !slices.ContainsFunc(cur.model.Contexts(), func(c *navigation.ContextDef) bool { return c.Name == family }) {
+			if !slices.ContainsFunc(cur.resolved.Model.Contexts(), func(c *navigation.ContextDef) bool { return c.Name == family }) {
 				return nil, 0, "", fmt.Errorf("core: %w %q", ErrUnknownFamily, family)
 			}
 		}
-		return app.rebuild(cur, cur.model.WithAccess(swaps), nil)
+		return app.rebuild(cur, cur.resolved.Model.WithAccess(swaps), nil)
 	})
 }
 
@@ -633,7 +628,7 @@ func (app *App) EditDocument(id string, set map[string]string) (int, error) {
 		if err := app.store.SetAttrs(id, set); err != nil {
 			return nil, 0, "", fmt.Errorf("core: %w: %w", ErrInvalidEdit, err)
 		}
-		return app.rebuild(cur, cur.model, xlink.MapRepository{uri: conceptual.ExportInstance(app.store.Get(id))})
+		return app.rebuild(cur, cur.resolved.Model, []*conceptual.Instance{app.store.Get(id)})
 	})
 }
 
@@ -650,14 +645,14 @@ func (app *App) EditDocument(id string, set map[string]string) (int, error) {
 func (app *App) InvalidateDocument(uri string) (int, error) {
 	return app.mutate("document", uri, func(cur *generation) (*generation, int, string, error) {
 		if uri == linksURI {
-			return app.rebuild(cur, cur.model, nil)
+			return app.rebuild(cur, cur.resolved.Model, nil)
 		}
 		id, ok := strings.CutSuffix(uri, ".xml")
 		inst := app.store.Get(id)
 		if !ok || inst == nil {
 			return nil, 0, "", fmt.Errorf("core: no document %q", uri)
 		}
-		return app.rebuild(cur, cur.model, xlink.MapRepository{uri: conceptual.ExportInstance(inst)})
+		return app.rebuild(cur, cur.resolved.Model, []*conceptual.Instance{inst})
 	})
 }
 

@@ -128,7 +128,7 @@ func TestReadersWeaveOneGeneration(t *testing.T) {
 	outEdges := map[*generation]map[pageKey][]navigation.Edge{}
 	record := func() {
 		g := app.gen.Load()
-		f, err := NewApp(app.Store(), g.model)
+		f, err := NewApp(app.Store(), g.resolved.Model)
 		if err != nil {
 			t.Fatal(err)
 		}

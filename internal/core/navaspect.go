@@ -187,16 +187,15 @@ func (g *generation) embedMember(parent *xmldom.Element, ctxName, nodeID string)
 	if rc == nil {
 		return
 	}
-	node, doc := rc.Member(nodeID), g.dataDoc(nodeID)
-	if node == nil || doc == nil {
+	node := rc.Member(nodeID)
+	if node == nil {
 		return
 	}
-	title, names, values := shown(node.Class, doc)
-	div.AddElement("h2").AppendText(title)
+	div.AddElement("h2").AppendText(node.Title())
 	dl := div.AddElement("dl")
-	for i, attr := range names {
+	for _, attr := range node.AttrNames() {
 		dl.AddElement("dt").AppendText(attr)
-		dl.AddElement("dd").AppendText(values[i])
+		dl.AddElement("dd").AppendText(node.Attr(attr))
 	}
 }
 

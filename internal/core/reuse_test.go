@@ -233,6 +233,7 @@ func TestSupersededModelsShareContexts(t *testing.T) {
 	with := heapAfterGC()
 	runtime.KeepAlive(kept)
 	perModel := (float64(with) - float64(heapAfterGC())) / (3 * rounds)
+	runtime.KeepAlive(app)
 	t.Logf("%d superseded models retain %.0f KiB each", 3*rounds, perModel/1024)
 	if !raceEnabled && perModel >= 256*1024 {
 		t.Errorf("a superseded model retains %.0f KiB, want < 256", perModel/1024)

@@ -61,18 +61,17 @@ func (app *App) ExportSnapshot(st storage.Store) error {
 }
 
 // LoadSnapshotRepository reads a site snapshot back out of st into a
-// document repository — the same shape App.Repository() serves, so an
-// XLink-aware agent in another process can work from the stored site
-// definition without rebuilding the conceptual model.
+// document repository — the same parse of the same bytes App.Repository()
+// serves, so an XLink-aware agent in another process can work from the
+// stored site definition without rebuilding the conceptual model.
 func LoadSnapshotRepository(st storage.Store) (xlink.MapRepository, error) {
 	repo := xlink.MapRepository{}
 	err := st.Scan(SnapshotPrefix, func(k string, v []byte) error {
 		uri := strings.TrimPrefix(k, SnapshotPrefix)
-		doc, err := xmldom.ParseString(string(v))
+		doc, err := parseDocument(uri, v)
 		if err != nil {
 			return fmt.Errorf("core: snapshot document %q: %w", uri, err)
 		}
-		doc.BaseURI = uri
 		repo[uri] = doc
 		return nil
 	})
@@ -99,4 +98,11 @@ func LoadSnapshotContexts(st storage.Store) ([]*navigation.LinkbaseContext, erro
 		return nil, fmt.Errorf("core: snapshot has no linkbase: %w", err)
 	}
 	return navigation.ParseLinkbase(lb)
+}
+
+// parseDocument parses the served body of repository document uri into
+// a tree whose base URI is uri: the one parse Repository and
+// LoadSnapshotRepository share.
+func parseDocument(uri string, body []byte) (*xmldom.Document, error) {
+	return xmldom.ParseWithOptions(bytes.NewReader(body), xmldom.ParseOptions{BaseURI: uri})
 }

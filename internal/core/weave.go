@@ -5,12 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
 
 	"repro/internal/aspect"
+	"repro/internal/conceptual"
 	"repro/internal/navigation"
 	"repro/internal/presentation"
 	"repro/internal/xlink"
@@ -352,9 +352,9 @@ func (g *generation) pageDeps(rc *navigation.ResolvedContext, nodeID string) pag
 
 // basePage produces the page's base content — the "basic functionality"
 // of the paper's step 1, knowing nothing about navigation. Member pages
-// render the node's data document (through the custom stylesheet when one
-// is installed); hub pages render an empty titled shell that the
-// navigation aspect fills.
+// render the member's instance as its node class shows it (or its data
+// document through the custom stylesheet when one is installed); hub
+// pages render an empty titled shell that the navigation aspect fills.
 func (g *generation) basePage(rc *navigation.ResolvedContext, nodeID string) (*xmldom.Document, error) {
 	if nodeID == navigation.HubID {
 		title := "Index of " + rc.Name
@@ -366,12 +366,11 @@ func (g *generation) basePage(rc *navigation.ResolvedContext, nodeID string) (*x
 		return xmldom.NewDocument(html), nil
 	}
 
-	dataDoc := g.dataDoc(nodeID)
-	if dataDoc == nil {
-		return nil, fmt.Errorf("core: no document %q", navigation.NodeHref(nodeID))
-	}
+	node := rc.Member(nodeID)
 	if g.stylesheet != nil {
-		out, err := g.stylesheet.ApplyToDocument(dataDoc)
+		// The tree the rebuild serialized the member's document from:
+		// the same instance, exported the same way.
+		out, err := g.stylesheet.ApplyToDocument(conceptual.ExportInstance(node.Instance))
 		if err != nil {
 			return nil, fmt.Errorf("core: stylesheet on %s: %w", nodeID, err)
 		}
@@ -382,7 +381,7 @@ func (g *generation) basePage(rc *navigation.ResolvedContext, nodeID string) (*x
 	}
 
 	// Built-in presentation: title plus attribute table.
-	title, names, values := shown(rc.Member(nodeID).Class, dataDoc)
+	title := node.Title()
 	html := xmldom.NewElement("html")
 	head := html.AddElement("head")
 	head.AddElement("title").AppendText(title)
@@ -390,53 +389,10 @@ func (g *generation) basePage(rc *navigation.ResolvedContext, nodeID string) (*x
 	body.AddElement("h1").AppendText(title)
 	table := body.AddElement("table")
 	table.SetAttr("class", "attributes")
-	for i, attr := range names {
+	for _, attr := range node.AttrNames() {
 		tr := table.AddElement("tr")
 		tr.AddElement("td").AppendText(attr)
-		tr.AddElement("td").AppendText(values[i])
+		tr.AddElement("td").AppendText(node.Attr(attr))
 	}
 	return xmldom.NewDocument(html), nil
-}
-
-// dataDoc returns the data document of a node, or nil.
-func (g *generation) dataDoc(nodeID string) *xmldom.Document {
-	if d := g.docs[navigation.NodeHref(nodeID)]; d != nil {
-		return d.tree
-	}
-	return nil
-}
-
-// shown reads a member out of its data document, as the member's node
-// class shows it: the title, and the attributes in Node.AttrNames order
-// with their values. A page reads its data from its generation's
-// documents, never from the live store, so it is woven from that
-// generation alone.
-func shown(nc *navigation.NodeClass, doc *xmldom.Document) (title string, names, values []string) {
-	root := doc.Root()
-	value := func(name string) string {
-		if e := root.FirstChildElement(name); e != nil {
-			return e.StringValue()
-		}
-		return ""
-	}
-	if len(nc.AttrNames) > 0 {
-		names = slices.Clone(nc.AttrNames)
-		sort.Strings(names)
-	} else {
-		// ExportInstance writes one element per attribute, in name order.
-		for _, e := range root.ChildElements() {
-			names = append(names, e.Name.Local)
-		}
-	}
-	values = make([]string, len(names))
-	for i, name := range names {
-		values[i] = value(name)
-	}
-	if nc.TitleAttr != "" {
-		title = value(nc.TitleAttr)
-	}
-	if title == "" {
-		title = root.AttrValue("id")
-	}
-	return title, names, values
 }

@@ -252,10 +252,8 @@ type ResolvedModel struct {
 	Landmarks []*ResolvedContext
 
 	byName map[string]*ResolvedContext
-	// lin is the lineage the model was resolved into, and seq its place
-	// in the lineage's order of resolution.
+	// lin is the lineage the model was resolved into.
 	lin *Lineage
-	seq uint64
 }
 
 // Context returns the named resolved context, or nil.
@@ -324,7 +322,8 @@ func sameMembers(a, b []*Node) bool {
 }
 
 // Resolve materializes every context family of the model against a
-// store, as the first model of a lineage of its own, which it publishes.
+// store, as the one model of a lineage of its own, which its sessions
+// resolve against.
 // Each resolved context carries a snapshot of its definition, not the
 // live one: a later mutation of the model (SetAccessStructure swapping
 // def.Access) must not reach into contexts that were resolved before it
@@ -334,12 +333,9 @@ func sameMembers(a, b []*Node) bool {
 // Resolve; a caller resolving against an App's store does so only while
 // no mutation runs.
 func (m *Model) Resolve(store *conceptual.Store) (*ResolvedModel, error) {
-	rm, err := m.resolveInto(NewLineage(), store)
-	if err != nil {
-		return nil, err
-	}
-	rm.Publish()
-	return rm, nil
+	var rm *ResolvedModel
+	rm, err := m.resolveInto(NewLineage(func() *ResolvedModel { return rm }), store)
+	return rm, err
 }
 
 // resolveInto resolves the model into lineage l. Context names are the
@@ -400,7 +396,6 @@ func (m *Model) resolveInto(l *Lineage, store *conceptual.Store) (*ResolvedModel
 		}
 		rm.Landmarks = append(rm.Landmarks, rc)
 	}
-	rm.seq = l.seq.Add(1)
 	return rm, nil
 }
 

@@ -14,7 +14,7 @@
 //   - Lineage: the successive resolutions of one model as it changes.
 //     Its table numbers their context names and node ids, so a session
 //     holds each visit as two symbols and no model: it resolves against
-//     the newest model the lineage has published.
+//     the model the lineage's function returns (a core.App's current).
 //
 // Nothing in this package renders HTML or stores data; it is purely the
 // navigational aspect, which packages core and aspect weave into pages.

@@ -46,12 +46,12 @@ type Visit struct {
 //
 // A session holds its lists as symbols of its lineage's table (see
 // Lineage), eight bytes a visit, and holds no model: each call resolves
-// against the newest model the lineage has published when the call
-// begins. A mutation published between two calls therefore changes what
-// the second sees — including between the server's Rebase and the step
-// that follows it, exactly as if the request had arrived a moment
-// later. A position the newest model no longer has is kept, and a
-// traversal from it fails.
+// against the newest model, the one its lineage's function returns when
+// the call begins. A mutation published between two calls therefore
+// changes what the second sees — including between the server's Rebase
+// and the step that follows it, exactly as if the request had arrived a
+// moment later. A position the newest model no longer has is kept, and
+// a traversal from it fails.
 //
 // A Session is safe for concurrent use: one visitor may have several
 // in-flight requests (tabs, prefetching agents) mutating the same trail.
@@ -165,15 +165,14 @@ func (s *Session) hereLocked() visit {
 	return s.nav[s.cur]
 }
 
-// NewSession starts a session in the lineage of model. A lineage that
-// has published no model yet publishes model.
+// NewSession starts a session in the lineage of model, resolving
+// against the model the lineage's function returns, which may be newer.
 func NewSession(model *ResolvedModel) *Session {
-	model.lin.newest.CompareAndSwap(nil, model)
 	return &Session{lin: model.lin}
 }
 
-// Model returns the model the session resolves against: the newest its
-// lineage has published.
+// Model returns the model the session resolves against: the one its
+// lineage's function returns.
 func (s *Session) Model() *ResolvedModel {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -540,7 +539,6 @@ func (s *Session) Rebase(rm *ResolvedModel) error {
 	}
 	if rm.lin != s.lin {
 		s.lin.remap(rm.lin, s.history, s.nav)
-		rm.lin.newest.CompareAndSwap(nil, rm)
 		s.lin = rm.lin
 	}
 	return nil

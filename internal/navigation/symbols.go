@@ -21,13 +21,13 @@ const (
 )
 
 // Lineage is a line of resolutions of one navigational model over one
-// store: the symbol table its sessions' visits index, and the newest of
-// its models published so far. Model.Resolve starts a lineage of its
-// own; an application that re-resolves its model after each mutation
-// resolves every model into one lineage (Lineage.Resolve) and publishes
-// each once it serves it (ResolvedModel.Publish), so its sessions
-// resolve against the newest model and a superseded one is garbage once
-// no caller holds it.
+// store: the symbol table its sessions' visits index, and the function
+// that returns the model they resolve against; it holds no model.
+// Model.Resolve starts a lineage of its own, whose function returns the
+// model it resolved. An application that re-resolves its model after
+// each mutation resolves every model into one lineage (Lineage.Resolve)
+// whose function returns the model it serves, so a superseded model is
+// garbage once no caller holds it.
 //
 // The table numbers each context name and node id once, in order of
 // first sight, and never drops one. It grows only by the names a
@@ -37,10 +37,8 @@ const (
 // traffic, since no traversal interns anything. Readers never lock;
 // interning is serialized.
 type Lineage struct {
-	newest atomic.Pointer[ResolvedModel]
-	// seq numbers the lineage's resolutions, so a publish never moves
-	// newest backwards.
-	seq atomic.Uint64
+	// newest returns the model the lineage's sessions resolve against.
+	newest func() *ResolvedModel
 
 	// names is the table: names[sym] is the name of sym. Interning
 	// appends under mu and then stores a new slice header, so a reader
@@ -50,40 +48,24 @@ type Lineage struct {
 	index map[string]uint32 // guarded by mu
 }
 
-// NewLineage returns a lineage with an empty table and no model.
-func NewLineage() *Lineage {
+// NewLineage returns a lineage with an empty table whose sessions
+// resolve against the model newest returns, from any goroutine.
+func NewLineage(newest func() *ResolvedModel) *Lineage {
 	names := []string{symNone: "", symHub: HubID}
-	l := &Lineage{index: map[string]uint32{"": symNone, HubID: symHub}}
+	l := &Lineage{newest: newest, index: map[string]uint32{"": symNone, HubID: symHub}}
 	l.names.Store(&names)
 	return l
 }
 
-// Newest returns the newest model published in the lineage, or nil
-// before the first.
-func (l *Lineage) Newest() *ResolvedModel { return l.newest.Load() }
+// Newest returns the model the lineage's sessions resolve against.
+func (l *Lineage) Newest() *ResolvedModel { return l.newest() }
 
 // Len returns how many names the lineage's table holds.
 func (l *Lineage) Len() int { return len(*l.names.Load()) }
 
-// Resolve resolves m against store into the lineage, without publishing
-// the result: the caller publishes it once it serves it.
+// Resolve resolves m against store into the lineage.
 func (l *Lineage) Resolve(m *Model, store *conceptual.Store) (*ResolvedModel, error) {
 	return m.resolveInto(l, store)
-}
-
-// Publish makes rm the newest model of its lineage, unless a model
-// resolved after it already is: the newest model never moves backwards.
-func (rm *ResolvedModel) Publish() {
-	l := rm.lin
-	for {
-		cur := l.newest.Load()
-		if cur != nil && cur.seq >= rm.seq {
-			return
-		}
-		if l.newest.CompareAndSwap(cur, rm) {
-			return
-		}
-	}
 }
 
 // Lineage returns the lineage the model was resolved into.

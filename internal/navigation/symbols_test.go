@@ -20,30 +20,39 @@ func TestVisitIsEightPointerFreeBytes(t *testing.T) {
 	}
 }
 
-// TestPublishNeverMovesBackwards: publishing an older resolution after
-// a newer one leaves the newer one the lineage's newest, and sessions
-// resolve against it.
-func TestPublishNeverMovesBackwards(t *testing.T) {
-	store, model := fixtureStore(t), fixtureModel(t, IndexedGuidedTour{})
-	l := NewLineage()
-	older, err := l.Resolve(model, store)
+// TestSessionResolvesAgainstLineageFunction: a session made over an
+// older model of a lineage resolves against the model the lineage's
+// function returns, and follows it when it changes.
+func TestSessionResolvesAgainstLineageFunction(t *testing.T) {
+	store := fixtureStore(t)
+	var newest *ResolvedModel
+	l := NewLineage(func() *ResolvedModel { return newest })
+	older, err := l.Resolve(fixtureModel(t, Index{}), store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newer, err := l.Resolve(model, store)
+	newer, err := l.Resolve(fixtureModel(t, IndexedGuidedTour{}), store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Newest() != nil {
-		t.Fatal("Resolve published")
+	newest = newer
+	s := NewSession(older)
+	if l.Newest() != newer || s.Model() != newer {
+		t.Fatal("a session over an older model does not resolve against the model the lineage's function returns")
 	}
-	newer.Publish()
-	older.Publish()
-	if l.Newest() != newer {
-		t.Fatal("publishing an older resolution moved the newest model backwards")
+	// The indexed guided tour has a Next edge where the index has none.
+	if err := s.EnterContext("ByAuthor:picasso", "avignon"); err != nil {
+		t.Fatal(err)
 	}
-	if s := NewSession(older); s.Model() != newer {
-		t.Error("a session over an older model does not resolve against the newest")
+	if err := s.Next(); err != nil {
+		t.Fatalf("Next against the newer model: %v", err)
+	}
+	if _, node := s.Location(); node != "guitar" {
+		t.Fatalf("Next led to %q, want guitar", node)
+	}
+	newest = older
+	if err := s.Next(); err == nil {
+		t.Error("Next succeeded once the lineage's function returned the index model")
 	}
 }
 

@@ -388,11 +388,14 @@ func (s *Server) apiStructurePut(w http.ResponseWriter, r *http.Request, family 
 		apiError(w, http.StatusInternalServerError, "swapping structure: %v", err)
 		return
 	}
+	// One read of one generation: a concurrent mutation cannot land
+	// between the contexts and the generation number.
+	v := s.app.View()
 	writeJSON(w, http.StatusOK, api.MutationResult{
 		Family:          family,
-		Contexts:        familyContexts(s.app.Resolved(), family),
+		Contexts:        familyContexts(v.Resolved, family),
 		DroppedPages:    dropped,
-		CacheGeneration: s.app.CacheGeneration(),
+		CacheGeneration: v.Generation,
 	})
 }
 
@@ -439,16 +442,16 @@ func (s *Server) apiDocumentPatch(w http.ResponseWriter, r *http.Request, id str
 		apiError(w, http.StatusInternalServerError, "re-deriving after edit: %v", err)
 		return
 	}
-	uri := navigation.NodeHref(id)
+	v := s.app.View()
 	var contexts []string
-	for _, rc := range s.app.Resolved().ContextsContaining(id) {
+	for _, rc := range v.Resolved.ContextsContaining(id) {
 		contexts = append(contexts, rc.Name)
 	}
 	writeJSON(w, http.StatusOK, api.MutationResult{
-		Document:        uri,
+		Document:        navigation.NodeHref(id),
 		Contexts:        contexts,
 		DroppedPages:    dropped,
-		CacheGeneration: s.app.CacheGeneration(),
+		CacheGeneration: v.Generation,
 	})
 }
 
