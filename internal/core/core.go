@@ -29,24 +29,28 @@
 // The App holds links.xml only as its served bytes, with no tree: the
 // weaver reads the contexts as that markup reads back. One pass writes
 // both from the derived contexts (navigation.NewLinkbaseText): the
-// bytes the linkbase document serializes to, and the contexts
+// bytes the linkbase document serializes to, each extended link written
+// once into a body a length function sized, and the contexts
 // ParseLinkbase would read out of it, with no document built or parsed;
-// a differential test and a fuzz target hold the pass equal to that
-// tree round trip, and the rebuild oracle parses the served bytes. The
-// pass runs per context: a mutation writes only the extended links
-// whose derivation it changed, splices them into a new links.xml
-// between the unchanged contexts' bytes, and re-exports only the data
-// documents it edited. A structure swap re-derives its family's
-// contexts and no document; a caption edit re-exports one document and
-// leaves links.xml as it was; a title edit re-exports its document and
-// rewrites the contexts that list the title.
+// a context that reads back as it was derived is kept as that same
+// object, not a copy. A differential test and a fuzz target hold the
+// pass equal to that tree round trip, and the rebuild oracle parses the
+// served bytes. The pass runs per context: a mutation writes only the
+// extended links whose derivation it changed, splices them into a new
+// links.xml between the unchanged contexts' bytes, and re-exports only
+// the data documents it edited. A structure swap re-derives its
+// family's contexts and no document; a caption edit re-exports one
+// document and leaves links.xml as it was; a title edit re-exports its
+// document and rewrites the contexts that list the title. Every body's
+// strong validator is hashed once, when the body is made, with the
+// hardware CRCs of hash/crc32 (see strongETag).
 package core
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"maps"
 	"slices"
 	"sort"
@@ -156,6 +160,10 @@ type linkbase struct {
 	text     navigation.LinkbaseText
 	ordered  []*navigation.LinkbaseContext
 	contexts map[string]*navigation.LinkbaseContext
+	// containing lists, for each member id, the names of the contexts
+	// whose locators hold it, in sorted order: a member page's "Also in"
+	// links. A relink that changes no context's members shares it.
+	containing map[string][]string
 }
 
 // linksURI is the linkbase's name in the repository.
@@ -371,8 +379,12 @@ func compareContexts(held, fresh *navigation.LinkbaseContext) (members, structur
 // kept returns what the linkbase keeps in its order for a context
 // derived as derived that the markup reads back as parsed: the parsed
 // context when it carries the derivation exactly, which it does unless
-// the markup could not.
+// the markup could not. A context that reads back as it is was not
+// copied, and parsed is derived.
 func kept(parsed, derived *navigation.LinkbaseContext) *navigation.LinkbaseContext {
+	if parsed == derived {
+		return parsed
+	}
 	if members, structure := compareContexts(parsed, derived); members && structure && parsed.Name == derived.Name {
 		return parsed
 	}
@@ -395,7 +407,37 @@ func link(contexts []*navigation.LinkbaseContext) (*linkbase, error) {
 		lb.ordered[i] = kept(c, contexts[i])
 		lb.contexts[c.Name] = c
 	}
+	lb.containing = containing(lb.contexts)
 	return lb, nil
+}
+
+// containing indexes contexts by member: for each member id, the names
+// of the contexts that hold it, sorted. The lists share one array, each
+// cut at its exact size.
+func containing(contexts map[string]*navigation.LinkbaseContext) map[string][]string {
+	names := make([]string, 0, len(contexts))
+	count := map[string]int{}
+	total := 0
+	for name, lc := range contexts {
+		names = append(names, name)
+		for id := range lc.NodeTitles {
+			count[id]++
+		}
+		total += len(lc.NodeTitles)
+	}
+	sort.Strings(names)
+	free := make([]string, total)
+	in := make(map[string][]string, len(count))
+	for _, name := range names {
+		for id := range contexts[name].NodeTitles {
+			list, ok := in[id]
+			if !ok {
+				list, free = free[:0:count[id]], free[count[id]:]
+			}
+			in[id] = append(list, name)
+		}
+	}
+	return in
 }
 
 // relink makes the linkbase that follows lb when the contexts at the
@@ -410,10 +452,20 @@ func (lb *linkbase) relink(contexts []*navigation.LinkbaseContext, changed []int
 	if err != nil {
 		return nil, err
 	}
-	next := &linkbase{text: text, ordered: slices.Clone(lb.ordered), contexts: maps.Clone(lb.contexts)}
+	next := &linkbase{text: text, ordered: slices.Clone(lb.ordered), contexts: maps.Clone(lb.contexts),
+		containing: lb.containing}
+	regroup := false
 	for k, i := range changed {
 		next.ordered[i] = kept(parsed[k], contexts[i])
+		// The index changes only with a context's member ids.
+		if old := lb.contexts[parsed[k].Name]; old == nil ||
+			!maps.EqualFunc(old.NodeTitles, parsed[k].NodeTitles, func(string, string) bool { return true }) {
+			regroup = true
+		}
 		next.contexts[parsed[k].Name] = parsed[k]
+	}
+	if regroup {
+		next.containing = containing(next.contexts)
 	}
 	return next, nil
 }
@@ -671,14 +723,21 @@ func (r *Reader) DocBytes(uri string) (body []byte, etag, contentLength string, 
 	return nil, "", "", fmt.Errorf("core: no document %q", uri)
 }
 
+// castagnoli is the CRC-32C table strongETag hashes with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // strongETag builds the validator for a body serialized under gen:
 // "g<generation>-<hash>". Either a model change (new generation for
 // changed content) or a content change produces a new tag, while
-// untouched content keeps validating across unrelated mutations.
+// untouched content keeps validating across unrelated mutations. The
+// hash is 64 bits, the body's CRC-32C (Castagnoli) in the high half and
+// its CRC-32 (IEEE) in the low half: two independent polynomials that
+// hash/crc32 computes in hardware on amd64 and arm64, an order of
+// magnitude faster than a byte-at-a-time hash, and unseeded, so every
+// process tags the same body alike.
 func strongETag(gen uint64, body []byte) string {
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	return fmt.Sprintf(`"g%d-%x"`, gen, h.Sum64())
+	sum := uint64(crc32.Checksum(body, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(body))
+	return fmt.Sprintf(`"g%d-%x"`, gen, sum)
 }
 
 // CachedPages reports how many woven pages the current generation's

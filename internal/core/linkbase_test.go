@@ -68,9 +68,9 @@ func TestRelinkSharesNothingMutable(t *testing.T) {
 	}
 }
 
-// TestOtherContextsMatchScan: every member page's "Also in" list, found
-// by lookups in the parsed contexts' locator titles, is the one a scan
-// of every context's member order finds, on both museums and after
+// TestOtherContextsMatchScan: every member page's "Also in" list, read
+// from the linkbase's index of contexts by member, is the one a scan of
+// every context's member order finds, on both museums and after
 // structure swaps.
 func TestOtherContextsMatchScan(t *testing.T) {
 	scan := func(app *App, current, nodeID string) []string {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/aspect"
 	"repro/internal/navigation"
@@ -201,15 +200,15 @@ func (g *generation) embedMember(parent *xmldom.Element, ctxName, nodeID string)
 
 // otherContexts lists the other linkbase contexts containing the node,
 // sorted for deterministic output — the paper's §2 context switch ("the
-// same painting through the pictorial movement"). Membership is a
-// lookup in each context's locator titles, keyed by member.
+// same painting through the pictorial movement"). The linkbase indexes
+// its contexts by member, so this is one lookup.
 func (g *generation) otherContexts(current, nodeID string) []string {
-	var out []string
-	for name, lbc := range g.links.contexts {
-		if _, ok := lbc.NodeTitles[nodeID]; ok && name != current {
+	in := g.links.containing[nodeID]
+	out := make([]string, 0, len(in))
+	for _, name := range in {
+		if name != current {
 			out = append(out, name)
 		}
 	}
-	sort.Strings(out)
 	return out
 }

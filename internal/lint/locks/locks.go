@@ -1,7 +1,13 @@
 // Package locks implements the navlint analyzer that checks mutex
 // discipline by abstract interpretation of each function body. Every
 // function literal is interpreted as a function of its own, entered
-// with nothing held, wherever it appears.
+// with nothing held — unless it is passed for a func-typed parameter
+// that the method it is passed to calls while holding locks of its
+// receiver (App.mutate calls its build function under writeMu). Such a
+// literal is entered holding those locks, on the receiver the call
+// names. Which parameters a method calls under which locks is computed
+// while its body is interpreted and exported as a fact, like the
+// acquire summaries.
 //
 // It tracks which sync.Mutex / sync.RWMutex values are held along every
 // statement path and reports:
@@ -44,7 +50,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:      "locks",
 	Doc:       "checks that every Lock/RLock is released on all paths and that held locks are never re-acquired, directly or through a callee",
-	FactTypes: []analysis.Fact{(*AcquiresFact)(nil)},
+	FactTypes: []analysis.Fact{(*AcquiresFact)(nil), (*CallsUnderFact)(nil)},
 	Run:       run,
 }
 
@@ -58,6 +64,16 @@ type AcquiresFact struct {
 // AFact marks AcquiresFact as an analysis fact.
 func (*AcquiresFact) AFact() {}
 
+// CallsUnderFact records which of a method's func-typed parameters it
+// calls while holding locks of its receiver: parameter position →
+// receiver field → the strongest mode held at such a call ('r' or 'w').
+type CallsUnderFact struct {
+	Params map[int]map[string]byte
+}
+
+// AFact marks CallsUnderFact as an analysis fact.
+func (*CallsUnderFact) AFact() {}
+
 // heldLock is one tracked acquisition.
 type heldLock struct {
 	key     string // source expression of the mutex: "app.mu"
@@ -66,6 +82,9 @@ type heldLock struct {
 	mode    byte   // 'r' or 'w'
 	pos     token.Pos
 	allowed bool // acquisition carries a //repro:allow
+	// inherited marks a lock a function literal is entered holding,
+	// which its caller releases.
+	inherited bool
 }
 
 // env is the abstract state at one program point.
@@ -110,28 +129,49 @@ func (e *env) find(key string) int {
 type checker struct {
 	pass *analysis.Pass
 	df   *annotations.File
+	// While a method is interpreted, recv names its receiver, params
+	// holds its parameters, and paramCalls collects, by parameter
+	// position, the receiver fields held where it calls a parameter.
+	recv       string
+	params     *types.Tuple
+	paramCalls map[int]map[string]byte
+}
+
+// litArg is the call a function literal is passed to, and its position
+// among the call's arguments.
+type litArg struct {
+	call *ast.CallExpr
+	arg  int
 }
 
 func run(pass *analysis.Pass) (any, error) {
 	// unit is one body to interpret: a declared function's or a
 	// function literal's.
 	type unit struct {
-		body *ast.BlockStmt
+		decl *ast.FuncDecl
+		lit  *ast.FuncLit
 		df   *annotations.File
 	}
-	var units []unit
+	var funcs, lits []unit
 	var decls []*ast.FuncDecl
+	passed := map[*ast.FuncLit]litArg{}
 	for _, file := range pass.Files {
 		df := annotations.Parse(pass.Fset, file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					units = append(units, unit{n.Body, df})
+					funcs = append(funcs, unit{decl: n, df: df})
 					decls = append(decls, n)
 				}
 			case *ast.FuncLit:
-				units = append(units, unit{n.Body, df})
+				lits = append(lits, unit{lit: n, df: df})
+			case *ast.CallExpr:
+				for i, arg := range n.Args {
+					if lit, ok := arg.(*ast.FuncLit); ok {
+						passed[lit] = litArg{n, i}
+					}
+				}
 			}
 			return true
 		})
@@ -139,14 +179,105 @@ func run(pass *analysis.Pass) (any, error) {
 	for fn, s := range summarize(pass.TypesInfo, decls) {
 		pass.ExportObjectFact(fn, &AcquiresFact{Fields: s})
 	}
-	for _, u := range units {
+	// Declared functions first: interpreting a method finds the
+	// parameters it calls under a lock, which the literals passed for
+	// them are entered holding.
+	for _, u := range funcs {
+		c := &checker{pass: pass, df: u.df}
+		c.enterDecl(u.decl)
+		e := newEnv()
+		if !c.interp(u.decl.Body.List, e) {
+			c.checkLeaks(e, u.decl.Body.End())
+		}
+		if len(c.paramCalls) > 0 {
+			pass.ExportObjectFact(pass.TypesInfo.Defs[u.decl.Name], &CallsUnderFact{Params: c.paramCalls})
+		}
+	}
+	for _, u := range lits {
 		c := &checker{pass: pass, df: u.df}
 		e := newEnv()
-		if !c.interp(u.body.List, e) {
-			c.checkLeaks(e, u.body.End())
+		if a, ok := passed[u.lit]; ok {
+			c.inherit(a, e)
+		}
+		if !c.interp(u.lit.Body.List, e) {
+			c.checkLeaks(e, u.lit.Body.End())
 		}
 	}
 	return nil, nil
+}
+
+// enterDecl prepares c to interpret fd: a method's receiver name and
+// parameters.
+func (c *checker) enterDecl(fd *ast.FuncDecl) {
+	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
+		c.recv = fd.Recv.List[0].Names[0].Name
+		c.params = c.pass.TypesInfo.Defs[fd.Name].Type().(*types.Signature).Params()
+	}
+}
+
+// noteParamCall records the receiver fields e holds where the method
+// being interpreted calls one of its func-typed parameters.
+func (c *checker) noteParamCall(call *ast.CallExpr, e *env) {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || c.params == nil || len(e.held) == 0 {
+		return
+	}
+	for i := 0; i < c.params.Len(); i++ {
+		if c.params.At(i) != c.pass.TypesInfo.Uses[id] {
+			continue
+		}
+		for _, h := range e.held {
+			field, ok := strings.CutPrefix(h.key, c.recv+".")
+			if !ok || h.root != c.recv || h.allowed {
+				continue
+			}
+			if c.paramCalls == nil {
+				c.paramCalls = map[int]map[string]byte{}
+			}
+			if c.paramCalls[i] == nil {
+				c.paramCalls[i] = map[string]byte{}
+			}
+			join(c.paramCalls[i], field, h.mode)
+		}
+	}
+}
+
+// inherit makes e hold what a literal passed as a's argument is called
+// under: the receiver fields the callee's CallsUnderFact names for that
+// parameter, on the receiver the call names. A //repro:allow on the
+// call suppresses it, as it suppresses the call-site checks.
+func (c *checker) inherit(a litArg, e *env) {
+	sel, ok := a.call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	if s := c.pass.TypesInfo.Selections[sel]; s == nil || s.Kind() != types.MethodVal {
+		return
+	}
+	fn, ok := c.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return
+	}
+	if _, allowed := c.df.AllowedAt(a.call.Pos()); allowed {
+		return
+	}
+	var fact CallsUnderFact
+	if !c.pass.ImportObjectFact(fn, &fact) {
+		return
+	}
+	arg := a.arg
+	if sig := fn.Type().(*types.Signature); sig.Variadic() {
+		arg = min(arg, sig.Params().Len()-1)
+	}
+	root := types.ExprString(sel.X)
+	recvType := typeKeyOf(c.pass.TypesInfo.Types[sel.X].Type)
+	for f, m := range fact.Params[arg] {
+		h := heldLock{key: root + "." + f, root: root, mode: m, pos: a.call.Pos(), inherited: true}
+		if recvType != "" {
+			h.typeKey = recvType + "." + f
+		}
+		e.held = append(e.held, h)
+	}
 }
 
 // summarize computes the acquire summary of every method in decls: the
@@ -491,7 +622,7 @@ func describeSig(sig string) string {
 // exit point.
 func (c *checker) checkLeaks(e *env, at token.Pos) {
 	for _, h := range e.held {
-		if _, ok := e.deferred[h.key]; ok || h.allowed {
+		if _, ok := e.deferred[h.key]; ok || h.allowed || h.inherited {
 			continue
 		}
 		c.pass.Reportf(h.pos, "%s is locked here but not unlocked on the path leaving the function at line %d",
@@ -537,6 +668,7 @@ func (c *checker) scanCalls(n ast.Node, e *env) {
 				return true
 			}
 			c.checkCall(n, e)
+			c.noteParamCall(n, e)
 		}
 		return true
 	})
@@ -557,7 +689,7 @@ func (c *checker) applyMutexOp(op string, target ast.Expr, pos token.Pos, e *env
 			}
 			return
 		}
-		e.held = append(e.held, heldLock{key, root, typeKey, m, pos, allowed})
+		e.held = append(e.held, heldLock{key: key, root: root, typeKey: typeKey, mode: m, pos: pos, allowed: allowed})
 	case "Unlock", "RUnlock":
 		i := e.find(key)
 		if i < 0 {

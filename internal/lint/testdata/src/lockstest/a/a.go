@@ -1,7 +1,8 @@
 // Package a is the locks analyzer's positive corpus: leaks (in
 // functions and in function literals), divergent branches, loop
 // imbalance, nested acquisition, wrong-mode release, calls that acquire
-// a held lock directly or through the receiver's other methods, and
+// a held lock directly or through the receiver's other methods, the
+// same inside a function literal its callee runs under the lock, and
 // the clean idioms that must stay silent.
 package a
 
@@ -83,7 +84,56 @@ func (a *App) WrongMode() {
 	a.mu.Unlock() // want `a\.mu was read-locked at line \d+ but released with Unlock`
 }
 
+// Update runs build while it holds the write lock, so a literal passed
+// for build is entered holding a.mu.
+func (a *App) Update(build func(n int) int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.n = build(a.n)
+}
+
+func (a *App) MutateInsideUpdate() {
+	a.Update(func(n int) int {
+		a.Mutate() // want `calling Mutate acquires a\.mu while it is already write-locked at line \d+ \(deadlock\)`
+		return n + 1
+	})
+}
+
+func (a *App) LockInsideUpdate() {
+	a.Update(func(n int) int {
+		a.mu.RLock() // want `a\.mu is acquired here while already held since line \d+ \(deadlock\)`
+		defer a.mu.RUnlock()
+		return n
+	})
+}
+
 // --- clean idioms below: no diagnostics expected ---
+
+func (a *App) CleanUpdate() {
+	a.Update(func(n int) int { return n * 2 })
+}
+
+// Apply calls f only once it has released the lock: a literal passed
+// for f is entered with nothing held.
+func (a *App) Apply(f func()) {
+	a.mu.Lock()
+	a.n++
+	a.mu.Unlock()
+	f()
+}
+
+func (a *App) CleanApply() {
+	a.Apply(func() { a.Mutate() })
+}
+
+// CleanOtherReceiver passes b's literal to a's Update: it holds a.mu,
+// not b.mu.
+func (a *App) CleanOtherReceiver(b *App) {
+	a.Update(func(n int) int {
+		b.Mutate()
+		return n
+	})
+}
 
 func (a *App) CleanDefer() int {
 	a.mu.RLock()

@@ -268,6 +268,70 @@ func TestLinkbaseWriterMatchesTree(t *testing.T) {
 	}
 }
 
+// copySeeds decode (see picker.contexts) to one context each that
+// reads back as a copy, not as itself: the first for an invalid UTF-8
+// title, the second for a repeated member id an arc names, the third
+// for an arc with an empty label, the fourth for a label naming both a
+// member and the hub.
+var copySeeds = [][]byte{
+	{1, 1, 1, 0, 1, 1, 1, 0, 1, 8, 1, 0},
+	{1, 1, 1, 0, 1, 2, 1, 0, 1, 1, 1, 0, 1, 2, 1, 1, 0, 1, 0, 1, 1, 2},
+	{1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 120, 0, 0, 1, 1, 2},
+	{1, 1, 1, 0, 0, 1, 1, 4, 1, 1, 1, 1, 0, 1, 0, 1, 1, 2},
+}
+
+// TestLinkbaseReadBackSharesRoundTrips: a context that reads back as it
+// is comes back from NewLinkbaseText and from Splice as itself, not as
+// a copy — every context the museums derive does — and one that reads
+// back otherwise comes back as a copy, which checkWriter holds equal to
+// ParseLinkbase's. Each of copySeeds decodes to such a context.
+func TestLinkbaseReadBackSharesRoundTrips(t *testing.T) {
+	st := museum.Synthetic(museum.SyntheticSpec{Painters: 6, PaintingsPerPainter: 3, Movements: 2, Seed: 4})
+	rm, err := museum.Model(navigation.IndexedGuidedTour{}).Resolve(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	contexts := navigation.LinkbaseContexts(rm)
+	text, ok := checkWriter(t, contexts)
+	if !ok {
+		t.Fatal("the museum's linkbase does not read back")
+	}
+	_, parsed, _ := navigation.NewLinkbaseText(contexts)
+	for i, lc := range contexts {
+		if parsed[i] != lc {
+			t.Errorf("context %q reads back as a copy", lc.Name)
+		}
+	}
+	// A fresh derivation of the same contexts, spliced in, comes back as
+	// itself too.
+	next := navigation.LinkbaseContexts(rm)
+	changed := []int{0, len(next) - 1}
+	checkSplice(t, text, next, changed)
+	_, back, _ := text.Splice(next, changed)
+	for k, i := range changed {
+		if back[k] != next[i] {
+			t.Errorf("spliced context %q reads back as a copy", next[i].Name)
+		}
+	}
+
+	for i, seed := range copySeeds {
+		p := &picker{seed}
+		contexts := p.contexts(p.intn(6))
+		checkWriter(t, contexts)
+		_, parsed, err := navigation.NewLinkbaseText(contexts)
+		if err != nil || len(contexts) != 1 || parsed[0] == contexts[0] {
+			t.Errorf("copySeeds[%d] decodes to %d contexts (%v), want one read back as a copy: %#v", i, len(contexts), err, contexts)
+		}
+	}
+	// A repeated member id no arc names reads back as it is.
+	repeated := &navigation.LinkbaseContext{Name: "r", AccessKind: "index", NodeTitles: map[string]string{"n0": "N"},
+		Order: []string{"n0", "n0"}}
+	checkWriter(t, []*navigation.LinkbaseContext{repeated})
+	if _, parsed, _ := navigation.NewLinkbaseText([]*navigation.LinkbaseContext{repeated}); parsed[0] != repeated {
+		t.Error("a repeated member id no arc names reads back as a copy")
+	}
+}
+
 // FuzzLinkbaseText fuzzes the one-pass writer and Splice against the
 // tree round trip over context lists decoded from the input.
 func FuzzLinkbaseText(f *testing.F) {
@@ -279,6 +343,9 @@ func FuzzLinkbaseText(f *testing.F) {
 		data := make([]byte, 64+64*i)
 		rng.Read(data)
 		f.Add(data)
+	}
+	for _, seed := range copySeeds {
+		f.Add(seed)
 	}
 	f.Fuzz(checkAgainstTree)
 }

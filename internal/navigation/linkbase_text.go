@@ -3,6 +3,7 @@ package navigation
 import (
 	"fmt"
 	"slices"
+	"unicode/utf8"
 
 	"repro/internal/xlink"
 	"repro/internal/xmldom"
@@ -33,9 +34,11 @@ const (
 // NewLinkbaseText writes the linkbase of contexts in one pass from the
 // contexts, with no tree in between, into a body of exact size: the
 // bytes BuildLinkbase(contexts).AppendIndentedSplit writes, split where
-// it splits them. It also returns the contexts as ParseLinkbase reads
-// them back out of that document, in order, and fails where
-// ParseLinkbase would, with its error.
+// it splits them. linkLen sizes the body, so each extended link is
+// written once. It also returns the contexts as ParseLinkbase reads
+// them back out of that document, in order — each context that reads
+// back as it is, itself (see readBack) — and fails where ParseLinkbase
+// would, with its error.
 func NewLinkbaseText(contexts []*LinkbaseContext) (LinkbaseText, []*LinkbaseContext, error) {
 	var parsed []*LinkbaseContext
 	if len(contexts) > 0 {
@@ -44,8 +47,9 @@ func NewLinkbaseText(contexts []*LinkbaseContext) (LinkbaseText, []*LinkbaseCont
 	// The XLink processor reads every extended link before
 	// ParseLinkbase looks at any arcrole, so its error comes first.
 	var badRole error
+	count := map[string]int{}
 	for i, lc := range contexts {
-		back, bad, err := readBack(lc)
+		back, bad, err := readBack(lc, count)
 		if err != nil {
 			return LinkbaseText{}, nil, err
 		}
@@ -63,10 +67,8 @@ func NewLinkbaseText(contexts []*LinkbaseContext) (LinkbaseText, []*LinkbaseCont
 	}
 
 	size := len(linkbaseOpen) + len(">") + len(linkbaseClose)
-	var scratch []byte
 	for _, lc := range contexts {
-		scratch = appendLink(scratch[:0], lc)
-		size += len(scratch)
+		size += linkLen(lc)
 	}
 	body := make([]byte, 0, size)
 	at := make([]int, 0, len(contexts)+1)
@@ -95,13 +97,14 @@ func (t LinkbaseText) Link(k int) []byte { return t.body[t.at[k]:t.at[k+1]] }
 // positions replaced. contexts is the whole new context list, as long
 // as the linkbase's and in its order; changed lists, in increasing
 // order, the positions whose contexts differ from those the linkbase was
-// made from. Each changed context is written once to measure it and
-// once into a new body of exact size, between runs of the unchanged
+// made from. Each changed context is measured with linkLen and written
+// once, into a new body of exact size, between runs of the unchanged
 // contexts' bytes, which are copied. An extended link's bytes depend on
 // its context alone, so the result is what NewLinkbaseText makes of
 // contexts. Splice also returns the changed contexts as ParseLinkbase
-// reads them back, in the order of changed, and fails with
-// ParseLinkbase's error for the first changed context it rejects.
+// reads them back, in the order of changed — each that reads back as
+// it is, itself — and fails with ParseLinkbase's error for the first
+// changed context it rejects.
 func (t LinkbaseText) Splice(contexts []*LinkbaseContext, changed []int) (LinkbaseText, []*LinkbaseContext, error) {
 	if len(changed) == 0 {
 		return t, nil, nil
@@ -116,9 +119,9 @@ func (t LinkbaseText) Splice(contexts []*LinkbaseContext, changed []int) (Linkba
 	}
 	parsed := make([]*LinkbaseContext, len(changed))
 	size := len(t.body)
-	var scratch []byte
+	count := map[string]int{}
 	for k, i := range changed {
-		back, badRole, err := readBack(contexts[i])
+		back, badRole, err := readBack(contexts[i], count)
 		if err == nil {
 			err = badRole
 		}
@@ -126,8 +129,7 @@ func (t LinkbaseText) Splice(contexts []*LinkbaseContext, changed []int) (Linkba
 			return LinkbaseText{}, nil, err
 		}
 		parsed[k] = back
-		scratch = appendLink(scratch[:0], contexts[i])
-		size += len(scratch) - len(t.Link(i))
+		size += linkLen(contexts[i]) - len(t.Link(i))
 	}
 
 	body := make([]byte, 0, size)
@@ -212,47 +214,83 @@ func appendAttr(b []byte, name, value string) []byte {
 	return append(b, '"')
 }
 
+// attrLen returns how many bytes appendAttr appends.
+func attrLen(name, value string) int {
+	return len(` =""`) + len(name) + xmldom.AttrValueLen(value)
+}
+
+// The lengths of appendLink's elements with every attribute value that
+// varies from one context to the next left empty.
+var (
+	contextFixed = len("\n  <context") + attrLen("xlink:type", string(xlink.TypeExtended)) +
+		attrLen("xlink:title", "") + attrLen("name", "") + attrLen("access", "")
+	hubFixed = len("\n    <hub") + attrLen("xlink:type", string(xlink.TypeResource)) +
+		attrLen("xlink:label", HubID) + attrLen("xlink:role", RoleHub) + attrLen("xlink:title", "Index of ") + len("/>")
+	nodeFixed = len("\n    <node") + attrLen("xlink:type", string(xlink.TypeLocator)) +
+		attrLen("xlink:href", ".xml") + attrLen("xlink:label", "") + attrLen("xlink:title", "") + len("/>")
+	arcFixed = len("\n    <go") + attrLen("xlink:type", string(xlink.TypeArc)) +
+		attrLen("xlink:from", "") + attrLen("xlink:to", "") + attrLen("xlink:arcrole", "") +
+		attrLen("xlink:title", "") + attrLen("xlink:show", "") +
+		attrLen("xlink:actuate", string(xlink.ActuateOnRequest)) + len("/>")
+)
+
+// linkLen returns how many bytes appendLink appends for lc, without
+// writing them: appendLink's structure, with each value's escaped
+// length counted by xmldom.AttrValueLen.
+func linkLen(lc *LinkbaseContext) int {
+	name := xmldom.AttrValueLen(lc.Name)
+	n := contextFixed + 2*name + xmldom.AttrValueLen(lc.AccessKind)
+	if !lc.HasHub && len(lc.Order) == 0 && len(lc.Edges) == 0 {
+		return n + len("/>")
+	}
+	n += len(">") + len("\n  </context>")
+	if lc.HasHub {
+		n += hubFixed + name
+	}
+	for _, id := range lc.Order {
+		n += nodeFixed + 2*xmldom.AttrValueLen(id) + xmldom.AttrValueLen(lc.NodeTitles[id])
+	}
+	for _, e := range lc.Edges {
+		n += arcFixed + xmldom.AttrValueLen(e.From) + xmldom.AttrValueLen(e.To) +
+			xmldom.AttrValueLen(ArcroleFor(e.Kind)) + xmldom.AttrValueLen(e.Label) + xmldom.AttrValueLen(arcShow(e))
+	}
+	return n
+}
+
 // readBack returns lc as ParseLinkbase reads it back out of the extended
 // link BuildLinkbase makes of it, without making one: names, access kind
 // and member ids as they are, locator titles and arc labels as
 // xmldom.ReadBack reads them, each arc's show defaulted, and each arc
 // expanded as xlink.Extended.Arcs expands it, over every endpoint for an
 // empty label and once for each endpoint a label names. Empty lists stay
-// nil. err is the XLink processor's error for an invalid show or a label
-// that names no endpoint; badRole is ParseLinkbase's for an arc whose
-// arcrole names no edge kind, which it reports only once every link has
-// passed the processor.
-func readBack(lc *LinkbaseContext) (back *LinkbaseContext, badRole, err error) {
+// nil. When that is lc itself — reflect.DeepEqual to it — readBack
+// returns lc and copies nothing, as xmldom.ReadBack returns a valid
+// string; it builds a copy only for a context that reads back otherwise:
+// one with invalid UTF-8 in a title or label, titles keyed by other ids
+// than its members, an arc end that selects no endpoint, several, or one
+// under another label (an empty label, a repeated member id, a member
+// named like the hub), an arc without an explicit show, or an empty but
+// non-nil member or edge list. err is the XLink processor's error for an
+// invalid show or a label that names no endpoint; badRole is
+// ParseLinkbase's for an arc whose arcrole names no edge kind, which it
+// reports only once every link has passed the processor. count is
+// scratch space, cleared on entry, that readBack counts each member id's
+// locators in.
+func readBack(lc *LinkbaseContext, count map[string]int) (back *LinkbaseContext, badRole, err error) {
 	for _, e := range lc.Edges {
 		if show := xlink.Show(arcShow(e)); !show.Valid() {
 			return nil, nil, fmt.Errorf("xlink: arc <links/context/go>: invalid xlink:show %q", show)
 		}
 	}
-	back = &LinkbaseContext{
-		Name:       lc.Name,
-		AccessKind: lc.AccessKind,
-		HasHub:     lc.HasHub,
-		NodeTitles: make(map[string]string, len(lc.Order)),
-	}
-	if len(lc.Order) > 0 {
-		back.Order = slices.Clone(lc.Order)
-	}
-	for _, id := range lc.Order {
-		back.NodeTitles[id] = xmldom.ReadBack(lc.NodeTitles[id])
-	}
 	// The link's endpoints are its locators, labelled by member id, then
-	// its hub. repeats counts the locators of each label when a member
-	// id repeats; otherwise each label names one locator at most.
+	// its hub; count holds how many locators carry each label.
+	clear(count)
+	for _, id := range lc.Order {
+		count[id]++
+	}
 	endpoints := len(lc.Order)
 	if lc.HasHub {
 		endpoints++
-	}
-	var repeats map[string]int
-	if len(back.NodeTitles) < len(lc.Order) {
-		repeats = make(map[string]int, len(back.NodeTitles))
-		for _, id := range lc.Order {
-			repeats[id]++
-		}
 	}
 	// named counts the endpoints an arc's label selects: every one when
 	// the label is empty.
@@ -260,16 +298,23 @@ func readBack(lc *LinkbaseContext) (back *LinkbaseContext, badRole, err error) {
 		if label == "" {
 			return endpoints
 		}
-		n := 0
-		if repeats != nil {
-			n = repeats[label]
-		} else if _, ok := back.NodeTitles[label]; ok {
-			n = 1
-		}
+		n := count[label]
 		if lc.HasHub && label == HubID {
 			n++
 		}
 		return n
+	}
+	// asIs reports whether an arc end whose label selects n endpoints
+	// reads back as it is: one endpoint, under that label.
+	asIs := func(label string, n int) bool { return n == 1 && endpointLabel(lc, label, 0) == label }
+
+	// same holds while lc reads back as it is: titles keyed by exactly
+	// its member ids, each valid UTF-8, and lists nil when empty.
+	same := lc.NodeTitles != nil && len(lc.NodeTitles) == len(count) &&
+		(lc.Order == nil || len(lc.Order) > 0) && (lc.Edges == nil || len(lc.Edges) > 0)
+	for i := 0; same && i < len(lc.Order); i++ {
+		title, ok := lc.NodeTitles[lc.Order[i]]
+		same = ok && utf8.ValidString(title)
 	}
 	arcs := 0
 	for _, e := range lc.Edges {
@@ -281,6 +326,24 @@ func readBack(lc *LinkbaseContext) (back *LinkbaseContext, badRole, err error) {
 			return nil, nil, fmt.Errorf("xlink: arc in <links/context>: to label %q matches no locator or resource", e.To)
 		}
 		arcs += from * to
+		same = same && asIs(e.From, from) && asIs(e.To, to) && e.Show != "" && utf8.ValidString(e.Label) &&
+			e.Kind != "" && KindForArcrole(ArcroleFor(e.Kind)) == e.Kind
+	}
+	if same {
+		return lc, nil, nil
+	}
+
+	back = &LinkbaseContext{
+		Name:       lc.Name,
+		AccessKind: lc.AccessKind,
+		HasHub:     lc.HasHub,
+		NodeTitles: make(map[string]string, len(lc.Order)),
+	}
+	if len(lc.Order) > 0 {
+		back.Order = slices.Clone(lc.Order)
+	}
+	for _, id := range lc.Order {
+		back.NodeTitles[id] = xmldom.ReadBack(lc.NodeTitles[id])
 	}
 	if arcs == 0 {
 		return back, nil, nil

@@ -28,10 +28,17 @@ import (
 //   - crash between rename and log truncation: replaying the stale log
 //     over the new snapshot is idempotent (it rewrites the same values).
 //
-// A compaction rewrites the whole state, so it waits until the log holds
-// at least as many bytes as the snapshot it replaces: the log stays at
-// most max(compactAt, snapshot size) plus one record, rewriting costs
-// O(1) per logged byte, and the directory holds about twice the state.
+// The store counts its dead bytes: the records in the snapshot and the
+// log that the key directory no longer reaches — a put a later put or
+// delete of its key replaced, every delete, and every generation stamp
+// but the latest. A compaction rewrites only the live records, so it
+// waits until the dead bytes pass both compactAt and the live bytes: it
+// then rewrites fewer bytes than it drops, which keeps its cost O(1) per
+// logged byte, and after every write the directory holds the live bytes
+// plus at most max(compactAt, live bytes), about twice the state. A log
+// of live records alone, such as a first export into an empty store, is
+// never rewritten until Close. Opening recounts the dead bytes while it
+// replays, so the compaction point does not move across a reopen.
 const (
 	snapshotFile = "snapshot"
 	logFile      = "log"
@@ -39,15 +46,16 @@ const (
 	lockFile     = "lock"
 )
 
-// DefaultCompactBytes is the log size below which no compaction runs.
+// DefaultCompactBytes is the count of dead bytes below which no
+// compaction runs.
 const DefaultCompactBytes = 1 << 20
 
 // FileOption configures OpenFile.
 type FileOption func(*File)
 
-// WithCompactBytes sets the floor (in bytes) of the log size past which
-// a Put or Delete triggers snapshot compaction; the threshold is the
-// larger of n and the size of the last snapshot. Non-positive disables
+// WithCompactBytes sets the floor (in bytes) of the dead bytes past which
+// a Put, Delete or SetGeneration triggers snapshot compaction; the
+// threshold is the larger of n and the live bytes. Non-positive disables
 // automatic compaction (Close still compacts).
 func WithCompactBytes(n int64) FileOption {
 	return func(f *File) { f.compactAt = n }
@@ -79,10 +87,13 @@ type File struct {
 	// logBytes is the log's length: every record is written at it, so it
 	// never drifts from the offsets the directory records.
 	logBytes int64
-	// snapshotBytes is the size of the snapshot file, which the log must
-	// outgrow (as well as compactAt) before it is compacted.
+	// snapshotBytes is the size of the snapshot file.
 	snapshotBytes int64
-	closed        bool
+	// dead counts the bytes of the snapshot and the log that hold records
+	// the directory no longer reaches; the rest are live. genLen is the
+	// length of the latest generation stamp, which the next one kills.
+	dead, genLen int64
+	closed       bool
 	// enc is the buffer records are encoded into on their way to the log
 	// or a snapshot, reused from one record to the next; f.mu guards it.
 	// Grown past encKeep by a large record, it is let go after use.
@@ -232,16 +243,52 @@ func (f *File) replay(file *os.File, inLog, tolerateTorn bool) (int64, error) {
 			return offset, err
 		}
 		offset += n
-		switch rec.op {
-		case opPut:
-			f.data[rec.key] = valueLoc(offset, rec.vlen, inLog)
-		case opDelete:
-			delete(f.data, rec.key)
-		case opGen:
-			f.gen = rec.gen
-		}
+		f.apply(rec, n, offset, inLog)
 	}
 }
+
+// apply points the key directory at rec, an n-byte record ending at end
+// in the log (inLog) or the snapshot, and counts the bytes it leaves
+// dead: the record it replaces, a delete itself, a superseded
+// generation stamp. Replay and appends apply records alike, so a reopen
+// counts the dead bytes the running store counted. f.mu must be held.
+func (f *File) apply(rec record, n, end int64, inLog bool) {
+	switch rec.op {
+	case opPut:
+		if old, ok := f.data[rec.key]; ok {
+			f.dead += putLen(len(rec.key), int(old.n))
+		}
+		f.data[rec.key] = valueLoc(end, rec.vlen, inLog)
+	case opDelete:
+		if old, ok := f.data[rec.key]; ok {
+			f.dead += putLen(len(rec.key), int(old.n))
+			delete(f.data, rec.key)
+		}
+		f.dead += n
+	case opGen:
+		f.dead += f.genLen
+		f.gen, f.genLen = rec.gen, n
+	}
+}
+
+// putLen returns the length of the put record of a klen-byte key and a
+// vlen-byte value, "p <klen> <vlen>\n<key><value>\n".
+func putLen(klen, vlen int) int64 {
+	return int64(len("p  \n\n") + digits(uint64(klen)) + digits(uint64(vlen)) + klen + vlen)
+}
+
+// digits returns how many decimal digits x is written with.
+func digits(x uint64) int {
+	n := 1
+	for ; x >= 10; x /= 10 {
+		n++
+	}
+	return n
+}
+
+// live returns how many bytes of the snapshot and the log the key
+// directory reaches. f.mu must be held.
+func (f *File) live() int64 { return f.snapshotBytes + f.logBytes - f.dead }
 
 // valueLoc locates the vlen-byte value of the put record that ends at
 // end: its last bytes before the terminating newline.
@@ -485,8 +532,8 @@ func readTerminator(r *bufio.Reader, kind string) error {
 }
 
 // appendLocked writes one record to the log and points the key
-// directory at it, compacting when the log has outgrown both compactAt
-// and the snapshot. f.mu must be held.
+// directory at it, compacting when the dead bytes have outgrown both
+// compactAt and the live bytes. f.mu must be held.
 func (f *File) appendLocked(rec record) error {
 	if f.closed {
 		return ErrClosed
@@ -505,15 +552,9 @@ func (f *File) appendLocked(rec record) error {
 		return fmt.Errorf("storage: appending to log: %w", err)
 	}
 	f.logBytes += int64(len(buf))
-	switch rec.op {
-	case opPut:
-		f.data[rec.key] = valueLoc(f.logBytes, len(rec.value), true)
-	case opDelete:
-		delete(f.data, rec.key)
-	case opGen:
-		f.gen = rec.gen
-	}
-	if f.compactAt > 0 && f.logBytes > max(f.compactAt, f.snapshotBytes) {
+	rec.vlen = len(rec.value)
+	f.apply(rec, int64(len(buf)), f.logBytes, true)
+	if f.compactAt > 0 && f.dead > max(f.compactAt, f.live()) {
 		return f.compactLocked()
 	}
 	return nil
@@ -549,7 +590,8 @@ func (f *File) compactLocked() error {
 	for i, k := range keys {
 		f.data[k] = loc{off: offs[i], n: f.data[k].n}
 	}
-	f.snapshotBytes = size
+	f.snapshotBytes, f.dead = size, 0
+	f.genLen = int64(len("g \n") + digits(f.gen))
 	// Restart the log. A crash before the truncate lands is harmless:
 	// replaying the old log over the new snapshot rewrites the same
 	// values.

@@ -122,64 +122,168 @@ func TestFileCompaction(t *testing.T) {
 	}
 }
 
-// TestFileCompactionProportionalToSnapshot: the log is compacted only
-// once it outgrows the snapshot it would replace, not the floor alone,
-// so rewriting a large state costs O(1) per logged byte.
+// TestFileCompactionProportionalToSnapshot: a compaction waits until
+// the dead bytes — records no key reaches any more — pass both the floor
+// and the live bytes it would rewrite, so rewriting costs O(1) per
+// logged byte. A log of live records alone is never rewritten, however
+// far past the floor it grows; overwrites leave the snapshot untouched
+// until their dead bytes cross max(floor, live), and crossing compacts
+// exactly once.
 func TestFileCompactionProportionalToSnapshot(t *testing.T) {
+	const floor = 1024
 	dir := t.TempDir()
-	st, err := storage.OpenFile(dir, storage.WithCompactBytes(1024))
+	st, err := storage.OpenFile(dir, storage.WithCompactBytes(floor))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	stat := func(name string) os.FileInfo {
+	size := func(name string) int64 {
 		t.Helper()
 		fi, err := os.Stat(filepath.Join(dir, name))
+		if os.IsNotExist(err) {
+			return -1
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fi
+		return fi.Size()
 	}
-	// A 64 KiB record outgrows the 1 KiB floor: one compaction.
-	if err := st.Put("state", []byte(strings.Repeat("s", 64<<10))); err != nil {
+	// The model: the live and dead bytes the records below leave.
+	recLen := func(key string, n int) int64 { return int64(len(fmt.Sprintf("p %d %d\n%s\n", len(key), n, key)) + n) }
+	if err := st.SetGeneration(1); err != nil {
 		t.Fatal(err)
 	}
-	if stat("log").Size() != 0 {
-		t.Fatal("a record past the floor over an empty snapshot was not compacted")
-	}
-	snap := stat("snapshot")
-
-	value := []byte(strings.Repeat("v", 1000))
-	put := func(i int) {
+	live, dead := int64(len("g 1\n")), int64(0)
+	held := map[string]int{}
+	// put writes an n-byte value under key and reports whether the
+	// model expects it to compact.
+	put := func(key string, n int) bool {
 		t.Helper()
-		if err := st.Put(fmt.Sprintf("k%d", i%8), value); err != nil {
+		if old, ok := held[key]; ok {
+			live -= recLen(key, old)
+			dead += recLen(key, old)
+		}
+		held[key] = n
+		live += recLen(key, n)
+		if err := st.Put(key, []byte(strings.Repeat("v", n))); err != nil {
+			t.Fatal(err)
+		}
+		if dead > max(floor, live) {
+			dead = 0
+			return true
+		}
+		return false
+	}
+
+	// A 64 KiB record takes the log far past the floor, all of it live:
+	// nothing is rewritten.
+	if put("state", 64<<10) {
+		t.Fatal("the model compacts a live-only log")
+	}
+	if size("snapshot") >= 0 || size("log") != live {
+		t.Fatalf("a live-only log of %d bytes past the %d-byte floor was rewritten: snapshot %d, log %d bytes",
+			live, floor, size("snapshot"), size("log"))
+	}
+	// Overwrites leave the snapshot unwritten until their dead bytes
+	// pass the live bytes; the put that crosses compacts.
+	i := 0
+	for ; !put(fmt.Sprintf("k%d", i%8), 1000); i++ {
+		if size("snapshot") >= 0 || size("log") != live+dead {
+			t.Fatalf("put %d, %d dead bytes against %d live: snapshot %d, log %d bytes, want no snapshot and a log of %d",
+				i, dead, live, size("snapshot"), size("log"), live+dead)
+		}
+	}
+	if size("snapshot") != live || size("log") != 0 {
+		t.Fatalf("crossing compacted to a %d-byte snapshot and a %d-byte log, want %d and 0", size("snapshot"), size("log"), live)
+	}
+	snap, err := os.Stat(filepath.Join(dir, "snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Exactly once: the next overwrites leave the new snapshot alone.
+	for n := 0; n < 8; n, i = n+1, i+1 {
+		if put(fmt.Sprintf("k%d", i%8), 1000) {
+			t.Fatal("the model compacts twice")
+		}
+		if fi, err := os.Stat(filepath.Join(dir, "snapshot")); err != nil || !os.SameFile(snap, fi) {
+			t.Fatalf("snapshot rewritten again %d puts after the crossing (%v)", n+1, err)
+		}
+	}
+}
+
+// TestFileOpensRecordsWrittenRaw: the record format is the one every
+// earlier store wrote, so a directory of a snapshot and a log written
+// byte by byte in it opens to the state the records describe.
+func TestFileOpensRecordsWrittenRaw(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := "g 7\np 1 1\na1\np 1 2\nbxy\np 10 5\nsite/c.xml<c/>\n\n"
+	log := "p 1 3\nazzz\nd 1\nb\ng 9\np 5 0\nempty\np 1 2\nd\n\n\n"
+	if err := os.WriteFile(filepath.Join(dir, "snapshot"), []byte(snapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "log"), []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"a": "zzz", "site/c.xml": "<c/>\n", "empty": "", "d": "\n\n"}
+	check := func(st storage.Store, when string) {
+		t.Helper()
+		got := map[string]string{}
+		if err := st.Scan("", func(k string, v []byte) error { got[k] = string(v); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: holds %q, want %q", when, got, want)
+		}
+		if gen, err := st.Generation(); err != nil || gen != 9 {
+			t.Errorf("%s: generation %d (%v), want 9", when, gen, err)
+		}
+	}
+	st, err := storage.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(st, "opened")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = storage.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	check(st, "compacted and reopened")
+}
+
+// TestFileLiveOnlyLogReopens: puts of distinct keys far past the floor
+// leave a log and no snapshot, and that log reopens with every key, as
+// any log replays.
+func TestFileLiveOnlyLogReopens(t *testing.T) {
+	dir := t.TempDir()
+	st, err := storage.OpenFile(dir, storage.WithCompactBytes(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := func(i int) string { return strings.Repeat(fmt.Sprint(i%10), 100+i) }
+	for i := 0; i < 200; i++ {
+		if err := st.Put(fmt.Sprintf("k%03d", i), []byte(value(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Puts totalling less than the snapshot leave it untouched.
-	i := 0
-	for ; stat("log").Size()+2*int64(len(value)) < snap.Size(); i++ {
-		put(i)
-		if !os.SameFile(snap, stat("snapshot")) {
-			t.Fatalf("snapshot rewritten after %d bytes of log, below its own %d", stat("log").Size(), snap.Size())
+	if err := st.CloseWithoutFlush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snapshot")); !os.IsNotExist(err) {
+		t.Fatalf("a log of live records alone was compacted (%v)", err)
+	}
+	st, err = storage.OpenFile(dir, storage.WithCompactBytes(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < 200; i++ {
+		if v, err := st.Get(fmt.Sprintf("k%03d", i)); err != nil || string(v) != value(i) {
+			t.Fatalf("k%03d reopened as %d bytes (%v), want %d", i, len(v), err, len(value(i)))
 		}
-	}
-	// Puts totalling more trigger exactly one compaction: eight more
-	// records cross the snapshot's size once, and the log they start
-	// afterwards stays far below the new, larger snapshot.
-	compactions := 0
-	for n := 0; n < 8; n, i = n+1, i+1 {
-		prev := stat("log").Size()
-		put(i)
-		if stat("log").Size() < prev {
-			compactions++
-		}
-	}
-	if compactions != 1 {
-		t.Errorf("log growth past the snapshot compacted %d times, want 1", compactions)
-	}
-	if os.SameFile(snap, stat("snapshot")) {
-		t.Error("snapshot was not rewritten")
 	}
 }
 

@@ -11,12 +11,15 @@
 //
 //   - Mem: the in-process map the server always had, now behind the
 //     interface. Fast, shared by nothing, durable across nothing.
-//   - File: an append-only record log with periodic snapshot
-//     compaction. Crash-safe: snapshots are written to a temp file and
-//     renamed into place, and a torn final log record (a crash mid-
-//     append) is detected and discarded on reopen. Only keys and value
-//     locations are kept in memory (about 100 bytes per session key);
-//     values are read from the snapshot and log files with pread.
+//   - File: an append-only record log with snapshot compaction, which
+//     runs once the bytes of records no key reaches any more outgrow
+//     both a floor and the live bytes, so a log of live records alone
+//     is never rewritten. Crash-safe: snapshots are written to a temp
+//     file and renamed into place, and a torn final log record (a
+//     crash mid-append) is detected and discarded on reopen. Only keys
+//     and value locations are kept in memory (about 100 bytes per
+//     session key); values are read from the snapshot and log files
+//     with pread.
 //
 // Every backend must pass the shared conformance suite in
 // internal/storage/storagetest.

@@ -387,6 +387,37 @@ func (s *serializer) attr(prefix, local, value string) {
 // and the serializer's cannot drift apart.
 func AppendAttrValue(dst []byte, str string) []byte { return appendEscaped(dst, str, true) }
 
+// AttrValueLen returns how many bytes AppendAttrValue appends for str,
+// without writing them: it walks the bytes appendEscaped looks at and
+// counts each escape it would write.
+func AttrValueLen(str string) int {
+	n := len(str)
+	for i := 0; i < len(str); {
+		c := str[i]
+		if !escapedAttr[c] {
+			i++
+			continue
+		}
+		switch c {
+		case '&', '\r', '\n', '\t': // &amp; &#xD; &#xA; &#x9;
+			n += 4
+		case '<', '>': // &lt; &gt;
+			n += 3
+		case '"': // &quot;
+			n += 5
+		default:
+			r, size := utf8.DecodeRuneInString(str[i:])
+			if r != utf8.RuneError || size != 1 {
+				i += size
+				continue
+			}
+			n += len("\uFFFD") - 1
+		}
+		i++
+	}
+	return n
+}
+
 func appendName(dst []byte, prefix, local string) []byte {
 	if prefix != "" {
 		dst = append(dst, prefix...)

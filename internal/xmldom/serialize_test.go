@@ -311,3 +311,40 @@ func TestReadBackMatchesWriter(t *testing.T) {
 		}
 	}
 }
+
+// attrValueLenCases hold every byte the attribute escaper rewrites,
+// invalid UTF-8 alone, between valid sequences and cut short, and long
+// runs of each.
+var attrValueLenCases = []string{
+	"", "plain", `&<>"`, "\t\n\r", "naïve 北斎", "\xff", "a\xffb", "\xff\xfe", "\xe2\x82", "cut\xe2\x82",
+	"x\xed\xa0\x80y", "\xc3\xa9\xc3", "�", "\xf4\x90\x80\x80", `<Les "Demoiselles">`,
+	strings.Repeat("a", 4096), strings.Repeat("&", 4096), strings.Repeat("\xff", 4096),
+	strings.Repeat("é\"\t", 1365), strings.Repeat("\xe2\x82", 2048),
+}
+
+// TestAttrValueLen: AttrValueLen counts exactly the bytes
+// AppendAttrValue appends.
+func TestAttrValueLen(t *testing.T) {
+	cases := slices.Clone(attrValueLenCases)
+	for c := 0; c < 256; c++ {
+		cases = append(cases, string(rune(c)), string([]byte{byte(c)}), "a"+string([]byte{byte(c)})+"b")
+	}
+	for _, s := range cases {
+		if got, want := AttrValueLen(s), len(AppendAttrValue(nil, s)); got != want {
+			t.Errorf("AttrValueLen(%q) = %d, AppendAttrValue appends %d", s, got, want)
+		}
+	}
+}
+
+// FuzzAttrValueLen: AttrValueLen agrees with AppendAttrValue on any
+// string.
+func FuzzAttrValueLen(f *testing.F) {
+	for _, s := range attrValueLenCases {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := AttrValueLen(s), len(AppendAttrValue(nil, s)); got != want {
+			t.Errorf("AttrValueLen(%q) = %d, AppendAttrValue appends %d", s, got, want)
+		}
+	})
+}
