@@ -58,9 +58,10 @@ bench-module:
 # If-None-Match matcher against its split reference, the session-cookie
 # scanner against r.Cookie, the page-path splitter against its
 # Split/Join reference, the traceparent parser against its reference
-# grammar, the file store's log recovery, its header splitter against
-# strings.Fields and its dead-byte accounting and compaction against a
-# map, and XPath compilation and XPointer parsing with evaluation, ten
+# grammar, the file store's log recovery, its record header parser
+# against a strings.Fields+strconv reference and its dead-byte
+# accounting and compaction against a map, and XPath compilation and
+# XPointer parsing with evaluation, ten
 # seconds each, beyond the seed corpora (CI runs this).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSerializeMatchesReference$$' -fuzztime 10s ./internal/xmldom
@@ -73,7 +74,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitPagePath$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzFileLogReplay$$' -fuzztime 10s ./internal/storage
-	$(GO) test -run '^$$' -fuzz '^FuzzHeaderFields$$' -fuzztime 10s ./internal/storage
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordHeader$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzFileCompaction$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzXPathCompile$$' -fuzztime 10s ./internal/xpath
 	$(GO) test -run '^$$' -fuzz '^FuzzXPointerParse$$' -fuzztime 10s ./internal/xpointer

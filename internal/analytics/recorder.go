@@ -66,8 +66,8 @@ type RecorderConfig struct {
 	// Shards is the number of independent hop tables (rounded up to a
 	// power of two; 0 picks a GOMAXPROCS-proportional default).
 	Shards int
-	// SlotsPerShard is each table's slot count (rounded up to a power
-	// of two; 0 means DefaultSlotsPerShard).
+	// SlotsPerShard is each table's slot count, exactly (0 means
+	// DefaultSlotsPerShard).
 	SlotsPerShard int
 }
 
@@ -103,24 +103,28 @@ type slot struct {
 }
 
 // shard is one independent hop table with its own overflow counters.
-// The pad keeps neighbouring shards' hot counters off one cache line.
+// The pads make a shard 128 bytes, which the allocator aligns to 128:
+// the table's header, which every Record reads, and the counters, which
+// every Record writes, sit on cache lines of their own, and so do
+// neighbouring shards'.
 type shard struct {
 	slots      []slot
-	mask       uint64
+	_          [40]byte
 	recorded   atomic.Uint64
 	sampledOut atomic.Uint64
 	dropped    atomic.Uint64
 	ticks      atomic.Uint64
-	_          [24]byte
+	_          [32]byte
 }
 
 // Recorder counts navigation hops with no locks and no allocations on
 // the record path: the hop key is hashed inline (FNV-1a over the three
-// strings, no concatenation), the hash picks a shard and a slot, and
-// the count is one atomic increment. Distinct hops spread over
-// GOMAXPROCS-proportional shards, so concurrent recording of different
-// edges contends on nothing; recording the same hot edge from many
-// CPUs meets at a single atomic add, still lock-free.
+// strings, no concatenation), the hash's top bits pick a shard and the
+// 32 bits below them a slot, by a multiply-shift over the table's exact
+// slot count, and the count is one atomic increment. Distinct hops
+// spread over GOMAXPROCS-proportional shards, so concurrent recording
+// of different edges contends on nothing; recording the same hot edge
+// from many CPUs meets at a single atomic add, still lock-free.
 //
 // The table is insert-only and bounded: once a probe region fills, new
 // distinct hops are dropped (and counted as such) instead of growing.
@@ -144,7 +148,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	if slots <= 0 {
 		slots = DefaultSlotsPerShard
 	}
-	slots = nextPow2(slots)
 	rate := cfg.SampleRate
 	if rate < 1 {
 		rate = 1
@@ -155,7 +158,7 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 		sampleRate: uint64(rate),
 	}
 	for i := range r.shards {
-		r.shards[i] = &shard{slots: make([]slot, slots), mask: uint64(slots - 1)}
+		r.shards[i] = &shard{slots: make([]slot, slots)}
 	}
 	return r
 }
@@ -164,8 +167,9 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 // keys the resolved model can produce (one per navigation edge, one
 // entry per member and per hub), spread over the given number of
 // shards (0 means NewRecorder's GOMAXPROCS default). A table that fits
-// every key at half load drops no hop and keeps probes short. The
-// result is never below DefaultSlotsPerShard.
+// every key at half load drops no hop and keeps probes short, and
+// NewRecorder makes it exactly that size. The result is never below
+// DefaultSlotsPerShard.
 func SlotsPerShardFor(rm *navigation.ResolvedModel, shards int) int {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -198,7 +202,8 @@ func (r *Recorder) Record(ctx, from, to string) {
 			return
 		}
 	}
-	i := h & sh.mask
+	n := uint64(len(sh.slots))
+	i := uint64(uint32(h>>16)) * n >> 32
 	for probe := 0; probe < maxProbes; probe++ {
 		s := &sh.slots[i]
 		switch s.state.Load() {
@@ -224,7 +229,9 @@ func (r *Recorder) Record(ctx, from, to string) {
 			// A claim is in flight a few instructions away from ready.
 			// Same policy: never wait on the hot path, probe onward.
 		}
-		i = (i + 1) & sh.mask
+		if i++; i == n {
+			i = 0
+		}
 	}
 	sh.dropped.Add(1)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/museum"
 	"repro/internal/navigation"
@@ -164,5 +165,17 @@ func TestRecorderConcurrent(t *testing.T) {
 	g := BuildGraph(r.Snapshot())
 	if got := g.Contexts["C"].NextCount("hot", "edge"); got != goroutines*perG {
 		t.Errorf("hot edge = %d, want %d", got, goroutines*perG)
+	}
+}
+
+// TestShardIsTwoCacheLines: a shard is 128 bytes, with its counters in
+// the second 64, so the allocator's 128-byte alignment keeps the table
+// header Record reads off the line Record writes.
+func TestShardIsTwoCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(shard{}); size != 128 {
+		t.Errorf("shard is %d bytes, want 128", size)
+	}
+	if off := unsafe.Offsetof(shard{}.recorded); off != 64 {
+		t.Errorf("shard counters start at byte %d, want 64", off)
 	}
 }

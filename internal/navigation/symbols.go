@@ -133,14 +133,19 @@ func (rm *ResolvedModel) internRecord(history, nav []Visit) (h, n []visit) {
 	return h, n
 }
 
+// restoreRoom is the fewest visits a restored list has room to grow by.
+const restoreRoom = 4
+
 // visits returns vs as visits of rm's contexts' symbols, nil when there
 // are none, with symStale for each name they do not hold, and whether
-// there was one.
+// there was one. The list has room for a quarter of its length more,
+// and restoreRoom visits at least, so a returning visitor's next steps
+// append in place rather than reallocate it at twice its length.
 func (rm *ResolvedModel) visits(vs []Visit) ([]visit, bool) {
 	if len(vs) == 0 {
 		return nil, false
 	}
-	out := make([]visit, len(vs))
+	out := make([]visit, len(vs), len(vs)+max(len(vs)/4, restoreRoom))
 	stale := false
 	// A trail mostly steps within one context, so each context is
 	// looked up once per run of visits in it.

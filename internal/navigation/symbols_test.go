@@ -56,6 +56,48 @@ func TestSessionResolvesAgainstLineageFunction(t *testing.T) {
 	}
 }
 
+// TestRestoredSessionStepsInPlace: a restored session's trail and
+// back/forward list have room to grow, so the visitor's next step
+// appends to both where they are rather than reallocating either.
+func TestRestoredSessionStepsInPlace(t *testing.T) {
+	rm, err := fixtureModel(t, IndexedGuidedTour{}).Resolve(fixtureStore(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walked := NewSession(rm)
+	if err := walked.EnterContext("ByAuthor:picasso", "avignon"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		step := walked.Next
+		if i%2 == 1 {
+			step = walked.Prev
+		}
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := RestoreSession(rm, walked.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	history, nav := unsafe.SliceData(s.history), unsafe.SliceData(s.nav)
+	lh, ln := len(s.history), len(s.nav)
+	step := s.Next
+	if _, node := s.Location(); node == "guitar" {
+		step = s.Prev
+	}
+	if err := step(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.history) != lh+1 || unsafe.SliceData(s.history) != history {
+		t.Errorf("the step grew the restored trail of %d visits into a new array (cap %d)", lh, cap(s.history))
+	}
+	if len(s.nav) != ln+1 || unsafe.SliceData(s.nav) != nav {
+		t.Errorf("the step grew the restored history list of %d visits into a new array (cap %d)", ln, cap(s.nav))
+	}
+}
+
 // TestRestoreInternsOnlyWhatItKeeps: restoring a record adds each name
 // the table lacks once, names the model no longer has included;
 // restoring it again adds nothing, and neither does a record that

@@ -5,14 +5,14 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"unicode"
 )
 
 // File layout: <dir>/snapshot holds the full state as of the last
@@ -67,11 +67,19 @@ func WithCompactBytes(n int64) FileOption {
 // snapshot or the log, an offset and a length — and Get and Scan read
 // values from those files with pread, so values live in the kernel's
 // reclaimable page cache, not in the heap (nor in the process's resident
-// set, where mapping the files would put them). A key costs its string
+// set, where mapping the files would put them). A key costs its bytes
 // plus one map slot of a 16-byte string header and a 16-byte location:
 // about 100 bytes for a session key. Every mutation is appended to the
 // log before the directory points at it, so the on-disk state is never
 // behind the directory.
+//
+// Opening reads each file once, front to back, into a directory sized
+// once from the snapshot's length. The keys it reads are cut from a few
+// shared strings, one per block of up to 64 KiB of keys, not allocated
+// one by one; a block stays alive while any key cut from it is in the
+// directory, so what replaced and deleted keys leave behind is at most
+// the key bytes the store opened with, plus one block's spare room per
+// file. Keys put after opening are the caller's strings.
 type File struct {
 	dir       string
 	compactAt int64
@@ -93,10 +101,15 @@ type File struct {
 	// the directory no longer reaches; the rest are live. genLen is the
 	// length of the latest generation stamp, which the next one kills.
 	dead, genLen int64
-	closed       bool
+	// epoch counts compactions. Each replaces the snapshot and truncates
+	// the log, so bytes a Scan read ahead in an earlier epoch are not
+	// the bytes at those offsets now.
+	epoch  uint64
+	closed bool
 	// enc is the buffer records are encoded into on their way to the log
 	// or a snapshot, reused from one record to the next; f.mu guards it.
-	// Grown past encKeep by a large record, it is let go after use.
+	// It holds a header and key, and a put's value only up to encKeep
+	// bytes; grown past encKeep by a long key, it is let go after use.
 	enc []byte
 }
 
@@ -108,8 +121,27 @@ type loc struct {
 	inLog bool
 }
 
-// encKeep is the largest encode buffer a File keeps between records.
+// encKeep is the largest encode buffer a File keeps between records,
+// and the largest value an append copies into it.
 const encKeep = 64 << 10
+
+// Replay and read-ahead sizes.
+const (
+	// replayBuffer is the read buffer a replay reads a file through: a
+	// large snapshot in a sixteenth of the syscalls a 4 KiB one takes.
+	// It is also the most key bytes one of a replay's key blocks holds.
+	replayBuffer = 64 << 10
+	// presizeAfter is the record at which a replay into an empty
+	// directory sizes it for the whole file, from the bytes those
+	// records took.
+	presizeAfter = 64
+	// scanBuffer is the most bytes one read ahead of a Scan or a
+	// compaction takes; a value longer than it is read on its own.
+	scanBuffer = 256 << 10
+	// scanGap is the most bytes between two values that one read ahead
+	// spans: the next record's header and key, in a sorted snapshot.
+	scanGap = 4 << 10
+)
 
 // OpenFile opens (creating if needed) a file store rooted at dir and
 // replays its snapshot and log into the key directory.
@@ -120,7 +152,7 @@ func OpenFile(dir string, opts ...FileOption) (*File, error) {
 	f := &File{
 		dir:       dir,
 		compactAt: DefaultCompactBytes,
-		data:      map[string]loc{},
+		data:      make(map[string]loc, presizeAfter),
 	}
 	for _, opt := range opts {
 		opt(f)
@@ -222,17 +254,23 @@ func (f *File) replayLog() error {
 // last complete record. With tolerateTorn, a record cut short by EOF
 // stops the replay cleanly (the offset excludes it); otherwise it is an
 // error. Malformed records that are not torn tails are errors either way.
+//
+// A replay into an empty directory sizes it once, after presizeAfter
+// records, for as many records as the rest of the file holds at the
+// length those took; a replay over a snapshot's keys, whose records
+// mostly replace them, lets the directory grow as appends do.
 func (f *File) replay(file *os.File, inLog, tolerateTorn bool) (int64, error) {
 	info, err := file.Stat()
 	if err != nil {
 		return 0, err
 	}
-	// A 64 KiB buffer reads a large snapshot in a sixteenth of the
-	// syscalls the default 4 KiB one takes.
-	r := bufio.NewReaderSize(file, 64<<10)
+	size := info.Size()
+	presize := len(f.data) == 0
+	r := bufio.NewReaderSize(file, replayBuffer)
+	var keys keyBlocks
 	var offset int64
-	for {
-		rec, n, err := readRecord(r, info.Size()-offset)
+	for records := int64(1); ; records++ {
+		rec, n, err := readRecord(r, size-offset, &keys)
 		if err == io.EOF {
 			return offset, nil
 		}
@@ -244,6 +282,13 @@ func (f *File) replay(file *os.File, inLog, tolerateTorn bool) (int64, error) {
 		}
 		offset += n
 		f.apply(rec, n, offset, inLog)
+		if presize && records == presizeAfter && offset < size {
+			if want := int(records * size / offset); want > len(f.data) {
+				grown := make(map[string]loc, want)
+				maps.Copy(grown, f.data)
+				f.data = grown
+			}
+		}
 	}
 }
 
@@ -309,15 +354,6 @@ func (f *File) readAt(v []byte, l loc) error {
 	return nil
 }
 
-// read returns a fresh copy of the value at l. f.mu must be held.
-func (f *File) read(l loc) ([]byte, error) {
-	v := make([]byte, l.n)
-	if err := f.readAt(v, l); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 // Record ops.
 const (
 	opPut    = 'p'
@@ -361,113 +397,135 @@ func isTorn(err error) bool {
 //	d <keylen>\n<key>\n
 //	g <generation>\n
 func appendRecord(buf []byte, rec record) []byte {
+	buf = appendHead(buf, rec)
+	if rec.op == opGen {
+		return buf
+	}
+	buf = append(buf, rec.value...)
+	return append(buf, '\n')
+}
+
+// appendHead encodes rec's header and key: all of its record but a
+// put's value and the terminating newline.
+func appendHead(buf []byte, rec record) []byte {
+	buf = append(buf, rec.op, ' ')
 	switch rec.op {
 	case opPut:
-		buf = append(buf, "p "...)
 		buf = strconv.AppendInt(buf, int64(len(rec.key)), 10)
 		buf = append(buf, ' ')
 		buf = strconv.AppendInt(buf, int64(len(rec.value)), 10)
-		buf = append(buf, '\n')
-		buf = append(buf, rec.key...)
-		buf = append(buf, rec.value...)
-		buf = append(buf, '\n')
 	case opDelete:
-		buf = append(buf, "d "...)
 		buf = strconv.AppendInt(buf, int64(len(rec.key)), 10)
-		buf = append(buf, '\n')
-		buf = append(buf, rec.key...)
-		buf = append(buf, '\n')
 	case opGen:
-		buf = append(buf, "g "...)
 		buf = strconv.AppendUint(buf, rec.gen, 10)
-		buf = append(buf, '\n')
 	}
-	return buf
+	buf = append(buf, '\n')
+	return append(buf, rec.key...)
 }
 
-// encode encodes rec into f's encode buffer and returns the bytes,
-// valid until the next call or release. f.mu must be held.
-func (f *File) encode(rec record) []byte {
-	f.enc = appendRecord(f.enc[:0], rec)
-	return f.enc
-}
-
-// releaseEnc lets go of an encode buffer a large record grew past
-// encKeep. f.mu must be held.
+// releaseEnc lets go of an encode buffer a long key grew past encKeep.
+// f.mu must be held.
 func (f *File) releaseEnc() {
 	if cap(f.enc) > encKeep {
 		f.enc = nil
 	}
 }
 
+// header is a parsed record header.
+type header struct {
+	op         byte
+	klen, vlen int
+	gen        uint64
+}
+
+// parseHeader parses a record header, its newline cut off, in the one
+// grammar this package has ever written: an op letter, then each of its
+// decimal fields after a single space — "p <klen> <vlen>", "d <klen>",
+// "g <gen>". It reports false for any other line, and for a length past
+// maxRecordLen or a generation past the uint64 range.
+func parseHeader(line []byte) (h header, ok bool) {
+	if len(line) < 2 || line[1] != ' ' {
+		return h, false
+	}
+	h.op = line[0]
+	a, rest, ok := decimal(line[2:])
+	if !ok {
+		return h, false
+	}
+	switch h.op {
+	case opGen:
+		h.gen = a
+		return h, len(rest) == 0
+	case opDelete:
+		h.klen = int(a)
+		return h, len(rest) == 0 && a <= maxRecordLen
+	case opPut:
+		if len(rest) == 0 || rest[0] != ' ' || a > maxRecordLen {
+			return h, false
+		}
+		b, rest, ok := decimal(rest[1:])
+		h.klen, h.vlen = int(a), int(b)
+		return h, ok && len(rest) == 0 && b <= maxRecordLen
+	}
+	return h, false
+}
+
+// decimal parses the decimal digits s starts with, returning their
+// value and the rest of s; false when s starts with no digit or the
+// value overflows a uint64.
+func decimal(s []byte) (uint64, []byte, bool) {
+	var n uint64
+	i := 0
+	for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+		d := uint64(s[i] - '0')
+		if n > (math.MaxUint64-d)/10 {
+			return 0, nil, false
+		}
+		n = n*10 + d
+	}
+	return n, s[i:], i > 0
+}
+
 // readRecord decodes the next record from r, which holds left more
 // bytes, returning it and the number of bytes it occupied. The header is
-// parsed where r buffers it and the value is skipped, so a put costs one
-// allocation, its key. io.EOF at a record boundary is returned as-is; an
-// EOF inside a record comes back as *tornError — before the body is
-// read, when the header declares more bytes than are left.
-func readRecord(r *bufio.Reader, left int64) (record, int64, error) {
-	header, err := readHeader(r)
-	if err == io.EOF && len(header) == 0 {
+// parsed where r buffers it, the key is cut from keys' block and the
+// value is skipped, so a record allocates nothing of its own. io.EOF at
+// a record boundary is returned as-is; an EOF inside a record comes back
+// as *tornError — before the body is read, when the header declares more
+// bytes than are left. A complete header outside the grammar is corrupt.
+func readRecord(r *bufio.Reader, left int64, keys *keyBlocks) (record, int64, error) {
+	line, err := readHeader(r)
+	if err == io.EOF && len(line) == 0 {
 		return record{}, 0, io.EOF
 	}
 	if err != nil {
 		return record{}, 0, &tornError{cause: err}
 	}
-	n := int64(len(header))
-	var buf [4][]byte
-	fields := headerFields(header[:len(header)-1], buf[:0])
-	if len(fields) == 0 {
-		return record{}, 0, fmt.Errorf("storage: empty record header")
+	n := int64(len(line))
+	h, ok := parseHeader(line[:len(line)-1])
+	if !ok {
+		return record{}, 0, fmt.Errorf("storage: bad record header %q", line)
 	}
-	rec := record{op: fields[0][0]}
-	switch {
-	case string(fields[0]) == "p" && len(fields) == 3:
-		klen, err1 := strconv.Atoi(string(fields[1]))
-		vlen, err2 := strconv.Atoi(string(fields[2]))
-		if err1 != nil || err2 != nil ||
-			klen < 0 || vlen < 0 || klen > maxRecordLen || vlen > maxRecordLen {
-			return record{}, 0, fmt.Errorf("storage: bad put header %q", header)
-		}
-		if int64(klen+vlen+1) > left-n {
-			return record{}, 0, &tornError{cause: io.ErrUnexpectedEOF}
-		}
-		if rec.key, err = readKey(r, klen); err == nil {
-			_, err = r.Discard(vlen)
-		}
-		if err != nil {
-			return record{}, 0, &tornError{cause: err}
-		}
-		if err := readTerminator(r, "put"); err != nil {
-			return record{}, 0, err
-		}
-		rec.vlen = vlen
-		return rec, n + int64(klen+vlen+1), nil
-	case string(fields[0]) == "d" && len(fields) == 2:
-		klen, err := strconv.Atoi(string(fields[1]))
-		if err != nil || klen < 0 || klen > maxRecordLen {
-			return record{}, 0, fmt.Errorf("storage: bad delete header %q", header)
-		}
-		if int64(klen+1) > left-n {
-			return record{}, 0, &tornError{cause: io.ErrUnexpectedEOF}
-		}
-		if rec.key, err = readKey(r, klen); err != nil {
-			return record{}, 0, &tornError{cause: err}
-		}
-		if err := readTerminator(r, "delete"); err != nil {
-			return record{}, 0, err
-		}
-		return rec, n + int64(klen+1), nil
-	case string(fields[0]) == "g" && len(fields) == 2:
-		gen, err := strconv.ParseUint(string(fields[1]), 10, 64)
-		if err != nil {
-			return record{}, 0, fmt.Errorf("storage: bad generation header %q", header)
-		}
-		rec.gen = gen
+	rec := record{op: h.op, vlen: h.vlen, gen: h.gen}
+	if h.op == opGen {
 		return rec, n, nil
-	default:
-		return record{}, 0, fmt.Errorf("storage: unknown record header %q", header)
 	}
+	body := int64(h.klen + h.vlen + 1)
+	if body > left-n {
+		return record{}, 0, &tornError{cause: io.ErrUnexpectedEOF}
+	}
+	if rec.key, err = keys.read(r, h.klen, left-n); err == nil {
+		_, err = r.Discard(h.vlen)
+	}
+	if err != nil {
+		return record{}, 0, &tornError{cause: err}
+	}
+	if c, err := r.ReadByte(); err != nil {
+		return record{}, 0, &tornError{cause: err}
+	} else if c != '\n' {
+		return record{}, 0, fmt.Errorf("storage: unterminated %c record", h.op)
+	}
+	return rec, n + body, nil
 }
 
 // readHeader reads a record header through its newline. The line is r's
@@ -483,28 +541,18 @@ func readHeader(r *bufio.Reader) ([]byte, error) {
 	return append(head, rest...), err
 }
 
-// headerFields appends the fields of a header line, split around runs
-// of white space exactly as strings.Fields splits, to fields.
-func headerFields(line []byte, fields [][]byte) [][]byte {
-	for {
-		i := bytes.IndexFunc(line, isNotSpace)
-		if i < 0 {
-			return fields
-		}
-		line = line[i:]
-		j := bytes.IndexFunc(line, unicode.IsSpace)
-		if j < 0 {
-			return append(fields, line)
-		}
-		fields = append(fields, line[:j])
-		line = line[j:]
-	}
+// keyBlocks holds the keys one replay reads. Each key is a substring of
+// a block, a string of up to replayBuffer bytes of keys, so a replay
+// allocates once per block rather than once per key. The block is a
+// strings.Builder's: a Builder only ever appends past the bytes its
+// String has returned, so every key cut from it keeps the bytes it was
+// read as.
+type keyBlocks struct {
+	b strings.Builder
 }
 
-func isNotSpace(r rune) bool { return !unicode.IsSpace(r) }
-
-// readKey reads a klen-byte key from r into a string.
-func readKey(r *bufio.Reader, klen int) (string, error) {
+// read reads a klen-byte key from r, which holds left more bytes.
+func (kb *keyBlocks) read(r *bufio.Reader, klen int, left int64) (string, error) {
 	if klen > r.Size() {
 		b := make([]byte, klen)
 		_, err := io.ReadFull(r, b)
@@ -514,21 +562,16 @@ func readKey(r *bufio.Reader, klen int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	key := string(b)
+	if kb.b.Cap()-kb.b.Len() < klen {
+		// A new block, no larger than the read buffer or what is left of
+		// the file, both of which hold the key.
+		kb.b = strings.Builder{}
+		kb.b.Grow(int(min(int64(r.Size()), left)))
+	}
+	from := kb.b.Len()
+	kb.b.Write(b)
 	_, err = r.Discard(klen)
-	return key, err
-}
-
-// readTerminator reads the newline that ends a record of the given kind.
-func readTerminator(r *bufio.Reader, kind string) error {
-	c, err := r.ReadByte()
-	if err != nil {
-		return &tornError{cause: err}
-	}
-	if c != '\n' {
-		return fmt.Errorf("storage: unterminated %s record", kind)
-	}
-	return nil
+	return kb.b.String()[from:], err
 }
 
 // appendLocked writes one record to the log and points the key
@@ -541,9 +584,9 @@ func (f *File) appendLocked(rec record) error {
 	if len(rec.key) > maxRecordLen || len(rec.value) > maxRecordLen {
 		return fmt.Errorf("storage: record exceeds %d-byte limit", maxRecordLen)
 	}
-	buf := f.encode(rec)
 	defer f.releaseEnc()
-	if _, err := f.log.WriteAt(buf, f.logBytes); err != nil {
+	n, err := f.writeRecord(rec)
+	if err != nil {
 		// Roll the log back to the last record boundary. The next record
 		// is written at logBytes either way; without this a short write
 		// longer than that record would outlast it and turn into a
@@ -551,13 +594,39 @@ func (f *File) appendLocked(rec record) error {
 		_ = f.log.Truncate(f.logBytes)
 		return fmt.Errorf("storage: appending to log: %w", err)
 	}
-	f.logBytes += int64(len(buf))
+	f.logBytes += n
 	rec.vlen = len(rec.value)
-	f.apply(rec, int64(len(buf)), f.logBytes, true)
+	f.apply(rec, n, f.logBytes, true)
 	if f.compactAt > 0 && f.dead > max(f.compactAt, f.live()) {
 		return f.compactLocked()
 	}
 	return nil
+}
+
+// newline is a record's terminator.
+var newline = []byte{'\n'}
+
+// writeRecord writes rec to the log at logBytes and returns its length.
+// A record is encoded into f.enc and written at once, but for a value
+// longer than encKeep: its header and key are, and the value and the
+// terminator follow from their own slices at the offsets after them, so
+// the value is never copied. A crash between those writes leaves a
+// record without its terminator, a torn tail. f.mu must be held.
+func (f *File) writeRecord(rec record) (int64, error) {
+	if len(rec.value) <= encKeep {
+		f.enc = appendRecord(f.enc[:0], rec)
+		_, err := f.log.WriteAt(f.enc, f.logBytes)
+		return int64(len(f.enc)), err
+	}
+	f.enc = appendHead(f.enc[:0], rec)
+	off := f.logBytes
+	for _, b := range [...][]byte{f.enc, rec.value, newline} {
+		if _, err := f.log.WriteAt(b, off); err != nil {
+			return 0, err
+		}
+		off += int64(len(b))
+	}
+	return off - f.logBytes, nil
 }
 
 // compactLocked rewrites the full state as a fresh snapshot (temp file,
@@ -587,6 +656,7 @@ func (f *File) compactLocked() error {
 	// fails earlier leaves every location valid.
 	f.closeSnapshot()
 	f.snap = tmp
+	f.epoch++
 	for i, k := range keys {
 		f.data[k] = loc{off: offs[i], n: f.data[k].n}
 	}
@@ -603,38 +673,101 @@ func (f *File) compactLocked() error {
 }
 
 // writeSnapshot writes the generation and every value, in sorted key
-// order, to file, reading each value into one reused buffer. It returns
-// the sorted keys, the offset in file of each one's value, and the bytes
-// written. f.mu must be held.
+// order, to file, reading the values through one read-ahead buffer. It
+// returns the sorted keys, the offset in file of each one's value, and
+// the bytes written. f.mu must be held.
 func (f *File) writeSnapshot(file *os.File) (keys []string, offs []int64, size int64, err error) {
 	w := bufio.NewWriter(file)
 	keys = make([]string, 0, len(f.data))
 	for k := range f.data {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	offs = make([]int64, len(keys))
 	defer f.releaseEnc()
-	buf := f.encode(record{op: opGen, gen: f.gen})
-	size = int64(len(buf))
-	if _, err := w.Write(buf); err != nil {
+	f.enc = appendRecord(f.enc[:0], record{op: opGen, gen: f.gen})
+	size = int64(len(f.enc))
+	if _, err := w.Write(f.enc); err != nil {
 		return nil, nil, 0, err
 	}
-	var val []byte
+	ra := readAhead{keys: keys, size: f.live()}
 	for i, k := range keys {
-		l := f.data[k]
-		val = slices.Grow(val[:0], int(l.n))[:l.n]
-		if err := f.readAt(val, l); err != nil {
+		val, _, err := f.readNext(&ra, i)
+		if err != nil {
 			return nil, nil, 0, err
 		}
-		buf = f.encode(record{op: opPut, key: k, value: val})
-		size += int64(len(buf))
+		f.enc = appendHead(f.enc[:0], record{op: opPut, key: k, value: val})
+		size += int64(len(f.enc) + len(val) + 1)
 		offs[i] = valueLoc(size, len(val), false).off
-		if _, err := w.Write(buf); err != nil {
+		// A bufio.Writer keeps its first error and fails every write
+		// after it, so the record's last write reports any of its own.
+		w.Write(f.enc)
+		w.Write(val)
+		if err := w.WriteByte('\n'); err != nil {
 			return nil, nil, 0, err
 		}
 	}
 	return keys, offs, size, w.Flush()
+}
+
+// readAhead reads the values of a sorted list of keys, in order, through
+// one buffer: a value the buffer does not hold is read together with the
+// values of the keys after it that follow it in the same file, at most
+// scanGap bytes apart, up to scanBuffer bytes in all. A sorted snapshot
+// holds the values of neighbouring keys together, so they come back a
+// buffer at a time.
+type readAhead struct {
+	keys []string
+	// size is the capacity the buffer starts at, once it is needed:
+	// scanBuffer, or less when the values are fewer bytes in all.
+	size int64
+	// buf holds the bytes at off in the log (inLog) or the snapshot of
+	// the given epoch.
+	buf   []byte
+	off   int64
+	inLog bool
+	epoch uint64
+}
+
+// readNext returns the value ra.keys[i] holds now and false when it
+// holds none. The value is ra's buffer, valid until the next call and
+// capped at its length. f.mu must be held; between calls it need not
+// be, since the buffer serves nothing a compaction has moved.
+func (f *File) readNext(ra *readAhead, i int) ([]byte, bool, error) {
+	if f.closed {
+		return nil, false, ErrClosed
+	}
+	l, ok := f.data[ra.keys[i]]
+	if !ok {
+		return nil, false, nil
+	}
+	from := l.off - ra.off
+	if ra.epoch != f.epoch || ra.inLog != l.inLog || from < 0 || from+int64(l.n) > int64(len(ra.buf)) {
+		end := l.off + int64(l.n)
+		for _, k := range ra.keys[i+1:] {
+			m, ok := f.data[k]
+			if !ok {
+				continue
+			}
+			next := m.off + int64(m.n)
+			if m.inLog != l.inLog || m.off < end || m.off-end > scanGap || next-l.off > scanBuffer {
+				break
+			}
+			end = next
+		}
+		n := end - l.off
+		if int64(cap(ra.buf)) < n {
+			ra.buf = make([]byte, 0, max(n, min(ra.size, scanBuffer)))
+		}
+		buf := ra.buf[:n]
+		ra.buf = ra.buf[:0]
+		if err := f.readAt(buf, l); err != nil {
+			return nil, false, err
+		}
+		ra.buf, ra.off, ra.inLog, ra.epoch = buf, l.off, l.inLog, f.epoch
+		from = 0
+	}
+	return ra.buf[from : from+int64(l.n) : from+int64(l.n)], true, nil
 }
 
 // Get implements Store.
@@ -648,7 +781,11 @@ func (f *File) Get(key string) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return f.read(l)
+	v := make([]byte, l.n)
+	if err := f.readAt(v, l); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // Put implements Store.
@@ -671,26 +808,41 @@ func (f *File) Delete(key string) error {
 	return f.appendLocked(record{op: opDelete, key: key})
 }
 
-// Scan implements Store.
+// Scan implements Store. It collects the matching keys under f.mu, then
+// reads their values in sorted key order through one read-ahead buffer,
+// taking f.mu for each read and calling fn without it.
 func (f *File) Scan(prefix string, fn func(key string, value []byte) error) error {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return ErrClosed
 	}
-	matched := make(map[string][]byte)
+	var keys []string
+	var total int64
 	for k, l := range f.data {
 		if strings.HasPrefix(k, prefix) {
-			v, err := f.read(l)
-			if err != nil {
-				f.mu.Unlock()
-				return err
-			}
-			matched[k] = v
+			keys = append(keys, k)
+			total += int64(l.n)
 		}
 	}
 	f.mu.Unlock()
-	return scanSorted(matched, fn)
+	slices.Sort(keys)
+	ra := readAhead{keys: keys, size: total}
+	for i, k := range keys {
+		f.mu.Lock()
+		v, ok, err := f.readNext(&ra, i)
+		f.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		if err := fn(k, v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Generation implements Store.

@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -116,6 +117,7 @@ func FuzzFileLogReplay(f *testing.F) {
 	f.Add([]byte("p 1 1\nkv!\n"), uint16(1))
 	f.Add([]byte("z 3\nkey\n"), uint16(0))
 	f.Add([]byte{0, 5, 'h', 'e', 'l', 'l', 'o', 1, 0, 2, 9}, uint16(40))
+	f.Add(fmt.Appendf(nil, "p 2 70000\nk0%s\ng 3\n", bytes.Repeat([]byte("v\n"), 35000)), uint16(9))
 	f.Fuzz(func(t *testing.T, raw []byte, cut uint16) {
 		if st, err := openLog(t, raw); err == nil {
 			want := stateOf(t, st)

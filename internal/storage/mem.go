@@ -2,6 +2,7 @@ package storage
 
 import (
 	"hash/fnv"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,8 +83,8 @@ func (m *Mem) Delete(key string) error {
 	return nil
 }
 
-// Scan implements Store. The snapshot of matching keys is taken shard by
-// shard, then visited in sorted order.
+// Scan implements Store. The matching entries are copied shard by
+// shard, then visited in sorted order with no lock held.
 func (m *Mem) Scan(prefix string, fn func(key string, value []byte) error) error {
 	if m.closed.Load() {
 		return ErrClosed
@@ -98,7 +99,17 @@ func (m *Mem) Scan(prefix string, fn func(key string, value []byte) error) error
 		}
 		sh.mu.RUnlock()
 	}
-	return scanSorted(matched, fn)
+	keys := make([]string, 0, len(matched))
+	for k := range matched {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if err := fn(k, matched[k]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Generation implements Store.

@@ -19,16 +19,17 @@
 //     crash mid-append) is detected and discarded on reopen. Only keys
 //     and value locations are kept in memory (about 100 bytes per
 //     session key); values are read from the snapshot and log files
-//     with pread.
+//     with pread. Opening reads each file once, front to back, parsing
+//     every header where the read buffer holds it, into a directory
+//     sized once; a Scan reads its values in key order through one
+//     read-ahead buffer, so the neighbouring values of a sorted
+//     snapshot come back a buffer at a time.
 //
 // Every backend must pass the shared conformance suite in
 // internal/storage/storagetest.
 package storage
 
-import (
-	"errors"
-	"sort"
-)
+import "errors"
 
 // ErrNotFound is returned by Get for keys with no value.
 var ErrNotFound = errors.New("storage: key not found")
@@ -56,8 +57,12 @@ type Store interface {
 	// Delete removes key. Deleting an absent key is not an error.
 	Delete(key string) error
 	// Scan calls fn for every key with the given prefix, in sorted key
-	// order, with the same copy semantics as Get. A non-nil error from
-	// fn stops the scan and is returned.
+	// order. The value passed to fn is valid until fn returns and must
+	// not be modified: a caller that keeps it copies it. fn may call the
+	// store's other methods. A scan is not one point-in-time view: each
+	// value delivered is one its key held at some instant during the
+	// scan, and a key put or deleted while the scan runs may be passed
+	// over. A non-nil error from fn stops the scan and is returned.
 	Scan(prefix string, fn func(key string, value []byte) error) error
 	// Generation returns the current generation stamp (zero initially).
 	Generation() (uint64, error)
@@ -70,21 +75,4 @@ type Store interface {
 	// Close flushes and releases the store. Operations after Close
 	// return ErrClosed. Closing twice is not an error.
 	Close() error
-}
-
-// scanSorted delivers a pre-copied snapshot of matching entries to fn in
-// sorted key order — the Scan contract both built-in backends share, so
-// its ordering and copy semantics cannot drift between them.
-func scanSorted(matched map[string][]byte, fn func(key string, value []byte) error) error {
-	keys := make([]string, 0, len(matched))
-	for k := range matched {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := fn(k, matched[k]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,8 @@
 // Package storagetest is the conformance suite every storage.Store
 // backend must pass. Backend test files call Run with a Factory; the
 // suite exercises the whole interface contract — value copy semantics,
-// sorted scans, generation stamping, concurrency under -race — and, for
+// sorted scans, scans whose callback writes the store, generation
+// stamping, concurrency under -race — and, for
 // durable backends that provide Reopen, persistence across a simulated
 // process restart.
 package storagetest
@@ -10,8 +11,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -153,6 +156,74 @@ func Run(t *testing.T, f Factory) {
 		})
 		if !errors.Is(err, sentinel) || calls != 1 {
 			t.Errorf("Scan error propagation: err=%v calls=%d", err, calls)
+		}
+	})
+
+	t.Run("ScanCallbackWrites", func(t *testing.T) {
+		st := f.Open(t)
+		defer st.Close()
+		// held lists every value each key has held, "" standing for none.
+		held := map[string][]string{}
+		put := func(k, v string) {
+			if err := st.Put(k, []byte(v)); err != nil {
+				t.Error(err)
+			}
+			held[k] = append(held[k], v)
+		}
+		const n = 12
+		index := map[string]int{}
+		key := func(i int) string { return fmt.Sprintf("s/%02d", i) }
+		for i := 0; i < n; i++ {
+			index[key(i)] = i
+			put(key(i), key(i)+"=v0")
+		}
+		// The callback reads the key it is given, rewrites the next key,
+		// deletes the one after it every third call, and adds a key the
+		// scan began without.
+		got := map[string]string{}
+		done := make(chan error, 1)
+		go func() {
+			done <- st.Scan("s/", func(k string, v []byte) error {
+				got[k] = string(v) // a caller that keeps the value copies it
+				now := held[k][len(held[k])-1]
+				if w, err := st.Get(k); now == "" && !errors.Is(err, storage.ErrNotFound) ||
+					now != "" && (err != nil || string(w) != now) {
+					t.Errorf("Get(%s) inside Scan = %q, %v; want %q", k, w, err, now)
+				}
+				i, ok := index[k]
+				if !ok {
+					return nil
+				}
+				if i+1 < n {
+					put(key(i+1), fmt.Sprintf("%s=v1, written at %s", key(i+1), k))
+				}
+				if i+2 < n && i%3 == 0 {
+					if err := st.Delete(key(i + 2)); err != nil {
+						t.Error(err)
+					}
+					held[key(i+2)] = append(held[key(i+2)], "")
+				}
+				put(fmt.Sprintf("s/%02d/new", i), "added during the scan")
+				return nil
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("a Scan whose callback calls Get, Put and Delete did not finish")
+		}
+		for k, v := range got {
+			if v == "" || !slices.Contains(held[k], v) {
+				t.Errorf("Scan delivered %s = %q, a value it never held (%q)", k, v, held[k])
+			}
+		}
+		for i := 0; i < n; i++ {
+			if _, ok := got[key(i)]; !ok && !slices.Contains(held[key(i)], "") {
+				t.Errorf("Scan skipped %s, which was never deleted", key(i))
+			}
 		}
 	})
 
