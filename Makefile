@@ -52,6 +52,7 @@ bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke fuzzes the XML writer against its reference serializer, the
+# data-document writer against the exported instance's tree, the
 # one-pass links.xml writer against the tree round trip, the session
 # record codec's decode/re-encode round trip, restoring decoded records
 # into sessions, the control plane's structure-spec decoding, the
@@ -65,6 +66,7 @@ bench-module:
 # seconds each, beyond the seed corpora (CI runs this).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSerializeMatchesReference$$' -fuzztime 10s ./internal/xmldom
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendDocument$$' -fuzztime 10s ./internal/conceptual
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkbaseText$$' -fuzztime 10s ./internal/navigation
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRecord$$' -fuzztime 10s ./internal/navigation
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSession$$' -fuzztime 10s ./internal/navigation

@@ -395,7 +395,7 @@ func build(args []string) (*http.Server, *buildConfig, int, error) {
 		// hops are counted rather than dropped once a fixed table fills.
 		opts = append(opts, server.WithAnalytics(analytics.NewRecorder(analytics.RecorderConfig{
 			SampleRate:    *sampleRate,
-			SlotsPerShard: analytics.SlotsPerShardFor(app.Resolved(), 0),
+			SlotsPerShard: analytics.SlotsPerShardFor(app.HopKeys(), 0),
 		})))
 	}
 	if *traceOn {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"net/http/httptest"
 	"os"
 	"os/signal"
@@ -10,6 +11,11 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/analytics"
+	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/navigation"
 )
 
 func TestBuildAssemblesServer(t *testing.T) {
@@ -278,5 +284,60 @@ func TestBuildPersistenceKnobs(t *testing.T) {
 	n, _ := resp.Body.Read(buf)
 	if !strings.Contains(string(buf[:n]), `"persist_queue":0`) {
 		t.Errorf("healthz = %s, want persist_queue", buf[:n])
+	}
+}
+
+// TestHopTableSizedFromDerivedEdges: navserve sizes its hop tables from
+// the App's count of hop keys, which reads the edges the build already
+// derived; the count equals what deriving every context's edges afresh
+// gives, on the 50/20/8 synthetic museum (9,942 slots per shard on two
+// CPUs), the paper's museum and the paper's museum with an adaptive
+// tour, at any shard count.
+func TestHopTableSizedFromDerivedEdges(t *testing.T) {
+	appFor := func(args ...string) *core.App {
+		t.Helper()
+		fs := flag.NewFlagSet("navserve", flag.ContinueOnError)
+		var flags cli.DatasetFlags
+		flags.Register(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		app, err := flags.BuildApp()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return app
+	}
+	synthetic := appFor("-dataset", "synthetic", "-painters", "50", "-paintings", "20", "-movements", "8")
+	adapted := appFor()
+	if _, err := adapted.SetAccessStructures(map[string]navigation.AccessStructure{
+		"ByAuthor": navigation.AdaptiveTour{Circular: true, Plans: map[string]navigation.TourPlan{
+			"ByAuthor:picasso": {Order: []string{"guernica", "guitar"}, Landmarks: []string{"guitar"}, Dead: []string{"avignon"}},
+		}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for name, app := range map[string]*core.App{"synthetic 50/20/8": synthetic, "paper": appFor(), "adaptive": adapted} {
+		// The count deriving every context's edges again gives.
+		keys := 0
+		for _, rc := range app.Resolved().Contexts {
+			keys += len(rc.Edges()) + len(rc.Members)
+			if rc.Def.Access.HasHub() {
+				keys++
+			}
+		}
+		t.Logf("%s: %d keys", name, keys)
+		if got := app.HopKeys(); got != keys {
+			t.Errorf("%s: HopKeys = %d, deriving the edges again counts %d", name, got, keys)
+		}
+		for _, shards := range []int{1, 2, 8} {
+			want := max(analytics.DefaultSlotsPerShard, 2*keys/shards)
+			if got := analytics.SlotsPerShardFor(app.HopKeys(), shards); got != want {
+				t.Errorf("%s, %d shards: %d slots per shard, want %d", name, shards, got, want)
+			}
+		}
+	}
+	if got := analytics.SlotsPerShardFor(synthetic.HopKeys(), 2); got != 9942 {
+		t.Errorf("50/20/8 museum on two CPUs: %d slots per shard, want 9,942", got)
 	}
 }

@@ -28,8 +28,6 @@ package analytics
 import (
 	"runtime"
 	"sync/atomic"
-
-	"repro/internal/navigation"
 )
 
 // EntryFrom is the pseudo-source of an entry hop: a visitor arriving in
@@ -163,23 +161,17 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	return r
 }
 
-// SlotsPerShardFor sizes a recorder's tables for a site: twice the hop
-// keys the resolved model can produce (one per navigation edge, one
-// entry per member and per hub), spread over the given number of
-// shards (0 means NewRecorder's GOMAXPROCS default). A table that fits
-// every key at half load drops no hop and keeps probes short, and
-// NewRecorder makes it exactly that size. The result is never below
+// SlotsPerShardFor sizes a recorder's tables for a site whose pages
+// make keys distinct hops (one per navigation edge, one entry per member
+// and per hub; core.Reader.HopKeys counts them from the edges the App
+// derived): twice that many, spread over the given number of shards (0
+// means NewRecorder's GOMAXPROCS default). A table that fits every key
+// at half load drops no hop and keeps probes short, and NewRecorder
+// makes it exactly that size. The result is never below
 // DefaultSlotsPerShard.
-func SlotsPerShardFor(rm *navigation.ResolvedModel, shards int) int {
+func SlotsPerShardFor(keys, shards int) int {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
-	}
-	keys := 0
-	for _, rc := range rm.Contexts {
-		keys += len(rc.Edges()) + len(rc.Members)
-		if rc.Def.Access.HasHub() {
-			keys++
-		}
 	}
 	return max(DefaultSlotsPerShard, 2*keys/nextPow2(shards))
 }

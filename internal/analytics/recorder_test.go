@@ -79,25 +79,26 @@ func TestSizedRecorderDropsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{0, 1, 2, 8} {
-		r := NewRecorder(RecorderConfig{Shards: shards, SlotsPerShard: SlotsPerShardFor(rm, shards)})
-		var hops uint64
-		for _, rc := range rm.Contexts {
-			for _, e := range rc.Edges() {
-				r.Record(rc.Name, e.From, e.To)
-				hops++
-			}
-			if rc.Def.Access.HasHub() {
-				r.Record(rc.Name, EntryFrom, navigation.HubID)
-				hops++
-			}
-			for _, m := range rc.Members {
-				r.Record(rc.Name, EntryFrom, m.ID())
-				hops++
-			}
+	type hop struct{ ctx, from, to string }
+	var hops []hop
+	for _, rc := range rm.Contexts {
+		for _, e := range rc.Edges() {
+			hops = append(hops, hop{rc.Name, e.From, e.To})
 		}
-		if st := r.Stats(); st.Dropped != 0 || st.Recorded != hops {
-			t.Errorf("shards=%d: stats = %+v, want all %d hops recorded", shards, st, hops)
+		if rc.Def.Access.HasHub() {
+			hops = append(hops, hop{rc.Name, EntryFrom, navigation.HubID})
+		}
+		for _, m := range rc.Members {
+			hops = append(hops, hop{rc.Name, EntryFrom, m.ID()})
+		}
+	}
+	for _, shards := range []int{0, 1, 2, 8} {
+		r := NewRecorder(RecorderConfig{Shards: shards, SlotsPerShard: SlotsPerShardFor(len(hops), shards)})
+		for _, h := range hops {
+			r.Record(h.ctx, h.from, h.to)
+		}
+		if st := r.Stats(); st.Dropped != 0 || st.Recorded != uint64(len(hops)) {
+			t.Errorf("shards=%d: stats = %+v, want all %d hops recorded", shards, st, len(hops))
 		}
 	}
 }

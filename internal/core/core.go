@@ -278,33 +278,43 @@ func (app *App) rebuild(cur *generation, model *navigation.Model, insts []*conce
 	}
 	next := &generation{num: cur.num, resolved: rm, links: prev, docs: maps.Clone(cur.docs),
 		stylesheet: cur.stylesheet, stylesheetSrc: cur.stylesheetSrc}
-
-	// Export and serialize each handed instance's document once, at
-	// mutation time, and keep only the bytes: they are what the server
-	// hands out and the snapshot export writes, and comparing them with
-	// cur's bodies reveals which changed. Each is appended into one
-	// scratch buffer, sized from the largest body among them. links.xml
-	// comes serialized already.
-	largest := 0
-	for _, inst := range insts {
-		if d := cur.docs[navigation.NodeHref(inst.ID)]; d != nil {
-			largest = max(largest, len(d.body))
-		}
+	if len(cur.docs) == 0 {
+		// The first build sizes the map once, for every document.
+		next.docs = make(map[string]*document, len(insts)+1)
 	}
-	scratch := make([]byte, 0, largest)
-	changedDocs := map[string]bool{}
+
+	// Write each handed instance's data document once, at mutation time,
+	// straight from the instance, and keep only the bytes: they are what
+	// the server hands out and the snapshot export writes, and comparing
+	// them with cur's bodies reveals which changed. All of them are
+	// appended into one buffer, sized once for them (escapes aside), and
+	// each body is its own part of it, so NewApp allocates one buffer for
+	// the site's documents rather than one per document and a tree each.
+	// The bodies are cut only once every document is in the buffer, which
+	// an escape may have grown. links.xml comes serialized already.
+	size := 0
 	for _, inst := range insts {
+		size += conceptual.DocumentSize(inst)
+	}
+	buf := make([]byte, 0, size)
+	ends := make([]int, len(insts))
+	for i, inst := range insts {
+		buf = conceptual.AppendDocument(buf, inst)
+		ends[i] = len(buf)
+	}
+	docs := make([]document, len(insts))
+	changedDocs := make(map[string]bool, len(insts)+1)
+	from := 0
+	for i, inst := range insts {
 		uri := navigation.NodeHref(inst.ID)
-		scratch = conceptual.ExportInstance(inst).AppendIndented(scratch[:0])
-		d := &document{}
-		if old := cur.docs[uri]; old != nil && bytes.Equal(old.body, scratch) {
-			// The same bytes keep their body, and with it their ETag.
-			d.body, d.etag, d.clen = old.body, old.etag, old.clen
-		} else {
-			d.body = bytes.Clone(scratch)
-			changedDocs[uri] = true
+		body := buf[from:ends[i]:ends[i]]
+		from = ends[i]
+		if old := cur.docs[uri]; old != nil && bytes.Equal(old.body, body) {
+			continue // the same bytes keep their document, and its ETag
 		}
-		next.docs[uri] = d
+		docs[i].body = body
+		next.docs[uri] = &docs[i]
+		changedDocs[uri] = true
 	}
 	if links != nil {
 		if prev != nil && bytes.Equal(links.text.Bytes(), prev.text.Bytes()) {
@@ -486,6 +496,22 @@ func (r *Reader) Model() *navigation.Model { return r.gen.Load().resolved.Model 
 // progress; until that mutation publishes, it returns the model it
 // replaces.
 func (r *Reader) Resolved() *navigation.ResolvedModel { return r.gen.Load().resolved }
+
+// HopKeys returns how many distinct hops the current generation's site
+// can make, the keys an analytics recorder counts: one per navigation
+// edge, one entry per member and one per hub. It counts them in the
+// contexts links.xml was written from, which hold the edges the rebuild
+// derived, and derives none again.
+func (r *Reader) HopKeys() int {
+	n := 0
+	for _, lc := range r.gen.Load().links.ordered {
+		n += len(lc.Edges) + len(lc.Order)
+		if lc.HasHub {
+			n++
+		}
+	}
+	return n
+}
 
 // Weaver returns the aspect weaver, so callers can register further
 // aspects (logging, access control) beside navigation.
@@ -737,7 +763,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // process tags the same body alike.
 func strongETag(gen uint64, body []byte) string {
 	sum := uint64(crc32.Checksum(body, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(body))
-	return fmt.Sprintf(`"g%d-%x"`, gen, sum)
+	var tag [len(`"g-"`) + 20 + 16]byte // a uint64 has at most 20 digits, 16 in hex
+	b := append(tag[:0], `"g`...)
+	b = strconv.AppendUint(b, gen, 10)
+	b = append(b, '-')
+	b = strconv.AppendUint(b, sum, 16)
+	return string(append(b, '"'))
 }
 
 // CachedPages reports how many woven pages the current generation's

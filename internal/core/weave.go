@@ -368,8 +368,9 @@ func (g *generation) basePage(rc *navigation.ResolvedContext, nodeID string) (*x
 
 	node := rc.Member(nodeID)
 	if g.stylesheet != nil {
-		// The tree the rebuild serialized the member's document from:
-		// the same instance, exported the same way.
+		// The tree whose serialization the rebuild wrote as the member's
+		// document (conceptual.AppendDocument): the same instance,
+		// exported the same way.
 		out, err := g.stylesheet.ApplyToDocument(conceptual.ExportInstance(node.Instance))
 		if err != nil {
 			return nil, fmt.Errorf("core: stylesheet on %s: %w", nodeID, err)

@@ -320,7 +320,8 @@ func (f *Store) Get(key string) ([]byte, error) {
 
 // Put implements storage.Store, honoring the tear script: a torn Put
 // persists truncated bytes but reports success and shadows the intact
-// value until Crash.
+// value until Crash. A whole Put supersedes the key's shadow, so reads
+// answer its value before a crash and after one alike.
 func (f *Store) Put(key string, value []byte) error {
 	if err := f.before(OpPut); err != nil {
 		return err
@@ -333,7 +334,13 @@ func (f *Store) Put(key string, value []byte) error {
 	}
 	f.mu.Unlock()
 	if !tear {
-		return f.inner.Put(key, value)
+		if err := f.inner.Put(key, value); err != nil {
+			return err
+		}
+		f.mu.Lock()
+		delete(f.shadow, key)
+		f.mu.Unlock()
+		return nil
 	}
 	if err := f.inner.Put(key, value[:len(value)/2]); err != nil {
 		return err

@@ -130,6 +130,33 @@ func TestTornPutSurfacesAfterCrash(t *testing.T) {
 	}
 }
 
+// TestWholePutAfterTornPut: a whole Put of a key a torn Put shadowed
+// replaces the shadow, so Get and Scan answer the newer value before a
+// crash and after it, never the torn Put's intact copy.
+func TestWholePutAfterTornPut(t *testing.T) {
+	fs := New(storage.NewMem(), 1)
+	fs.TearPuts(1)
+	if err := fs.Put("k", []byte("first-value")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Put("k", []byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	for _, when := range []string{"before crash", "after crash"} {
+		if got, err := fs.Get("k"); err != nil || string(got) != "second" {
+			t.Errorf("Get %s = %q, %v; want \"second\"", when, got, err)
+		}
+		scanned := map[string]string{}
+		if err := fs.Scan("k", func(k string, v []byte) error {
+			scanned[k] = string(v)
+			return nil
+		}); err != nil || len(scanned) != 1 || scanned["k"] != "second" {
+			t.Errorf("Scan %s = %v, %v; want k=second", when, scanned, err)
+		}
+		fs.Crash()
+	}
+}
+
 // TestRecoverClearsScript: Recover drops every pending failure mode.
 func TestRecoverClearsScript(t *testing.T) {
 	fs := New(storage.NewMem(), 1)

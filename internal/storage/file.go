@@ -270,7 +270,7 @@ func (f *File) replay(file *os.File, inLog, tolerateTorn bool) (int64, error) {
 	var keys keyBlocks
 	var offset int64
 	for records := int64(1); ; records++ {
-		rec, n, err := readRecord(r, size-offset, &keys)
+		rec, n, err := readRecord(r, file, size-offset, &keys)
 		if err == io.EOF {
 			return offset, nil
 		}
@@ -486,14 +486,15 @@ func decimal(s []byte) (uint64, []byte, bool) {
 	return n, s[i:], i > 0
 }
 
-// readRecord decodes the next record from r, which holds left more
-// bytes, returning it and the number of bytes it occupied. The header is
-// parsed where r buffers it, the key is cut from keys' block and the
-// value is skipped, so a record allocates nothing of its own. io.EOF at
-// a record boundary is returned as-is; an EOF inside a record comes back
-// as *tornError — before the body is read, when the header declares more
-// bytes than are left. A complete header outside the grammar is corrupt.
-func readRecord(r *bufio.Reader, left int64, keys *keyBlocks) (record, int64, error) {
+// readRecord decodes the next record from r, which reads src and holds
+// left more bytes, returning it and the number of bytes it occupied. The
+// header is parsed where r buffers it, the key is cut from keys' block
+// and the value is skipped, so a record allocates nothing of its own.
+// io.EOF at a record boundary is returned as-is; an EOF inside a record
+// comes back as *tornError — before the body is read, when the header
+// declares more bytes than are left. A complete header outside the
+// grammar is corrupt.
+func readRecord(r *bufio.Reader, src io.ReadSeeker, left int64, keys *keyBlocks) (record, int64, error) {
 	line, err := readHeader(r)
 	if err == io.EOF && len(line) == 0 {
 		return record{}, 0, io.EOF
@@ -515,7 +516,7 @@ func readRecord(r *bufio.Reader, left int64, keys *keyBlocks) (record, int64, er
 		return record{}, 0, &tornError{cause: io.ErrUnexpectedEOF}
 	}
 	if rec.key, err = keys.read(r, h.klen, left-n); err == nil {
-		_, err = r.Discard(h.vlen)
+		err = skip(r, src, h.vlen)
 	}
 	if err != nil {
 		return record{}, 0, &tornError{cause: err}
@@ -526,6 +527,25 @@ func readRecord(r *bufio.Reader, left int64, keys *keyBlocks) (record, int64, er
 		return record{}, 0, fmt.Errorf("storage: unterminated %c record", h.op)
 	}
 	return rec, n + body, nil
+}
+
+// skip advances r, which reads src, past n bytes that src is known to
+// hold. Bytes r buffers it discards; a run longer than r's buffer, a
+// large value, it seeks past rather than reading it through the buffer.
+func skip(r *bufio.Reader, src io.ReadSeeker, n int) error {
+	if n <= r.Size() {
+		_, err := r.Discard(n)
+		return err
+	}
+	past := int64(n - r.Buffered())
+	if _, err := r.Discard(r.Buffered()); err != nil {
+		return err
+	}
+	if _, err := src.Seek(past, io.SeekCurrent); err != nil {
+		return err
+	}
+	r.Reset(src)
+	return nil
 }
 
 // readHeader reads a record header through its newline. The line is r's

@@ -55,7 +55,9 @@ var headerGrammar = regexp.MustCompile(`^(p [0-9]+ [0-9]+|[dg] [0-9]+)$`)
 // fewer than it declares, and is corrupt — never torn — when the parser
 // rejects it: a complete header the parser rejects is corrupt whether
 // or not the reference, which also split doubled spaces, tabs and
-// signed numbers, took it.
+// signed numbers, took it. The record is read through a 16-byte buffer,
+// so a value longer than that is sought past, as replay seeks past a
+// value longer than its own buffer.
 func FuzzRecordHeader(f *testing.F) {
 	for _, seed := range []struct {
 		line string
@@ -65,6 +67,7 @@ func FuzzRecordHeader(f *testing.F) {
 		{"   ", ""}, {"p  3\t4 ", "keyvalu\n"}, {"p 3 +4", "keyvalu\n"}, {"p \xff 3", ""},
 		{"\v\fp\r3", ""}, {"z 3", "key\n"}, {"p 1 2 3 4 5", ""}, {"g 18446744073709551616", ""},
 		{"p 007 0", "keykeyk\n"}, {"d 67108865", ""}, {"p 2 1", "k0vX"}, {"d -0", "\n"},
+		{"p 1 40", "k" + strings.Repeat("v", 40) + "\n"}, {"p 1 40", "k" + strings.Repeat("v", 40) + "X"},
 	} {
 		f.Add(seed.line, []byte(seed.body))
 	}
@@ -78,7 +81,8 @@ func FuzzRecordHeader(f *testing.F) {
 		}
 
 		raw := append([]byte(line+"\n"), body...)
-		rec, n, err := readRecord(bufio.NewReaderSize(bytes.NewReader(raw), 16), int64(len(raw)), &keyBlocks{})
+		src := bytes.NewReader(raw)
+		rec, n, err := readRecord(bufio.NewReaderSize(src, 16), src, int64(len(raw)), &keyBlocks{})
 		head := len(line) + 1
 		switch size := head + want.klen + want.vlen + 1; {
 		case !ok:

@@ -387,6 +387,13 @@ func (s *serializer) attr(prefix, local, value string) {
 // and the serializer's cannot drift apart.
 func AppendAttrValue(dst []byte, str string) []byte { return appendEscaped(dst, str, true) }
 
+// AppendCharData appends str escaped as the serializer writes a text
+// node, and returns the extended slice: &, <, > and carriage return
+// become references, and each byte of invalid UTF-8 becomes U+FFFD.
+// Like AppendAttrValue, it lets a writer that produces markup without a
+// tree write the serializer's bytes.
+func AppendCharData(dst []byte, str string) []byte { return appendEscaped(dst, str, false) }
+
 // AttrValueLen returns how many bytes AppendAttrValue appends for str,
 // without writing them: it walks the bytes appendEscaped looks at and
 // counts each escape it would write.
