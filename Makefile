@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-full bench bench-all bench-smoke bench-module fuzz-smoke lines api-smoke metrics-smoke trace-smoke chaos-smoke load-smoke ci
+.PHONY: all build vet lint test test-full race-stress bench bench-all bench-smoke bench-module fuzz-smoke lines api-smoke metrics-smoke trace-smoke chaos-smoke load-smoke ci
 
 all: ci
 
@@ -28,6 +28,15 @@ test:
 
 test-full:
 	$(GO) test -race ./...
+
+# race-stress runs, ten times each under the race detector, the tests
+# whose readers race mutations over what generations share: pages and
+# traversals against membership edits, concurrent document PATCHes,
+# readers weaving one generation, a relink leaving the body it replaced
+# as it was, and concurrent first reads of a relinked links.xml. Their
+# windows are narrow, so one run proves little (CI runs this).
+race-stress:
+	$(GO) test -race -count=10 -run '^(TestPagesAndTraversalsRaceMembershipEdits|TestConcurrentPatchesSerialize|TestReadersWeaveOneGeneration|TestRelinkSharesNothingMutable|TestLinksXMLJoinsOnceUnderConcurrentReads)$$' ./internal/core/ ./internal/server/
 
 # bench runs the serve/persist benchmarks five times each and records
 # the summary in BENCH_serve.json (per benchmark the median ns/op with

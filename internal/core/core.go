@@ -30,20 +30,29 @@
 // weaver reads the contexts as that markup reads back. One pass writes
 // both from the derived contexts (navigation.NewLinkbaseText): the
 // bytes the linkbase document serializes to, each extended link written
-// once into a body a length function sized, and the contexts
-// ParseLinkbase would read out of it, with no document built or parsed;
-// a context that reads back as it was derived is kept as that same
-// object, not a copy. A differential test and a fuzz target hold the
-// pass equal to that tree round trip, and the rebuild oracle parses the
-// served bytes. The pass runs per context: a mutation writes only the
-// extended links whose derivation it changed, splices them into a new
-// links.xml between the unchanged contexts' bytes, and re-exports only
-// the data documents it edited. A structure swap re-derives its
-// family's contexts and no document; a caption edit re-exports one
-// document and leaves links.xml as it was; a title edit re-exports its
-// document and rewrites the contexts that list the title. Every body's
-// strong validator is hashed once, when the body is made, with the
-// hardware CRCs of hash/crc32 (see strongETag).
+// once into a body a length function sized and held as its own slice of
+// it, and the contexts ParseLinkbase would read out of it, with no
+// document built or parsed; a context that reads back as it was derived
+// is kept as that same object, not a copy. A differential test and a
+// fuzz target hold the pass equal to that tree round trip, and the
+// rebuild oracle parses the served bytes.
+//
+// A mutation re-derives only what it changed. It resolves the next model
+// from the current one, which takes over every context whose
+// declaration and filtered member instances are those of its
+// predecessor — the same object, made, sorted, interned and traversed
+// once — and keeps each such context's linkbase form and bytes as they
+// were. Only the other contexts are derived and compared; the extended
+// links of those that changed are written anew, and the next links.xml
+// shares every other link with the current one. Its body is joined, and
+// its strong validator hashed, on its first read, so a mutation copies
+// and hashes no links.xml that nobody reads. A structure swap re-derives
+// its family's edges over the members it had and re-exports no
+// document; a caption edit re-resolves the contexts holding the edited
+// instance, re-exports one document and leaves links.xml as it was; a
+// title edit also rewrites the extended links that list the title.
+// Every data document's validator is hashed once, when its body is
+// made, with the hardware CRCs of hash/crc32 (see strongETag).
 package core
 
 import (
@@ -136,25 +145,55 @@ type generation struct {
 
 // document is one repository document as it is served, held as bytes
 // alone: its serialized body with the body's strong validator and
-// Content-Length, precomputed so the serve path neither serializes,
-// hashes nor formats. Repository parses the body when asked for a tree.
+// Content-Length, made before the serve path reads them, so that it
+// neither serializes, hashes nor formats. Repository parses the body
+// when asked for a tree. A data document is made whole when a mutation
+// writes it; links.xml's is made on its first read (see join).
 type document struct {
 	body []byte
 	etag string
 	clen string
+	// join is set on links.xml's document alone.
+	join *join
+}
+
+// join is what links.xml's document is made of on its first read: the
+// linkbase text whose links its body joins, and the generation its
+// validator names. A mutation that rewrites some extended links then
+// copies and hashes no body that nobody reads (1.7 MB on the 50/20/8
+// museum); the first read joins it once, and every read after it,
+// concurrent ones included, gets that body and validator. A text
+// NewLinkbaseText wrote is its own body, so joining it copies nothing.
+type join struct {
+	once sync.Once
+	text navigation.LinkbaseText
+	num  uint64
+}
+
+// served returns d with its body, validator and Content-Length made.
+func (d *document) served() *document {
+	if j := d.join; j != nil {
+		j.once.Do(func() {
+			d.body = j.text.Bytes()
+			d.etag, d.clen = strongETag(j.num, d.body), strconv.Itoa(len(d.body))
+		})
+	}
+	return d
 }
 
 // linkbase is links.xml as the App holds it, one value that a rebuild
 // builds beside the current one and installs whole, never editing it:
-// the served bytes with where each context's extended link begins in
-// them (the links.xml document's body is the same bytes), and its
-// contexts as the weaver reads them, as the markup reads back, in
-// linkbase order and by name. Each context is held once: the next
-// rebuild compares its derivation with the read-back context, except
-// where the markup could not carry a derivation exactly (xmldom writes
-// each byte of invalid UTF-8 as U+FFFD), which is then kept in the
-// read-back one's place in the order, so the comparison never takes a
-// change for none. No tree of links.xml is built to make it, and none
+// the served bytes as one slice per context's extended link (the
+// links.xml document joins them when first read), and its contexts as
+// the weaver reads them, as the markup reads back, in linkbase order
+// and by name. A rebuild derives and compares only the contexts its
+// resolution did not take over; a context taken over keeps the linkbase
+// context held for it, with its bytes. Each context is held once: the
+// next rebuild compares its derivation with the read-back context,
+// except where the markup could not carry a derivation exactly (xmldom
+// writes each byte of invalid UTF-8 as U+FFFD), which is then kept in
+// the read-back one's place in the order, so the comparison never takes
+// a change for none. No tree of links.xml is built to make it, and none
 // stays resident: Linkbase and Repository build one on demand.
 type linkbase struct {
 	text     navigation.LinkbaseText
@@ -209,12 +248,13 @@ func (app *App) mutate(kind, target string, build func(cur *generation) (*genera
 // cur's and the documents of insts, the instances whose data documents
 // a mutation re-exports, replace cur's — every one from NewApp, the
 // edited one from EditDocument or InvalidateDocument, none from a
-// structure swap. It re-resolves the model, compares every freshly
-// derived context with the one cur's linkbase holds, carries each
-// unchanged one over as cur's resolved object, makes the next links.xml
-// by splicing in the changed contexts' bytes, and shares with cur every
-// document and cached page the mutation did not change. cur stays as it
-// was.
+// structure swap. It resolves the model from cur's resolved model, which
+// takes over every context the mutation cannot have changed before any
+// node is made (see navigation.Lineage.Resolve); derives and compares
+// with cur's linkbase only the contexts it did not take over; writes
+// the extended links of those that changed into the next links.xml,
+// sharing the rest; and shares with cur every document and cached page
+// the mutation did not change. cur stays as it was.
 // It returns the next generation, how many of cur's cached pages it
 // dropped and the diff's verdict (verdictFull, verdictLocal or
 // verdictNone) — the blast-radius classification the mutation trace
@@ -231,21 +271,32 @@ func (app *App) mutate(kind, target string, build func(cur *generation) (*genera
 // the next generation with an empty cache.
 func (app *App) rebuild(cur *generation, model *navigation.Model, insts []*conceptual.Instance) (*generation, int, string, error) {
 	start := time.Now()
-	rm, err := app.lineage.Resolve(model, app.store)
+	rm, err := app.lineage.Resolve(model, app.store, cur.resolved)
 	if err != nil {
 		return nil, 0, "", fmt.Errorf("core: resolving navigation model: %w", err)
 	}
-	contexts := navigation.LinkbaseContexts(rm)
 	prev := cur.links
 	// A context list of a new shape — the first build, or a context
 	// that appeared, vanished or moved — regenerates the whole linkbase.
-	reshaped := prev == nil || !slices.EqualFunc(prev.ordered, contexts,
-		func(a, b *navigation.LinkbaseContext) bool { return a.Name == b.Name })
+	reshaped := prev == nil || !slices.EqualFunc(prev.ordered, rm.Contexts,
+		func(a *navigation.LinkbaseContext, b *navigation.ResolvedContext) bool { return a.Name == b.Name })
 	full := reshaped || landmarksMoved(cur.resolved, rm)
-	var changed []int
 	changedCtxs := map[string]bool{}
-	if !reshaped {
-		for i, c := range contexts {
+	// The next links.xml is built beside the current one; with no
+	// context changed there is none.
+	var links *linkbase
+	if reshaped {
+		links, err = link(navigation.LinkbaseContexts(rm))
+	} else {
+		// contexts is cur's linkbase with each changed context's
+		// derivation in its place.
+		contexts := slices.Clone(prev.ordered)
+		var changed []int
+		for i, rc := range rm.Contexts {
+			if rc == cur.resolved.Contexts[i] {
+				continue // taken over: the linkbase context held for it stands
+			}
+			c := navigation.LinkbaseContextOf(rc)
 			members, structure := compareContexts(prev.ordered[i], c)
 			if !members {
 				full = true
@@ -254,24 +305,13 @@ func (app *App) rebuild(cur *generation, model *navigation.Model, insts []*conce
 				changedCtxs[c.Name] = true
 			}
 			if !members || !structure {
+				contexts[i] = c
 				changed = append(changed, i)
-			} else {
-				// An unchanged context carries over as the previous
-				// model's object, with the OutEdges index and position
-				// map it built: a superseded model costs only what
-				// changed.
-				rm.Adopt(i, cur.resolved.Contexts[i])
 			}
 		}
-	}
-	// The next links.xml is built beside the current one; with no
-	// context changed there is none.
-	var links *linkbase
-	switch {
-	case reshaped:
-		links, err = link(contexts)
-	case len(changed) > 0:
-		links, err = prev.relink(contexts, changed)
+		if len(changed) > 0 {
+			links, err = prev.relink(contexts, changed)
+		}
 	}
 	if err != nil {
 		return nil, 0, "", fmt.Errorf("core: reading generated linkbase: %w", err)
@@ -317,10 +357,12 @@ func (app *App) rebuild(cur *generation, model *navigation.Model, insts []*conce
 		changedDocs[uri] = true
 	}
 	if links != nil {
-		if prev != nil && bytes.Equal(links.text.Bytes(), prev.text.Bytes()) {
+		// links.xml changed unless every link is the current one's;
+		// Equal reads only the links written anew.
+		if prev != nil && links.text.Equal(prev.text) {
 			links.text = prev.text
 		} else {
-			next.docs[linksURI] = &document{body: links.text.Bytes()}
+			next.docs[linksURI] = &document{join: &join{text: links.text}}
 			changedDocs[linksURI] = true
 		}
 		next.links = links
@@ -353,9 +395,13 @@ func (app *App) rebuild(cur *generation, model *navigation.Model, insts []*conce
 	}
 	// Unchanged documents keep their ETags (and cached pages their
 	// entries): a rebuild that changes nothing observable un-validates
-	// nothing.
+	// nothing. links.xml is joined and hashed when first read.
 	for uri := range changedDocs {
 		d := next.docs[uri]
+		if d.join != nil {
+			d.join.num = next.num
+			continue
+		}
 		d.etag, d.clen = strongETag(next.num, d.body), strconv.Itoa(len(d.body))
 	}
 	rebuildDuration.Observe(time.Since(start))
@@ -453,10 +499,10 @@ func containing(contexts map[string]*navigation.LinkbaseContext) map[string][]st
 // relink makes the linkbase that follows lb when the contexts at the
 // changed positions change. Each is written alone, with the context its
 // markup reads back, so the weaver still reads navigation as linkbase
-// markup carries it and never out of the model, and its bytes are
-// spliced between the unchanged contexts' bytes, which carry over with
-// their read-back contexts. Skipping the other contexts rests on an
-// extended link's bytes depending on its context alone.
+// markup carries it and never out of the model; the unchanged contexts'
+// links carry over, shared, with their read-back contexts. Skipping the
+// other contexts rests on an extended link's bytes depending on its
+// context alone.
 func (lb *linkbase) relink(contexts []*navigation.LinkbaseContext, changed []int) (*linkbase, error) {
 	text, parsed, err := lb.text.Splice(contexts, changed)
 	if err != nil {
@@ -532,7 +578,7 @@ func (r *Reader) Repository() xlink.MapRepository {
 	g := r.gen.Load()
 	repo := make(xlink.MapRepository, len(g.docs))
 	for uri, d := range g.docs {
-		doc, err := parseDocument(uri, d.body)
+		doc, err := parseDocument(uri, d.served().body)
 		if err != nil { // the body is xmldom's own output
 			panic(fmt.Sprintf("core: served document %q does not parse: %v", uri, err))
 		}
@@ -735,14 +781,18 @@ func (app *App) InvalidateDocument(uri string) (int, error) {
 }
 
 // DocBytes returns the serialized form of repository document uri with
-// its precomputed strong validator and Content-Length. The bytes are
-// produced once, at mutation time (rebuild serializes each document it
-// re-derives), so the request path neither serializes, hashes nor
-// formats. The returned slice is shared: callers must not modify it.
+// its precomputed strong validator and Content-Length. A data document's
+// bytes are produced once, at mutation time (rebuild serializes each
+// document it re-derives), and links.xml's once per generation that
+// changed it, on its first read, so the request path neither
+// serializes, hashes nor formats. The returned slice is shared: callers
+// must not modify it.
 //
 //repro:hotpath
 func (r *Reader) DocBytes(uri string) (body []byte, etag, contentLength string, err error) {
 	if d := r.gen.Load().docs[uri]; d != nil {
+		//repro:allow(the first read of a generation's links.xml joins and hashes its body, once)
+		d = d.served()
 		return d.body, d.etag, d.clen, nil
 	}
 	//repro:allow(miss path: unknown document, request fails with 404)

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/museum"
@@ -65,6 +68,56 @@ func TestRelinkSharesNothingMutable(t *testing.T) {
 	}
 	if again, againTag, _, _ := app.DocBytes(linksURI); &again[0] != &cur[0] || againTag != tag {
 		t.Fatal("a rebuild that changed no context replaced links.xml")
+	}
+}
+
+// TestLinksXMLJoinsOnceUnderConcurrentReads: right after a title edit,
+// whose links.xml is joined on its first read, 16 goroutines read
+// links.xml at once. All of them get one body (the same first byte) and
+// one ETag, the body's validator under the new generation, and the body
+// is the whole linkbase serialized. Run with -race.
+func TestLinksXMLJoinsOnceUnderConcurrentReads(t *testing.T) {
+	app := benchMuseum(t)
+	_, oldTag, _, err := app.DocBytes(linksURI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.EditDocument(app.Store().InstancesOf("Painting")[3].ID, map[string]string{"title": "Joined"}); err != nil {
+		t.Fatal(err)
+	}
+	type read struct {
+		body       []byte
+		etag, clen string
+	}
+	reads := make([]read, 16)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range reads {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			body, etag, clen, err := app.DocBytes(linksURI)
+			if err != nil {
+				t.Error(err)
+			}
+			reads[i] = read{body, etag, clen}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	first := reads[0]
+	for i, r := range reads {
+		if len(r.body) == 0 || &r.body[0] != &first.body[0] || r.etag != first.etag || r.clen != first.clen {
+			t.Fatalf("reader %d got another body or validator than reader 0", i)
+		}
+	}
+	if first.etag == oldTag || first.etag != strongETag(app.CacheGeneration(), first.body) ||
+		first.clen != strconv.Itoa(len(first.body)) {
+		t.Fatalf("links.xml's validator %s (was %s) or length %s does not fit its body", first.etag, oldTag, first.clen)
+	}
+	if want := navigation.GenerateLinkbase(app.Resolved()).AppendIndented(nil); !bytes.Equal(first.body, want) {
+		t.Fatal("the joined links.xml is not the whole linkbase")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/museum"
 	"repro/internal/navigation"
 )
 
@@ -76,6 +77,128 @@ func TestRebuildAdoptsUnchangedContexts(t *testing.T) {
 		if kept == holding[name] {
 			t.Errorf("title edit: %s adopted = %v, holds the node = %v", name, kept, holding[name])
 		}
+	}
+}
+
+// TestCaptionEditTakesOverOtherContexts: a caption edit of one painting
+// on the 50/20/8 museum resolves afresh only the contexts that hold it.
+// Every other context is the same *ResolvedContext as before, every
+// context keeps the linkbase context held for it, and links.xml is the
+// same text, body and validator.
+func TestCaptionEditTakesOverOtherContexts(t *testing.T) {
+	app := benchMuseum(t)
+	painting := app.Store().InstancesOf("Painting")[7].ID
+	before := app.gen.Load()
+	body, etag, _, err := app.DocBytes(linksURI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.EditDocument(painting, map[string]string{"technique": "Sheet metal"}); err != nil {
+		t.Fatal(err)
+	}
+	after := app.gen.Load()
+	if after == before || len(after.resolved.Contexts) != len(before.resolved.Contexts) {
+		t.Fatal("the edit published no generation, or one of another shape")
+	}
+	holding := 0
+	for i, rc := range after.resolved.Contexts {
+		holds := rc.Position(painting) >= 0
+		if holds {
+			holding++
+		}
+		if taken := rc == before.resolved.Contexts[i]; taken == holds {
+			t.Errorf("%s: taken over = %v, holds %s = %v", rc.Name, taken, painting, holds)
+		}
+		if after.links.ordered[i] != before.links.ordered[i] {
+			t.Errorf("%s: the linkbase context held for it was replaced", rc.Name)
+		}
+	}
+	if holding != 2 {
+		t.Fatalf("%s is in %d contexts, want 2", painting, holding)
+	}
+	if after.links != before.links {
+		t.Error("a caption edit replaced the linkbase")
+	}
+	if again, againTag, _, _ := app.DocBytes(linksURI); &again[0] != &body[0] || againTag != etag {
+		t.Error("a caption edit replaced links.xml's body or validator")
+	}
+}
+
+// TestStructureSwapSharesMembers: a ByAuthor swap on the 50/20/8 museum
+// takes over every ByMovement context, and every ByAuthor context keeps
+// its predecessor's sorted members and symbols under its new access
+// structure, deriving only its edges.
+func TestStructureSwapSharesMembers(t *testing.T) {
+	app := benchMuseum(t)
+	before := app.Resolved()
+	if err := app.SetAccessStructure("ByAuthor", navigation.Index{}); err != nil {
+		t.Fatal(err)
+	}
+	after := app.Resolved()
+	families := map[string]int{}
+	for i, rc := range after.Contexts {
+		was := before.Contexts[i]
+		families[rc.Def.Name]++
+		switch rc.Def.Name {
+		case "ByMovement":
+			if rc != was {
+				t.Errorf("%s was resolved afresh", rc.Name)
+			}
+		case "ByAuthor":
+			if rc == was || rc.Def.Access.Kind() != (navigation.Index{}).Kind() {
+				t.Errorf("%s was taken over, or is not an index", rc.Name)
+			}
+			if len(rc.Members) == 0 || &rc.Members[0] != &was.Members[0] {
+				t.Errorf("%s does not share its predecessor's members", rc.Name)
+			}
+		}
+	}
+	if families["ByAuthor"] != 50 || families["ByMovement"] != 8 {
+		t.Fatalf("families %v, want 50 ByAuthor and 8 ByMovement contexts", families)
+	}
+}
+
+// TestEditDroppedByFilterTakesOverContext: on the rebuild oracle's
+// reshaping model, an edit of a painting that the Recent family's Where
+// filter drops leaves its painter's Recent context the same object,
+// while the painter's ByAuthor context, which holds the painting, is
+// resolved afresh.
+func TestEditDroppedByFilterTakesOverContext(t *testing.T) {
+	store := museum.Synthetic(museum.SyntheticSpec{Painters: 6, PaintingsPerPainter: 2, Movements: 3, Seed: 3})
+	m := museum.Model(navigation.IndexedGuidedTour{})
+	m.MustAddContext(&navigation.ContextDef{
+		Name: "Recent", NodeClass: "PaintingNode", GroupBy: "paints",
+		OrderBy: "year", Where: "year >= 1960", Access: navigation.Index{}, Show: "embed",
+	})
+	app, err := NewApp(store, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := 0
+	for _, painter := range store.InstancesOf("Painter") {
+		recent := app.Resolved().Context("Recent:" + painter.ID)
+		if recent == nil {
+			continue
+		}
+		for _, painting := range store.Related(painter.ID, "paints") {
+			if recent.Position(painting.ID) >= 0 {
+				continue
+			}
+			byAuthor := app.Resolved().Context("ByAuthor:" + painter.ID)
+			if _, err := app.EditDocument(painting.ID, map[string]string{"technique": "Dropped"}); err != nil {
+				t.Fatal(err)
+			}
+			if app.Resolved().Context(recent.Name) != recent {
+				t.Errorf("editing %s, which %s drops, resolved it afresh", painting.ID, recent.Name)
+			}
+			if app.Resolved().Context(byAuthor.Name) == byAuthor {
+				t.Errorf("editing %s took over %s, which holds it", painting.ID, byAuthor.Name)
+			}
+			edited++
+		}
+	}
+	if edited == 0 {
+		t.Fatal("no Recent context drops one of its painter's paintings")
 	}
 }
 

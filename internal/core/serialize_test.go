@@ -147,8 +147,10 @@ func BenchmarkNewLinkbaseText(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendIndentedLinkbase serializes the synthetic museum's
-// links.xml into a reused buffer, the work rebuild does per mutation.
+// BenchmarkAppendIndentedLinkbase serializes the tree of the synthetic
+// museum's links.xml into a reused buffer: the tree path the one-pass
+// writer replaced, which only a caller serializing App.Linkbase's tree
+// (the examples) and the tests take.
 func BenchmarkAppendIndentedLinkbase(b *testing.B) {
 	lb := benchMuseum(b).Linkbase()
 	buf := lb.AppendIndented(nil)
@@ -161,9 +163,10 @@ func BenchmarkAppendIndentedLinkbase(b *testing.B) {
 }
 
 // BenchmarkRebuildStructureSwap swaps one family of the synthetic museum
-// between an indexed guided tour and an index: a full rebuild that
-// re-serializes links.xml, under the write lock, as the control plane's
-// structure PUT does.
+// between an indexed guided tour and an index, under the write lock, as
+// the control plane's structure PUT does: the family's contexts keep
+// their members, derive their edges and write their extended links
+// anew.
 func BenchmarkRebuildStructureSwap(b *testing.B) {
 	app := benchMuseum(b)
 	swaps := []navigation.AccessStructure{navigation.Index{}, navigation.IndexedGuidedTour{}}
@@ -189,6 +192,25 @@ func BenchmarkMutationCaption(b *testing.B) {
 // every context that lists the painting.
 func BenchmarkMutationTitle(b *testing.B) {
 	benchmarkMutation(b, "title", func(i int) string { return fmt.Sprintf("Work 0 of Painter 0 (%d)", i%2) })
+}
+
+// BenchmarkMutationStylesheet installs a stylesheet on the synthetic
+// museum and removes it again, alternately, as the control plane's
+// stylesheet PUT and DELETE do: each drops the cached pages woven
+// through the stylesheet slot, and no document changes.
+func BenchmarkMutationStylesheet(b *testing.B) {
+	app := benchMuseum(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 1 {
+			app.SetStylesheet(nil)
+			continue
+		}
+		if err := app.SetStylesheetXML(oracleStylesheet); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func benchmarkMutation(b *testing.B, attr string, value func(int) string) {

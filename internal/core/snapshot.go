@@ -35,7 +35,7 @@ func (app *App) ExportSnapshot(st storage.Store) error {
 		if d := g.docs[uri]; d == nil {
 			stale = append(stale, k)
 		} else {
-			held[uri] = bytes.Equal(v, d.body)
+			held[uri] = bytes.Equal(v, d.served().body)
 		}
 		return nil
 	}); err != nil {
@@ -45,7 +45,7 @@ func (app *App) ExportSnapshot(st storage.Store) error {
 		if held[uri] {
 			continue
 		}
-		if err := st.Put(SnapshotPrefix+uri, d.body); err != nil {
+		if err := st.Put(SnapshotPrefix+uri, d.served().body); err != nil {
 			return fmt.Errorf("core: exporting snapshot: %w", err)
 		}
 	}

@@ -58,50 +58,61 @@ func TestVisitsHoldModelStrings(t *testing.T) {
 	checkSession("select", s, rc.Member("guernica").ID())
 }
 
-// TestAdoptKeepsLookupsConsistent: an adopted context answers through
-// every lookup of the adopting model — Contexts, Context by name and
-// Landmarks — and a context whose declaration differs from the fresh
-// derivation, or that holds an instance the store has since replaced,
-// is refused.
+// TestAdoptKeepsLookupsConsistent: a context a resolution takes over
+// from its predecessor in the lineage answers through every lookup of
+// the new model — Contexts, Context by name and Landmarks. A context
+// that holds an instance the store has since replaced is resolved
+// afresh, one whose declaration changed only in its access structure
+// shares its predecessor's members, and nothing is taken over from a
+// model of another lineage.
 func TestAdoptKeepsLookupsConsistent(t *testing.T) {
 	store := museum.PaperStore()
 	m := museum.Model(navigation.IndexedGuidedTour{})
 	m.MustAddContext(&navigation.ContextDef{Name: "All", NodeClass: "PaintingNode", OrderBy: "year", Access: navigation.GuidedTour{}})
 	m.MustAddLandmark("All")
-	resolve := func() *navigation.ResolvedModel {
-		rm, err := m.Resolve(store)
+	first, err := m.Resolve(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func(l *navigation.Lineage, prev *navigation.ResolvedModel) *navigation.ResolvedModel {
+		rm, err := l.Resolve(m, store, prev)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rm
 	}
-	prev, cur := resolve(), resolve()
+	prev, cur := first, next(first.Lineage(), first)
 	for i, rc := range cur.Contexts {
-		if !cur.Adopt(i, prev.Contexts[i]) {
-			t.Fatalf("context %s of an identical resolution was not adopted", rc.Name)
+		if rc != prev.Contexts[i] {
+			t.Fatalf("context %s of an identical resolution was not taken over", rc.Name)
 		}
-	}
-	for i, rc := range cur.Contexts {
-		if rc != prev.Contexts[i] || cur.Context(rc.Name) != rc {
-			t.Errorf("context %d (%s): Contexts and Context disagree after adoption", i, rc.Name)
+		if cur.Context(rc.Name) != rc {
+			t.Errorf("context %d (%s): Contexts and Context disagree after the take-over", i, rc.Name)
 		}
 	}
 	if len(cur.Landmarks) != 1 || cur.Landmarks[0] != cur.Context("All") {
-		t.Errorf("landmarks %v do not hold the adopted context", cur.Landmarks)
+		t.Errorf("landmarks %v do not hold the context taken over", cur.Landmarks)
+	}
+	other := next(navigation.NewLineage(func() *navigation.ResolvedModel { return nil }), cur)
+	for _, rc := range other.Contexts {
+		if cur.Context(rc.Name) == rc {
+			t.Errorf("context %s was taken over from a model of another lineage", rc.Name)
+		}
 	}
 
 	// An instance the store replaced between the two resolutions.
-	prev = resolve()
+	prev = cur
 	if err := store.SetAttrs("guitar", map[string]string{"technique": "Collage"}); err != nil {
 		t.Fatal(err)
 	}
-	cur = resolve()
-	i := indexOf(t, cur, "ByAuthor:picasso")
-	if cur.Adopt(i, prev.Contexts[i]) {
-		t.Error("adopted a context holding an instance the store replaced")
+	cur = next(first.Lineage(), prev)
+	for _, name := range []string{"ByAuthor:picasso", "All"} {
+		if cur.Context(name) == prev.Context(name) {
+			t.Errorf("took over %s, which holds an instance the store replaced", name)
+		}
 	}
-	if i := indexOf(t, cur, "ByAuthor:dali"); !cur.Adopt(i, prev.Contexts[i]) {
-		t.Error("refused a context whose instances the store kept")
+	if cur.Context("ByAuthor:dali") != prev.Context("ByAuthor:dali") {
+		t.Error("resolved afresh a context whose instances the store kept")
 	}
 
 	// Another declaration that gives this context the same edges: an
@@ -114,23 +125,17 @@ func TestAdoptKeepsLookupsConsistent(t *testing.T) {
 		}
 	}
 	setAccess(navigation.AdaptiveTour{Plans: map[string]navigation.TourPlan{}})
-	prev = resolve()
+	prev = next(first.Lineage(), cur)
 	setAccess(navigation.AdaptiveTour{Plans: map[string]navigation.TourPlan{"ByAuthor:dali": {Order: []string{"memory"}, Landmarks: []string{"memory"}}}})
-	cur = resolve()
-	i = indexOf(t, cur, "ByAuthor:picasso")
-	if cur.Adopt(i, prev.Contexts[i]) {
-		t.Error("adopted a context resolved under another declaration")
+	cur = next(first.Lineage(), prev)
+	was, now := prev.Context("ByAuthor:picasso"), cur.Context("ByAuthor:picasso")
+	if now == was {
+		t.Error("took over a context resolved under another declaration")
 	}
-}
-
-// indexOf returns the position of the named context in rm.Contexts.
-func indexOf(t *testing.T, rm *navigation.ResolvedModel, name string) int {
-	t.Helper()
-	for i, rc := range rm.Contexts {
-		if rc.Name == name {
-			return i
-		}
+	if &now.Members[0] != &was.Members[0] {
+		t.Error("a context whose access structure alone changed did not keep its predecessor's members")
 	}
-	t.Fatalf("no context %q", name)
-	return -1
+	if cur.Context("ByMovement:cubism") != prev.Context("ByMovement:cubism") {
+		t.Error("an access structure change of ByAuthor resolved a ByMovement context afresh")
+	}
 }

@@ -65,6 +65,10 @@ type ResolvedContext struct {
 	Group *conceptual.Instance
 	// Members are the context's nodes in traversal order.
 	Members []*Node
+	// insts are the member instances in store order, as the Where filter
+	// keeps them: what the next resolution compares to take the context
+	// over.
+	insts []*conceptual.Instance
 
 	// sym is the symbol of Name and syms[i] that of Members[i].ID(), in
 	// the table of the lineage the context was resolved into: what a
@@ -281,46 +285,6 @@ func (rm *ResolvedModel) ContextsContaining(nodeID string) []*ResolvedContext {
 	return out
 }
 
-// Adopt puts prev, a context of an earlier resolution of the same model,
-// in place of the context at position i, together with the OutEdges
-// index and position map prev has built, and reports whether it did.
-// prev is adopted only when it is interchangeable with the context it
-// replaces: the same name, declaration, symbols and members, the same
-// instances in the same order. An instance is never changed once its
-// store holds it (an edit replaces it), so the same instances have the
-// same titles and an index prev built holds for the context it
-// replaces; a context holding an edited instance is resolved afresh. A
-// superseded model and its successor then share every unchanged
-// context, so each model costs only the contexts that changed.
-func (rm *ResolvedModel) Adopt(i int, prev *ResolvedContext) bool {
-	cur := rm.Contexts[i]
-	// The declarations compare in full, access structure parameters
-	// included: an adaptive tour whose plan changed for a sibling
-	// context is another declaration, even where this context's edges
-	// are the same.
-	if prev.Name != cur.Name || prev.Group != cur.Group ||
-		prev.sym != cur.sym || !slices.Equal(prev.syms, cur.syms) ||
-		!reflect.DeepEqual(prev.Def, cur.Def) || !sameMembers(prev.Members, cur.Members) {
-		return false
-	}
-	rm.Contexts[i] = prev
-	rm.byName[prev.Name] = prev
-	for j, lm := range rm.Landmarks {
-		if lm == cur {
-			rm.Landmarks[j] = prev
-		}
-	}
-	return true
-}
-
-// sameMembers reports whether two member lists view the same instances
-// through the same node classes, in the same order.
-func sameMembers(a, b []*Node) bool {
-	return slices.EqualFunc(a, b, func(x, y *Node) bool {
-		return x.Instance == y.Instance && x.Class == y.Class
-	})
-}
-
 // Resolve materializes every context family of the model against a
 // store, as the one model of a lineage of its own, which its sessions
 // resolve against.
@@ -334,58 +298,60 @@ func sameMembers(a, b []*Node) bool {
 // no mutation runs.
 func (m *Model) Resolve(store *conceptual.Store) (*ResolvedModel, error) {
 	var rm *ResolvedModel
-	rm, err := m.resolveInto(NewLineage(func() *ResolvedModel { return rm }), store)
+	rm, err := m.resolveInto(NewLineage(func() *ResolvedModel { return rm }), store, nil)
 	return rm, err
 }
 
-// resolveInto resolves the model into lineage l. Context names are the
-// table's strings: every model of a lineage shares them.
-func (m *Model) resolveInto(l *Lineage, store *conceptual.Store) (*ResolvedModel, error) {
+// resolveInto resolves the model into lineage l, taking over from prev,
+// an earlier resolution into l (or nil), every context the change
+// between them cannot have reached. Context names are the table's
+// strings: every model of a lineage shares them.
+//
+// A context is taken over — prev's object itself, with the OutEdges
+// index and position map it has built — when its declaration is
+// reflect.DeepEqual to the one prev's context was resolved under, over
+// the same node class and group instance, and the Where filter leaves
+// it the same instances in the same order. An instance is never changed
+// once its store holds it (an edit replaces it), so the same instances
+// have the same titles and order, and with the same declaration the
+// same edges: no node is made, sorted or interned for it. A context
+// whose declaration differs from its predecessor's only in Access or
+// Show keeps the predecessor's sorted members and symbols and derives
+// only its edges. Every other context is resolved afresh. A superseded
+// model and its successor thus share every unchanged context, so each
+// model costs only the contexts that changed.
+func (m *Model) resolveInto(l *Lineage, store *conceptual.Store, prev *ResolvedModel) (*ResolvedModel, error) {
+	if prev != nil && prev.lin != l {
+		prev = nil
+	}
 	rm := &ResolvedModel{Model: m, lin: l}
 	for _, live := range m.contexts {
-		def := new(ContextDef)
-		*def = *live
-		nc := m.nodeClasses[def.NodeClass]
-		where, err := compileWhere(def.Where)
+		where, err := compileWhere(live.Where)
 		if err != nil {
-			return nil, fmt.Errorf("navigation: context %q: %w", def.Name, err)
+			return nil, fmt.Errorf("navigation: context %q: %w", live.Name, err)
 		}
-		if def.GroupBy == "" {
-			members := make([]*Node, 0)
-			for _, inst := range store.InstancesOf(nc.Class) {
-				members = append(members, nodeOf(nc, inst))
-			}
-			members = filterNodes(members, where)
-			orderNodes(members, def.OrderBy)
-			rm.Contexts = append(rm.Contexts, &ResolvedContext{Def: def, Name: def.Name, Members: members})
+		f := &family{live: live, nc: m.nodeClasses[live.NodeClass]}
+		if prev != nil && prev.Model.nodeClasses[live.NodeClass] == f.nc {
+			f.prev = prev
+		}
+		if live.GroupBy == "" {
+			rm.Contexts = append(rm.Contexts, f.context(nil, filterInstances(store.InstancesOf(f.nc.Class), where)))
 			continue
 		}
-		rel := store.Schema().Relationship(def.GroupBy)
+		rel := store.Schema().Relationship(live.GroupBy)
 		if rel == nil {
-			return nil, fmt.Errorf("navigation: context %q: unknown relationship %q", def.Name, def.GroupBy)
+			return nil, fmt.Errorf("navigation: context %q: unknown relationship %q", live.Name, live.GroupBy)
 		}
-		if rel.Target != nc.Class {
+		if rel.Target != f.nc.Class {
 			return nil, fmt.Errorf("navigation: context %q: relationship %q targets %q, not member class %q",
-				def.Name, def.GroupBy, rel.Target, nc.Class)
+				live.Name, live.GroupBy, rel.Target, f.nc.Class)
 		}
 		for _, group := range store.InstancesOf(rel.Source) {
-			related := store.Related(group.ID, rel.Name)
-			members := make([]*Node, 0, len(related))
-			for _, inst := range related {
-				members = append(members, nodeOf(nc, inst))
-			}
-			members = filterNodes(members, where)
-			if len(members) == 0 {
+			insts := filterInstances(store.Related(group.ID, rel.Name), where)
+			if len(insts) == 0 {
 				continue // empty contexts are not materialized
 			}
-			orderNodes(members, def.OrderBy)
-			rc := &ResolvedContext{
-				Def:     def,
-				Name:    def.Name + ":" + group.ID,
-				Group:   group,
-				Members: members,
-			}
-			rm.Contexts = append(rm.Contexts, rc)
+			rm.Contexts = append(rm.Contexts, f.context(group, insts))
 		}
 	}
 	rm.symbolize()
@@ -399,12 +365,78 @@ func (m *Model) resolveInto(l *Lineage, store *conceptual.Store) (*ResolvedModel
 	return rm, nil
 }
 
-// symbolize interns the model's context names and member ids in its
-// lineage's table, gives each context the table's copy of its name, and
-// indexes the contexts by name.
+// family resolves the contexts of one declaration, live, taking over
+// what it can from prev.
+type family struct {
+	live *ContextDef
+	nc   *NodeClass
+	// prev is the earlier resolution, nil when none of its contexts can
+	// be taken over: there is none, or it viewed the members through
+	// another node class.
+	prev *ResolvedModel
+	// def is the snapshot of live the family's new contexts carry, made
+	// on first need.
+	def *ContextDef
+}
+
+// context returns the family's context over the group instance (nil
+// when ungrouped) whose members are insts, in store order as the Where
+// filter keeps them. A context resolved afresh holds its nodes in one
+// array and has no symbols yet.
+func (f *family) context(group *conceptual.Instance, insts []*conceptual.Instance) *ResolvedContext {
+	var p *ResolvedContext
+	switch {
+	case f.prev == nil:
+	case group == nil:
+		p = f.prev.byName[f.live.Name]
+	default:
+		p = f.prev.byName[f.live.Name+":"+group.ID]
+	}
+	if p != nil && p.Def.Name == f.live.Name && p.Group == group && slices.Equal(p.insts, insts) {
+		// Access and Show decide the edges alone, not the members.
+		a, b := *p.Def, *f.live
+		a.Access, a.Show, b.Access, b.Show = nil, "", nil, ""
+		if a == b {
+			if p.Def.Show == f.live.Show && reflect.DeepEqual(p.Def.Access, f.live.Access) {
+				return p
+			}
+			return &ResolvedContext{Def: f.snapshot(), Name: p.Name, Group: group, Members: p.Members,
+				insts: p.insts, sym: p.sym, syms: p.syms}
+		}
+	}
+	name := f.live.Name
+	if group != nil {
+		name += ":" + group.ID
+	}
+	nodes := make([]Node, len(insts))
+	members := make([]*Node, len(insts))
+	for i, inst := range insts {
+		nodes[i] = Node{Class: f.nc, Instance: inst}
+		members[i] = &nodes[i]
+	}
+	orderNodes(members, f.live.OrderBy)
+	return &ResolvedContext{Def: f.snapshot(), Name: name, Group: group, Members: members, insts: insts}
+}
+
+// snapshot returns the declaration the family's new contexts carry.
+func (f *family) snapshot() *ContextDef {
+	if f.def == nil {
+		f.def = new(ContextDef)
+		*f.def = *f.live
+	}
+	return f.def
+}
+
+// symbolize interns the names and member ids of the contexts resolved
+// afresh — those with no symbol yet, as no context is named "" — in the
+// model's lineage's table, gives each the table's copy of its name, and
+// indexes the model's contexts by name.
 func (rm *ResolvedModel) symbolize() {
 	rm.lin.intern(func(in *interner) {
 		for _, rc := range rm.Contexts {
+			if rc.sym != symNone {
+				continue
+			}
 			rc.sym = in.sym(rc.Name, false)
 			rc.Name = in.names[rc.sym]
 			rc.syms = make([]uint32, len(rc.Members))

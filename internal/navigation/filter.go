@@ -2,8 +2,9 @@ package navigation
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
+
+	"repro/internal/conceptual"
 )
 
 // predicate is a compiled member filter: attribute OP literal.
@@ -50,12 +51,12 @@ func compileWhere(src string) (*predicate, error) {
 	return nil, fmt.Errorf("navigation: filter %q: no comparison operator", src)
 }
 
-// matches evaluates the predicate against a node's attribute.
-func (p *predicate) matches(n *Node) bool {
-	got := n.Instance.Attr(p.attr)
-	gi, gerr := strconv.Atoi(got)
-	wi, werr := strconv.Atoi(p.value)
-	if gerr == nil && werr == nil {
+// matches evaluates the predicate against an instance's attribute.
+func (p *predicate) matches(inst *conceptual.Instance) bool {
+	got := inst.Attr(p.attr)
+	gi, gnum := atoi(got)
+	wi, wnum := atoi(p.value)
+	if gnum && wnum {
 		switch p.op {
 		case "=":
 			return gi == wi
@@ -89,15 +90,16 @@ func (p *predicate) matches(n *Node) bool {
 	return false
 }
 
-// filterNodes applies the predicate, keeping order.
-func filterNodes(nodes []*Node, p *predicate) []*Node {
+// filterInstances applies the predicate, keeping order; with no
+// predicate it returns insts itself.
+func filterInstances(insts []*conceptual.Instance, p *predicate) []*conceptual.Instance {
 	if p == nil {
-		return nodes
+		return insts
 	}
-	out := nodes[:0:0]
-	for _, n := range nodes {
-		if p.matches(n) {
-			out = append(out, n)
+	out := insts[:0:0]
+	for _, inst := range insts {
+		if p.matches(inst) {
+			out = append(out, inst)
 		}
 	}
 	return out

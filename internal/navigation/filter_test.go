@@ -69,7 +69,7 @@ func TestPredicateMatching(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compileWhere(%q): %v", tt.where, err)
 		}
-		if got := p.matches(tt.node); got != tt.want {
+		if got := p.matches(tt.node.Instance); got != tt.want {
 			t.Errorf("%q on %s = %v, want %v", tt.where, tt.node.ID(), got, tt.want)
 		}
 	}

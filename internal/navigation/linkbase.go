@@ -74,23 +74,29 @@ func GenerateLinkbase(rm *ResolvedModel) *xmldom.Document {
 // LinkbaseContexts derives the linkbase form of every resolved context, in
 // model order: what GenerateLinkbase renders, one extended link each.
 func LinkbaseContexts(rm *ResolvedModel) []*LinkbaseContext {
-	lcs := make([]*LinkbaseContext, 0, len(rm.Contexts))
-	for _, rc := range rm.Contexts {
-		lc := &LinkbaseContext{
-			Name:       rc.Name,
-			AccessKind: rc.Def.Access.Kind(),
-			HasHub:     rc.Def.Access.HasHub(),
-			NodeTitles: make(map[string]string, len(rc.Members)),
-			Order:      make([]string, 0, len(rc.Members)),
-			Edges:      rc.Edges(),
-		}
-		for _, m := range rc.Members {
-			lc.Order = append(lc.Order, m.ID())
-			lc.NodeTitles[m.ID()] = m.Title()
-		}
-		lcs = append(lcs, lc)
+	lcs := make([]*LinkbaseContext, len(rm.Contexts))
+	for i, rc := range rm.Contexts {
+		lcs[i] = LinkbaseContextOf(rc)
 	}
 	return lcs
+}
+
+// LinkbaseContextOf derives the linkbase form of one resolved context,
+// its edges included.
+func LinkbaseContextOf(rc *ResolvedContext) *LinkbaseContext {
+	lc := &LinkbaseContext{
+		Name:       rc.Name,
+		AccessKind: rc.Def.Access.Kind(),
+		HasHub:     rc.Def.Access.HasHub(),
+		NodeTitles: make(map[string]string, len(rc.Members)),
+		Order:      make([]string, 0, len(rc.Members)),
+		Edges:      rc.Edges(),
+	}
+	for _, m := range rc.Members {
+		lc.Order = append(lc.Order, m.ID())
+		lc.NodeTitles[m.ID()] = m.Title()
+	}
+	return lc
 }
 
 // BuildLinkbase renders navigation contexts as an XLink linkbase document.

@@ -1,6 +1,7 @@
 package navigation
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"unicode/utf8"
@@ -10,17 +11,19 @@ import (
 )
 
 // LinkbaseText is a linkbase in its served form, the bytes xmldom's
-// AppendIndented writes for BuildLinkbase's document, together with
-// where each context's extended link begins in them. It holds no tree:
-// Splice replaces contexts by their bytes alone. A LinkbaseText is never
-// modified; Splice returns a new one.
+// AppendIndented writes for BuildLinkbase's document, held as one byte
+// slice per context's extended link. It holds no tree: Splice replaces
+// contexts by their bytes alone. A LinkbaseText is never modified;
+// Splice returns a new one, which shares the links it did not replace.
 type LinkbaseText struct {
+	// links[k] is context k's extended link, with the line break and
+	// indentation before it.
+	links [][]byte
+	// body is the whole linkbase when the links are parts of it, as
+	// NewLinkbaseText writes them, and nil for a spliced text, whose
+	// Bytes joins its links. With no contexts it is the self-closing
+	// root.
 	body []byte
-	// at[k] is where context k's extended link begins in body, counting
-	// the line break and indentation before it; the last entry is where
-	// the line closing the root begins. Empty when there are no
-	// contexts: the root is then written self-closing.
-	at []int
 }
 
 // The frame around the extended links of a served linkbase: the XML
@@ -32,10 +35,11 @@ const (
 )
 
 // NewLinkbaseText writes the linkbase of contexts in one pass from the
-// contexts, with no tree in between, into a body of exact size: the
-// bytes BuildLinkbase(contexts).AppendIndentedSplit writes, split where
-// it splits them. linkLen sizes the body, so each extended link is
-// written once. It also returns the contexts as ParseLinkbase reads
+// contexts, with no tree in between, into one body of exact size, and
+// cuts each context's extended link out of it: the bytes
+// BuildLinkbase(contexts).AppendIndentedSplit writes, split where it
+// splits them. linkLen sizes the body, so each extended link is written
+// once. It also returns the contexts as ParseLinkbase reads
 // them back out of that document, in order — each context that reads
 // back as it is, itself (see readBack) — and fails where ParseLinkbase
 // would, with its error.
@@ -71,40 +75,63 @@ func NewLinkbaseText(contexts []*LinkbaseContext) (LinkbaseText, []*LinkbaseCont
 		size += linkLen(lc)
 	}
 	body := make([]byte, 0, size)
-	at := make([]int, 0, len(contexts)+1)
+	links := make([][]byte, len(contexts))
 	body = append(body, linkbaseOpen+">"...)
-	for _, lc := range contexts {
-		at = append(at, len(body))
+	for k, lc := range contexts {
+		from := len(body)
 		body = appendLink(body, lc)
+		links[k] = body[from:len(body):len(body)]
 	}
-	at = append(at, len(body))
 	body = append(body, linkbaseClose...)
-	return LinkbaseText{body: body, at: at}, parsed, nil
+	return LinkbaseText{links: links, body: body}, parsed, nil
 }
 
-// Bytes returns the served links.xml. The slice is shared: callers must
-// not modify it.
-func (t LinkbaseText) Bytes() []byte { return t.body }
+// Bytes returns the served links.xml. For a text NewLinkbaseText wrote
+// it is the body the links are parts of, and the slice is shared:
+// callers must not modify it. For a spliced text each call joins the
+// links into a new body of exact size.
+func (t LinkbaseText) Bytes() []byte {
+	if t.body != nil {
+		return t.body
+	}
+	size := len(linkbaseOpen) + len(">") + len(linkbaseClose)
+	for _, l := range t.links {
+		size += len(l)
+	}
+	body := append(make([]byte, 0, size), linkbaseOpen+">"...)
+	for _, l := range t.links {
+		body = append(body, l...)
+	}
+	return append(body, linkbaseClose...)
+}
 
 // Len returns how many contexts the linkbase holds.
-func (t LinkbaseText) Len() int { return max(len(t.at)-1, 0) }
+func (t LinkbaseText) Len() int { return len(t.links) }
 
 // Link returns context k's extended link exactly as it appears in
 // links.xml, with the line break and indentation before it.
-func (t LinkbaseText) Link(k int) []byte { return t.body[t.at[k]:t.at[k+1]] }
+func (t LinkbaseText) Link(k int) []byte { return t.links[k] }
+
+// Equal reports whether t and u serve the same bytes: the same links,
+// compared link by link. A link two texts share is not read.
+func (t LinkbaseText) Equal(u LinkbaseText) bool {
+	return slices.EqualFunc(t.links, u.links, func(l, m []byte) bool {
+		return len(l) == len(m) && (len(l) == 0 || &l[0] == &m[0] || bytes.Equal(l, m))
+	})
+}
 
 // Splice returns the linkbase with the contexts at the changed
 // positions replaced. contexts is the whole new context list, as long
 // as the linkbase's and in its order; changed lists, in increasing
 // order, the positions whose contexts differ from those the linkbase was
-// made from. Each changed context is measured with linkLen and written
-// once, into a new body of exact size, between runs of the unchanged
-// contexts' bytes, which are copied. An extended link's bytes depend on
-// its context alone, so the result is what NewLinkbaseText makes of
-// contexts. Splice also returns the changed contexts as ParseLinkbase
-// reads them back, in the order of changed — each that reads back as
-// it is, itself — and fails with ParseLinkbase's error for the first
-// changed context it rejects.
+// made from. Only the changed contexts are written: each is measured
+// with linkLen and written once, into one buffer of exact size for all
+// of them, and the unchanged contexts' links are shared, not copied. An
+// extended link's bytes depend on its context alone, so the result
+// serves what NewLinkbaseText makes of contexts. Splice also returns
+// the changed contexts as ParseLinkbase reads them back, in the order
+// of changed — each that reads back as it is, itself — and fails with
+// ParseLinkbase's error for the first changed context it rejects.
 func (t LinkbaseText) Splice(contexts []*LinkbaseContext, changed []int) (LinkbaseText, []*LinkbaseContext, error) {
 	if len(changed) == 0 {
 		return t, nil, nil
@@ -118,7 +145,7 @@ func (t LinkbaseText) Splice(contexts []*LinkbaseContext, changed []int) (Linkba
 		}
 	}
 	parsed := make([]*LinkbaseContext, len(changed))
-	size := len(t.body)
+	size := 0
 	count := map[string]int{}
 	for k, i := range changed {
 		back, badRole, err := readBack(contexts[i], count)
@@ -129,29 +156,17 @@ func (t LinkbaseText) Splice(contexts []*LinkbaseContext, changed []int) (Linkba
 			return LinkbaseText{}, nil, err
 		}
 		parsed[k] = back
-		size += linkLen(contexts[i]) - len(t.Link(i))
+		size += linkLen(contexts[i])
 	}
 
-	body := make([]byte, 0, size)
-	at := make([]int, len(t.at))
-	// copied is how far t.body has been copied, j the first context whose
-	// offset is not yet set, and shift how far the bytes copied last
-	// moved.
-	copied, j, shift := 0, 0, 0
+	buf := make([]byte, 0, size)
+	links := slices.Clone(t.links)
 	for _, i := range changed {
-		for ; j <= i; j++ {
-			at[j] = t.at[j] + shift
-		}
-		body = append(body, t.body[copied:t.at[i]]...)
-		body = appendLink(body, contexts[i])
-		copied = t.at[i+1]
-		shift = len(body) - copied
+		from := len(buf)
+		buf = appendLink(buf, contexts[i])
+		links[i] = buf[from:len(buf):len(buf)]
 	}
-	for ; j < len(at); j++ {
-		at[j] = t.at[j] + shift
-	}
-	body = append(body, t.body[copied:]...)
-	return LinkbaseText{body: body, at: at}, parsed, nil
+	return LinkbaseText{links: links}, parsed, nil
 }
 
 // appendLink appends lc's extended link to b, preceded by its line break

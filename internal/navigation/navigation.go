@@ -272,11 +272,6 @@ func (m *Model) MustAddLandmark(contextName string) {
 // Landmarks returns the landmark context names in declaration order.
 func (m *Model) Landmarks() []string { return append([]string(nil), m.landmarks...) }
 
-// nodeOf wraps an instance in its node class view.
-func nodeOf(nc *NodeClass, inst *conceptual.Instance) *Node {
-	return &Node{Class: nc, Instance: inst}
-}
-
 // orderNodes sorts nodes by the given attribute (numeric when both values
 // parse as integers, else lexicographic), stably; an empty attr keeps the
 // incoming order. Each node's key is read and parsed once, then nodes and
@@ -289,10 +284,22 @@ func orderNodes(nodes []*Node, attr string) {
 	keys := make([]orderKey, len(nodes))
 	for i, n := range nodes {
 		v := n.Instance.Attr(attr)
-		num, err := strconv.Atoi(v)
-		keys[i] = orderKey{str: v, num: num, numeric: err == nil}
+		num, numeric := atoi(v)
+		keys[i] = orderKey{str: v, num: num, numeric: numeric}
 	}
 	sort.Stable(byOrderKey{nodes, keys})
+}
+
+// atoi parses s as strconv.Atoi does and reports whether it could. It
+// calls Atoi only on a key whose first byte is an ASCII digit or a sign,
+// the only keys Atoi accepts, so a title is decided without the error
+// and the copy of itself a failed Atoi allocates.
+func atoi(s string) (int, bool) {
+	if s == "" || (s[0] < '0' || s[0] > '9') && s[0] != '+' && s[0] != '-' {
+		return 0, false
+	}
+	n, err := strconv.Atoi(s)
+	return n, err == nil
 }
 
 // orderKey is one node's ordering attribute, parsed.

@@ -7,6 +7,11 @@ import (
 	"repro/internal/conceptual"
 )
 
+// nodeOf wraps an instance in its node class view.
+func nodeOf(nc *NodeClass, inst *conceptual.Instance) *Node {
+	return &Node{Class: nc, Instance: inst}
+}
+
 // fixtureStore builds the paper's museum: Picasso's three paintings plus a
 // Dali painting, grouped by painter and by movement.
 func fixtureStore(t *testing.T) *conceptual.Store {

@@ -54,3 +54,18 @@ func TestOrderNodesMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderKeyNumericMatchesAtoi: a key is numeric exactly when
+// strconv.Atoi parses it, with the same value, though atoi calls Atoi
+// only on keys that start with an ASCII digit or a sign.
+func TestOrderKeyNumericMatchesAtoi(t *testing.T) {
+	keys := []string{"", "+", "-", " 5", "5 ", "1_000", "0x10", "٣", "123456789012345678901234567890",
+		"0", "-0", "+3", "-3", "007", "1910", "Work 2", "x9", "10a", "-a", "+-1", "\xff"}
+	for _, k := range keys {
+		want, err := strconv.Atoi(k)
+		got, numeric := atoi(k)
+		if numeric != (err == nil) || got != want && numeric {
+			t.Errorf("atoi(%q) = %d, %v; strconv.Atoi gives %d, %v", k, got, numeric, want, err)
+		}
+	}
+}

@@ -63,9 +63,11 @@ func (l *Lineage) Newest() *ResolvedModel { return l.newest() }
 // Len returns how many names the lineage's table holds.
 func (l *Lineage) Len() int { return len(*l.names.Load()) }
 
-// Resolve resolves m against store into the lineage.
-func (l *Lineage) Resolve(m *Model, store *conceptual.Store) (*ResolvedModel, error) {
-	return m.resolveInto(l, store)
+// Resolve resolves m against store into the lineage, taking over from
+// prev, an earlier resolution into it (or nil), every context the change
+// from prev cannot have reached (see resolveInto).
+func (l *Lineage) Resolve(m *Model, store *conceptual.Store, prev *ResolvedModel) (*ResolvedModel, error) {
+	return m.resolveInto(l, store, prev)
 }
 
 // Lineage returns the lineage the model was resolved into.

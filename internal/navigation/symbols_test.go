@@ -27,11 +27,11 @@ func TestSessionResolvesAgainstLineageFunction(t *testing.T) {
 	store := fixtureStore(t)
 	var newest *ResolvedModel
 	l := NewLineage(func() *ResolvedModel { return newest })
-	older, err := l.Resolve(fixtureModel(t, Index{}), store)
+	older, err := l.Resolve(fixtureModel(t, Index{}), store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newer, err := l.Resolve(fixtureModel(t, IndexedGuidedTour{}), store)
+	newer, err := l.Resolve(fixtureModel(t, IndexedGuidedTour{}), store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ trap 'rm -f "$TMP"' EXIT
 		-benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/obs/
 	${GO:-go} test -run '^$' -bench 'ObserveRequest' \
 		-benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/server/
-	${GO:-go} test -run '^$' -bench 'NewApp|NewLinkbaseText|AppendIndentedLinkbase|RebuildStructureSwap|MutationCaption|MutationTitle|RenderPageMember|RenderDuringSwaps|ExportSnapshot' \
+	${GO:-go} test -run '^$' -bench 'NewApp|NewLinkbaseText|AppendIndentedLinkbase|RebuildStructureSwap|MutationCaption|MutationTitle|MutationStylesheet|RenderPageMember|RenderDuringSwaps|ExportSnapshot' \
 		-benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/core/
 	${GO:-go} test -run '^$' -bench 'WriteHTML|AppendHTML' \
 		-benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/presentation/
